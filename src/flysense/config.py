@@ -194,7 +194,16 @@ def _parse_training(data: Any, path: str) -> TrainingConfig:
         "hidden": _int_tuple,
         "warmup": _opt(_expect_int),
     }
-    return _build(TrainingConfig, data, path, special)
+    tc = _build(TrainingConfig, data, path, special)
+    # Each rule below would otherwise crash mid-run or train nothing.
+    for key in ("batch_size", "update_stride", "bo_stride"):
+        if getattr(tc, key) < 1:
+            raise ConfigError(f"{path}.{key}: must be at least 1, got {getattr(tc, key)}")
+    needed = max(tc.batch_size, tc.warmup_size)
+    if tc.replay_capacity < needed:
+        raise ConfigError(f"{path}.replay_capacity: {tc.replay_capacity} is below the "
+                          f"batch size and warm-up ({needed}), so no update would run")
+    return tc
 
 
 _SECTIONS = {

@@ -70,8 +70,15 @@ class Posterior:
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
-    sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return cfg.signal_var * np.exp(-0.5 * sq / cfg.length_scale ** 2)
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    k = dx * dx
+    k += dy * dy
+    k *= -0.5
+    k /= cfg.length_scale ** 2
+    np.exp(k, out=k)
+    k *= cfg.signal_var
+    return k
 
 
 def _factor(history: SampleHistory, cfg: GpConfig):
@@ -119,22 +126,44 @@ def best_observed(history: SampleHistory) -> float:
     return float(history.values().max())
 
 
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 def _norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(z / _SQRT_2))
 
 
-def expected_improvement(post: Posterior, f_star: float) -> float:
-    """E[max(f - f_star, 0)] for f ~ N(post.mean, post.var)."""
-    sigma = math.sqrt(max(post.var, 0.0))
-    gap = post.mean - f_star
+def _ei(gap: float, sigma: float) -> float:
+    """Expected improvement from the posterior's margin over the
+    incumbent (mean - f_star) and its standard deviation."""
     if sigma == 0.0:
         return max(gap, 0.0)
     z = gap / sigma
     return gap * _norm_cdf(z) + sigma * _norm_pdf(z)
+
+
+def expected_improvement(post: Posterior, f_star: float) -> float:
+    """E[max(f - f_star, 0)] for f ~ N(post.mean, post.var)."""
+    return _ei(post.mean - f_star, math.sqrt(max(post.var, 0.0)))
+
+
+def candidate_offsets(reach: float, cfg: GpConfig) -> np.ndarray:
+    """The (n_rad * n_dir, 2) polar grid of candidate moves: n_dir
+    headings at each of n_rad radii out to reach, innermost ring first."""
+    out = np.empty((cfg.n_rad * cfg.n_dir, 2))
+    k = 0
+    for ri in range(1, cfg.n_rad + 1):
+        r = reach * ri / cfg.n_rad
+        for di in range(cfg.n_dir):
+            ang = 2.0 * math.pi * di / cfg.n_dir
+            out[k] = r * math.cos(ang), r * math.sin(ang)
+            k += 1
+    return out
 
 
 def propose_point(
@@ -143,32 +172,34 @@ def propose_point(
     reach: float,
     cfg: GpConfig,
     bounds: tuple | None = None,
+    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Waypoint with the highest expected improvement among reachable
     candidates.
 
     Candidates are the current point plus a polar grid of n_dir headings
-    by n_rad radii out to reach, clipped to bounds when given.  Ties keep
-    the earliest candidate, so an uninformative posterior proposes
-    staying put.
+    by n_rad radii out to reach, clipped to bounds when given.  A caller
+    proposing repeatedly with one reach may pass that grid precomputed
+    as offsets = candidate_offsets(reach, cfg).  Ties keep the earliest
+    candidate, so an uninformative posterior proposes staying put.
     """
     current = np.asarray(current, dtype=float).reshape(-1)[:2]
-    cands = [current]
-    for ri in range(1, cfg.n_rad + 1):
-        r = reach * ri / cfg.n_rad
-        for di in range(cfg.n_dir):
-            ang = 2.0 * math.pi * di / cfg.n_dir
-            cands.append(current + r * np.array([math.cos(ang), math.sin(ang)]))
-    cands = np.array(cands)
+    if offsets is None:
+        offsets = candidate_offsets(reach, cfg)
+    cands = np.empty((len(offsets) + 1, 2))
+    cands[0] = current
+    np.add(current, offsets, out=cands[1:])
     if bounds is not None:
         lo, hi = bounds
         cands = np.clip(cands, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     f_star = best_observed(history)
     means, variances = _posterior_many(history, cands, cfg)
+    gaps = (means - f_star).tolist()
+    sigmas = np.sqrt(variances).tolist()
     best_idx = 0
     best_ei = -math.inf
     for idx in range(len(cands)):
-        ei = expected_improvement(Posterior(float(means[idx]), float(variances[idx])), f_star)
+        ei = _ei(gaps[idx], sigmas[idx])
         if ei > best_ei:
             best_ei = ei
             best_idx = idx

@@ -170,11 +170,14 @@ class ReplayBuffer:
                  rng: np.random.Generator):
         self.capacity = capacity
         self.rng = rng
-        self._obs = np.zeros((capacity, n_agents, obs_dim))
-        self._acts = np.zeros((capacity, n_agents, ACT_DIM))
-        self._rews = np.zeros((capacity, n_agents))
-        self._obs2 = np.zeros((capacity, n_agents, obs_dim))
-        self._done = np.zeros(capacity)
+        # Uninitialised: sample() reads only rows add() has written.  A
+        # run usually fills a small part of the capacity, and zeroing it
+        # (np.zeros on recycled heap memory) would make all of it resident.
+        self._obs = np.empty((capacity, n_agents, obs_dim))
+        self._acts = np.empty((capacity, n_agents, ACT_DIM))
+        self._rews = np.empty((capacity, n_agents))
+        self._obs2 = np.empty((capacity, n_agents, obs_dim))
+        self._done = np.empty(capacity)
         self._idx = 0
         self._size = 0
 
@@ -227,29 +230,42 @@ def build_agents(n_agents: int, obs_dim: int, hidden, actor_lr: float,
     return agents
 
 
-def td_targets(agents: list, i: int, batch: Batch, discount: float) -> np.ndarray:
+def td_targets(agents: list, i: int, batch: Batch, discount: float,
+               next_acts: list | None = None) -> np.ndarray:
     """One-step bootstrapped targets from the target networks; terminal
-    transitions use the bare reward."""
+    transitions use the bare reward.
+
+    next_acts holds each target actor's action on batch.obs2 across the
+    updates of one batch: None entries are computed here and stored, and
+    update_agent clears an agent's entry once its target actor moves."""
     b, n, obs_dim = batch.obs2.shape
-    next_acts = [agents[j].target_actor.forward(batch.obs2[:, j])[0] for j in range(n)]
+    if next_acts is None:
+        next_acts = [None] * n
+    for j in range(n):
+        if next_acts[j] is None:
+            next_acts[j] = agents[j].target_actor.forward(batch.obs2[:, j])[0]
     x2 = np.concatenate([batch.obs2.reshape(b, -1), *next_acts], axis=1)
     q2, _ = agents[i].target_critic.forward(x2)
     return batch.rews[:, i] + discount * (1.0 - batch.done) * q2[:, 0]
 
 
-def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float):
+def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float,
+                 next_acts: list | None = None):
     """One critic step on the squared TD error, one actor step up the
-    critic's value, then Polyak updates of both targets.  Returns
+    critic's value, then Polyak updates of both targets.  Agents updated
+    in turn on one batch share next_acts (see td_targets).  Returns
     (critic_loss, mean_q) for logging."""
     agent = agents[i]
     b, n, obs_dim = batch.obs.shape
+    if next_acts is None:
+        next_acts = [None] * n
     x = np.concatenate([batch.obs.reshape(b, -1), batch.acts.reshape(b, -1)], axis=1)
     q, cache = agent.critic.forward(x)
-    y = td_targets(agents, i, batch, discount)
+    y = td_targets(agents, i, batch, discount, next_acts)
     diff = q[:, 0] - y
     critic_loss = float(np.mean(diff ** 2))
-    grads, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
-    agent.critic_opt.step(agent.critic, grads)
+    grads, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None], inputs=False)
+    agent.critic_opt.step(agent.critic, grads.flat)
 
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     acts = batch.acts.copy()
@@ -257,13 +273,14 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
     x_pi = np.concatenate([batch.obs.reshape(b, -1), acts.reshape(b, -1)], axis=1)
     q_pi, critic_cache = agent.critic.forward(x_pi)
     mean_q = float(np.mean(q_pi))
-    _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
+    _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b), params=False)
     da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
-    actor_grads, _ = agent.actor.backward(actor_cache, da)
-    agent.actor_opt.step(agent.actor, actor_grads)
+    actor_grads, _ = agent.actor.backward(actor_cache, da, inputs=False)
+    agent.actor_opt.step(agent.actor, actor_grads.flat)
 
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)
+    next_acts[i] = None
     return critic_loss, mean_q
 
 
@@ -346,9 +363,11 @@ def expected_transmitters(w: WorldState) -> np.ndarray:
 
 
 def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, lam: float):
-    """Returns fn(world) -> FormationMatrix implementing the configured
-    policy on the live state."""
-    def fn(w: WorldState) -> channel.FormationMatrix:
+    """Returns fn(world, report=None) -> FormationMatrix implementing the
+    configured policy on the live state.  A cost report the caller
+    already built for this state may be passed in; otherwise the policies
+    that need one build it."""
+    def fn(w: WorldState, report: CostReport | None = None) -> channel.FormationMatrix:
         k = w.chan.n_channels
         positions = w.positions()
         if policy.kind == "non_cooperative":
@@ -357,7 +376,8 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
         if policy.kind == "buffer_threshold":
             buffers = np.array([u.buffer for u in w.uavs])
             return formation.baseline_buffer(buffers, positions, policy, k, params, active)
-        report = build_cost_report(w, lam)
+        if report is None:
+            report = build_cost_report(w, lam)
         if policy.kind == "dynamic_nf":
             return formation.baseline_dynamic_nf(report, positions, policy, k, params, active)
         return formation.eda_nf(report, positions, policy, k, params, active)
@@ -472,6 +492,7 @@ class Trainer:
         self.formation_fn = make_formation_fn(cfg.formation, cfg.channel, tc.lam)
         hw = scenario.half_width_m
         self.reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / hw
+        self.gp_offsets = gp.candidate_offsets(self.reach_scaled, cfg.gp)
         self.gp_bounds = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
     def _new_world(self, rng=None, demand_scale: float = 1.0) -> WorldState:
@@ -489,7 +510,8 @@ class Trainer:
         u = w.uavs[i]
         cur = np.array([u.pos.x / hw, u.pos.y / hw])
         prop = gp.propose_point(self.histories[i], cur, self.reach_scaled,
-                                self.cfg.gp, bounds=self.gp_bounds)
+                                self.cfg.gp, bounds=self.gp_bounds,
+                                offsets=self.gp_offsets)
         return bo_to_action(u.pos, prop * hw, u.v_max, w.protocol.t_f)
 
     def train_episode(self, ep: int, sink=None) -> EpisodeStats:
@@ -542,10 +564,12 @@ class Trainer:
                                       report.sensed[i] / DATA_UNIT)
             if len(self.replay) >= tc.warmup_size and slot % tc.update_stride == 0:
                 batch = self.replay.sample(tc.batch_size)
+                next_acts = [None] * n
                 for i in range(n):
-                    update_agent(i, self.agents, batch, tc.discount, tc.tau)
-            cost_rep = build_cost_report(w, tc.lam)
+                    update_agent(i, self.agents, batch, tc.discount, tc.tau, next_acts)
+            cost_rep = None
             if log_slots:
+                cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
                     r, parts = reward(i, report, tc.weights)
@@ -565,7 +589,7 @@ class Trainer:
             energy += report.energy.sum()
             max_buffer = max(max_buffer, max(u.buffer for u in w.uavs))
             slots = slot + 1
-            w.formation = self.formation_fn(w)
+            w.formation = self.formation_fn(w, cost_rep)
             if done:
                 completion = slots
                 break

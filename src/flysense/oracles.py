@@ -190,11 +190,19 @@ def check_expected_improvement(rng: np.random.Generator, ei_fn=None,
 
 def check_mlp_gradients(rng: np.random.Generator, n_seeds: int = 10,
                         tol: float = 1e-4) -> CheckResult:
-    """Backprop vs central differences for the actor and critic shapes."""
+    """Backprop vs central differences for the actor and critic shapes,
+    in each gradient mode the learner uses: parameters only, input only,
+    and both."""
     shapes = [
         ([12, 16, 16, 2], "tanh"),
         ([42, 16, 16, 1], "identity"),
     ]
+    modes = ((True, True), (True, False), (False, True))
+
+    def rel_err(a, b) -> float:
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
+        return float((np.abs(a - b) / denom).max())
+
     worst = 0.0
     for _ in range(n_seeds):
         for dims, out_act in shapes:
@@ -202,15 +210,18 @@ def check_mlp_gradients(rng: np.random.Generator, n_seeds: int = 10,
             x = rng.uniform(-1, 1, size=dims[0])
             dy = rng.uniform(-1, 1, size=dims[-1])
             _, cache = net.forward(x)
-            grads, dx = net.backward(cache, dy)
             fd = finite_diff_param_grads(net, x, dy)
-            for (gw, gb), (fw, fb) in zip(grads, fd):
-                for a, b in ((gw, fw), (gb, fb)):
-                    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-                    worst = max(worst, float((np.abs(a - b) / denom).max()))
             fx = finite_diff_input_grad(net, x, dy)
-            denom = np.maximum(np.maximum(np.abs(dx), np.abs(fx)), 1e-6)
-            worst = max(worst, float((np.abs(dx - fx) / denom).max()))
+            for params, inputs in modes:
+                grads, dx = net.backward(cache, dy, params=params, inputs=inputs)
+                if (grads is None) == params or (dx is None) == inputs:
+                    worst = math.inf
+                    continue
+                if params:
+                    for (gw, gb), (fw, fb) in zip(grads, fd):
+                        worst = max(worst, rel_err(gw, fw), rel_err(gb, fb))
+                if inputs:
+                    worst = max(worst, rel_err(dx, fx))
     return CheckResult("mlp_grads_vs_finite_diff", worst, tol, worst <= tol)
 
 

@@ -67,6 +67,25 @@ def test_bad_config_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,path", [
+    ({"update_stride": 0}, "training.update_stride"),
+    ({"bo_stride": 0}, "training.bo_stride"),
+    ({"batch_size": 0, "warmup": 16}, "training.batch_size"),
+    ({"replay_capacity": 4}, "training.replay_capacity"),      # below batch 8 and warm-up 16
+    ({"replay_capacity": 12}, "training.replay_capacity"),     # holds a batch, not the warm-up
+])
+def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, override, path):
+    cfg_path = write_tiny_config(tmp_path)
+    cfg = json.loads(open(cfg_path).read())
+    cfg["training"].update(override)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_checkpoint_exit_3(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     code = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o"),

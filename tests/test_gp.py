@@ -9,7 +9,10 @@ from flysense.gp import (
     GpConfig,
     Posterior,
     SampleHistory,
+    _kernel_matrix,
+    _posterior_many,
     best_observed,
+    candidate_offsets,
     expected_improvement,
     kernel,
     posterior,
@@ -79,6 +82,14 @@ class TestPosterior:
         post = posterior(h, np.array([0.2, 0.1]), CFG)
         assert post.mean == pytest.approx(3.0, abs=1e-3)
         assert post.var < 1e-3
+
+    def test_kernel_matrix_matches_axis_sum_bitwise(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, (50, 2))
+        b = rng.uniform(-1, 1, (65, 2))
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        want = CFG.signal_var * np.exp(-0.5 * sq / CFG.length_scale ** 2)
+        assert np.array_equal(_kernel_matrix(a, b, CFG), want)
 
     def test_matches_dense_solve_random(self):
         """Cholesky path against an explicit-inverse reference."""
@@ -174,3 +185,53 @@ class TestProposePoint:
             clipped_dist = np.linalg.norm(np.clip(got, *bounds) - got)
             assert clipped_dist == 0.0
             assert np.linalg.norm(got - cur) <= reach * math.sqrt(2.0) + 1e-9
+
+    def test_zero_variance_tie_stays_put(self):
+        cur = np.array([0.3, -0.4])
+        for prior_mean in (0.0, 0.5):
+            cfg = GpConfig(signal_var=0.0, prior_mean=prior_mean)
+            got = propose_point(SampleHistory(10), cur, 0.2, cfg)
+            assert np.array_equal(got, cur)
+            assert np.array_equal(got, _reference_propose(SampleHistory(10), cur, 0.2, cfg))
+
+    def test_matches_scalar_ei_loop_on_random_windows(self):
+        rng = np.random.default_rng(31)
+        bounds = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        for trial in range(30):
+            cfg = GpConfig(window=int(rng.integers(1, 40)), n_dir=int(rng.integers(1, 20)),
+                           n_rad=int(rng.integers(1, 6)))
+            h = SampleHistory(cfg.window)
+            for _ in range(int(rng.integers(0, 60))):
+                h.add(rng.uniform(-1, 1, 2), float(rng.exponential(1.0)))
+            cur = rng.uniform(-1, 1, 2)
+            reach = float(rng.uniform(0.01, 0.5))
+            box = bounds if trial % 2 else None
+            want = _reference_propose(h, cur, reach, cfg, box)
+            assert np.array_equal(propose_point(h, cur, reach, cfg, bounds=box), want)
+            got = propose_point(h, cur, reach, cfg, bounds=box,
+                                offsets=candidate_offsets(reach, cfg))
+            assert np.array_equal(got, want)
+
+
+def _reference_propose(history, current, reach, cfg, bounds=None):
+    """The per-candidate loop propose_point replaced: polar grid built
+    point by point, one Posterior and one expected_improvement call per
+    candidate."""
+    current = np.asarray(current, dtype=float).reshape(-1)[:2]
+    cands = [current]
+    for ri in range(1, cfg.n_rad + 1):
+        r = reach * ri / cfg.n_rad
+        for di in range(cfg.n_dir):
+            ang = 2.0 * math.pi * di / cfg.n_dir
+            cands.append(current + r * np.array([math.cos(ang), math.sin(ang)]))
+    cands = np.array(cands)
+    if bounds is not None:
+        cands = np.clip(cands, bounds[0], bounds[1])
+    f_star = best_observed(history)
+    means, variances = _posterior_many(history, cands, cfg)
+    best_idx, best_ei = 0, -math.inf
+    for idx in range(len(cands)):
+        ei = expected_improvement(Posterior(float(means[idx]), float(variances[idx])), f_star)
+        if ei > best_ei:
+            best_ei, best_idx = ei, idx
+    return cands[best_idx]

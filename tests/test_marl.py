@@ -349,6 +349,71 @@ class TestCostReport:
         assert rep.cost[0] == pytest.approx(want)
 
 
+def _reference_update(i, agents, batch, discount, tau):
+    """update_agent as first written: every target actor re-run for every
+    agent (N^2 forwards per batch) and full backward passes whose unused
+    halves are thrown away."""
+    agent = agents[i]
+    b, n, obs_dim = batch.obs.shape
+    x = np.concatenate([batch.obs.reshape(b, -1), batch.acts.reshape(b, -1)], axis=1)
+    q, cache = agent.critic.forward(x)
+    next_acts = [agents[j].target_actor.forward(batch.obs2[:, j])[0] for j in range(n)]
+    x2 = np.concatenate([batch.obs2.reshape(b, -1), *next_acts], axis=1)
+    q2, _ = agent.target_critic.forward(x2)
+    y = batch.rews[:, i] + discount * (1.0 - batch.done) * q2[:, 0]
+    diff = q[:, 0] - y
+    grads, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
+    agent.critic_opt.step(agent.critic, grads.flat)
+    a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
+    acts = batch.acts.copy()
+    acts[:, i, :] = a_i
+    x_pi = np.concatenate([batch.obs.reshape(b, -1), acts.reshape(b, -1)], axis=1)
+    _, critic_cache = agent.critic.forward(x_pi)
+    _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
+    da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
+    actor_grads, _ = agent.actor.backward(actor_cache, da)
+    agent.actor_opt.step(agent.actor, actor_grads.flat)
+    nn.soft_update(agent.target_critic, agent.critic, tau)
+    nn.soft_update(agent.target_actor, agent.actor, tau)
+
+
+def test_shared_target_actions_match_n_squared_updates_bitwise():
+    n, obs_dim, b = 3, observation_dim(3), 256
+    rng = np.random.default_rng(41)
+    agents = build_agents(n, obs_dim, (64, 64), 1e-3, 1e-4, np.random.default_rng(42))
+    ref = build_agents(n, obs_dim, (64, 64), 1e-3, 1e-4, np.random.default_rng(42))
+    for _ in range(4):
+        batch = random_batch(rng, b, n, obs_dim)
+        next_acts = [None] * n
+        for i in range(n):
+            update_agent(i, agents, batch, 0.95, 0.01, next_acts)
+            _reference_update(i, ref, batch, 0.95, 0.01)
+    for mine, theirs in zip(agents, ref):
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(mine, name).params, getattr(theirs, name).params)
+        for name in ("actor_opt", "critic_opt"):
+            a, r = getattr(mine, name), getattr(theirs, name)
+            assert a.t == r.t
+            assert np.array_equal(a._m, r._m) and np.array_equal(a._v, r._v)
+
+
+def test_target_actor_forwards_per_batch(monkeypatch):
+    n, obs_dim = 3, 6
+    rng = np.random.default_rng(43)
+    agents = build_agents(n, obs_dim, (8,), 1e-3, 1e-3, rng)
+    batch = random_batch(rng, 16, n, obs_dim)
+    calls = []
+    for j, agent in enumerate(agents):
+        forward = agent.target_actor.forward
+        monkeypatch.setattr(agent.target_actor, "forward",
+                            lambda x, j=j, f=forward: calls.append(j) or f(x))
+    next_acts = [None] * n
+    for i in range(n):
+        update_agent(i, agents, batch, 0.9, 0.1, next_acts)
+    # all three once, then each moved target actor once more: 2N - 1
+    assert calls == [0, 1, 2, 0, 1]
+
+
 def tiny_run_config(seed=11, **training_overrides):
     training = TrainingConfig(
         episodes=4, horizon=8, batch_size=8, replay_capacity=512,
@@ -431,3 +496,24 @@ class TestTrainer:
     def test_bo_disabled_runs(self):
         res = Trainer(tiny_run_config(bo_enabled=False, episodes=2)).run()
         assert all(row["bo_frac"] == 0.0 for row in res.episode_rows)
+
+    @pytest.mark.parametrize("kind,log,per_slot", [
+        ("eda_nf", True, 1), ("eda_nf", False, 1),
+        ("non_cooperative", True, 1), ("non_cooperative", False, 0),
+    ])
+    def test_cost_report_at_most_once_per_slot(self, monkeypatch, kind, log, per_slot):
+        cfg = dataclasses.replace(tiny_run_config(), formation=FormationPolicy(kind=kind))
+        tr = Trainer(cfg)
+        calls = []
+        real = marl.build_cost_report
+        monkeypatch.setattr(marl, "build_cost_report",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+
+        class Sink:
+            def slot_row(self, row):
+                pass
+
+        stats = tr.train_episode(0, Sink() if log else None)
+        # plus one for the starting world's formation
+        start = 1 if kind == "eda_nf" else 0
+        assert len(calls) == start + per_slot * stats.slots
