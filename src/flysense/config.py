@@ -180,7 +180,15 @@ def _parse_scenario(data: Any, path: str) -> Scenario:
         "uav_xy": _opt(_pairs),
         "gu_seed": _opt(_expect_int),
     }
-    return _build(Scenario, data, path, special)
+    scen = _build(Scenario, data, path, special)
+    # A layout of the wrong length would crash the first slot or silently
+    # build a different world.
+    for key, count in (("uav_xy", "n_uavs"), ("gu_xy", "n_gus")):
+        xy = getattr(scen, key)
+        if xy is not None and len(xy) != getattr(scen, count):
+            raise ConfigError(f"{path}.{key}: {len(xy)} positions, but {path}.{count} "
+                              f"is {getattr(scen, count)}")
+    return scen
 
 
 def _parse_formation(data: Any, path: str) -> FormationPolicy:
@@ -196,13 +204,15 @@ def _parse_training(data: Any, path: str) -> TrainingConfig:
     }
     tc = _build(TrainingConfig, data, path, special)
     # Each rule below would otherwise crash mid-run or train nothing.
-    for key in ("batch_size", "update_stride", "bo_stride"):
+    for key in ("batch_size", "update_stride", "bo_stride", "eval_episodes"):
         if getattr(tc, key) < 1:
             raise ConfigError(f"{path}.{key}: must be at least 1, got {getattr(tc, key)}")
-    needed = max(tc.batch_size, tc.warmup_size)
-    if tc.replay_capacity < needed:
+    if tc.warmup_size < tc.batch_size:
+        raise ConfigError(f"{path}.warmup: {tc.warmup} is below the batch size "
+                          f"({tc.batch_size}), so the first update could not fill a batch")
+    if tc.replay_capacity < tc.warmup_size:
         raise ConfigError(f"{path}.replay_capacity: {tc.replay_capacity} is below the "
-                          f"batch size and warm-up ({needed}), so no update would run")
+                          f"warm-up ({tc.warmup_size}), so no update would run")
     return tc
 
 

@@ -4,7 +4,8 @@ Every policy maps per-UAV status (drain-time balance, running cost,
 positions) to a formation matrix that passes the sub-channel constraint
 by construction.  The main policy pairs overloaded UAVs with cheap
 relays; three simpler baselines and an exhaustive-search oracle are used
-for comparison.
+for comparison.  The three relay planners start all-direct and place
+every relay through the same interference-ranked step (_relay_pair).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class CostReport:
     balance: np.ndarray  # drain-time imbalance, sums to zero
     cost: np.ndarray     # energy + weighted backlog
     # BS-link rate left over after the UAV's own sensing intake (bit/s,
-    # offload-sub-slot equivalent).  None disables the headroom guard.
-    spare_rate: np.ndarray | None = None
+    # offload-sub-slot equivalent); np.inf leaves a relay unconstrained.
+    spare_rate: np.ndarray
 
 
 @dataclass
@@ -71,100 +72,76 @@ def cost(energy_j: float, buffer_bits: float, gu_backlog_bits: float, lam: float
     return float(energy_j) + float(lam) * float(buffer_bits) + float(gu_backlog_bits)
 
 
-class _ChannelCursor:
-    """Round-robin sub-channel assignment that skips conflicting slots."""
-
-    def __init__(self, n_channels: int):
-        self.n_channels = n_channels
-        self.next_ch = 0
-
-    def place(self, fm: FormationMatrix, tx: int, rx: int) -> int | None:
-        for off in range(self.n_channels):
-            ch = (self.next_ch + off) % self.n_channels
-            if fm.channel_fits(tx, rx, ch):
-                fm.set_link(tx, rx, ch)
-                self.next_ch = (ch + 1) % self.n_channels
-                return ch
-        return None
-
-
-def _all_direct(n_uavs: int, n_channels: int, cursor: _ChannelCursor) -> FormationMatrix:
+def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
+    """UAV i on BS sub-channel i-1; UAVs beyond the last sub-channel stay
+    unlinked."""
     fm = FormationMatrix(n_uavs, n_channels)
-    for i in range(1, n_uavs + 1):
-        cursor.place(fm, i, BS)  # skipped when the BS runs out of channels
+    for i in range(1, min(n_uavs, n_channels) + 1):
+        fm.set_link(i, BS, i - 1)
     return fm
 
 
-def _relay_pair(
-    fm: FormationMatrix,
-    cursor: _ChannelCursor,
-    tx: int,
-    rx: int,
-    positions: np.ndarray | None = None,
-    params: ChannelParams | None = None,
-    active: np.ndarray | None = None,
-) -> bool:
+def _planar_gap(positions: np.ndarray, a: int, b: int) -> float:
+    """Horizontal separation (m) of nodes a and b."""
+    return float(np.linalg.norm(positions[a][:2] - positions[b][:2]))
+
+
+def _relay_pair(fm: FormationMatrix, tx: int, rx: int, positions: np.ndarray,
+                params: ChannelParams, active: np.ndarray | None) -> bool:
     """Replace tx's direct BS link with a one-hop link to rx.
 
-    The sub-channels freed at the base station are handed to rx's own BS
-    link where they still fit, so pairing widens the relay's backhaul
-    instead of shrinking the total BS-bound bandwidth.  With positions
-    and params the one-hop link goes on the fitting sub-channel with the
-    least co-channel power at rx (active masks out transmitters known to
-    be silent); among equally quiet channels the non-freed ones go first
-    so the freed spectrum stays available for the backhaul.  Without
-    positions the round-robin cursor picks.  Returns False and leaves fm
-    unchanged when the one-hop link cannot be placed.
+    The one-hop link goes on the fitting sub-channel with the least
+    co-channel power at rx (active masks out transmitters known to be
+    silent); among equally quiet channels the non-freed ones go first so
+    the freed spectrum stays available for the backhaul.  The sub-channels
+    freed at the base station are then handed to rx's own BS link where
+    they still fit, so pairing widens the relay's backhaul instead of
+    shrinking the total BS-bound bandwidth.  Returns False and leaves fm
+    unchanged when no sub-channel fits the one-hop link.
     """
-    saved = [(r, c) for r, c in fm.out_links(tx)]
-    freed = [c for r, c in saved if r == BS]
+    freed = [c for r, c in fm.out_links(tx) if r == BS]
     fm.clear_link(tx, BS)
-    if positions is None or params is None:
-        placed = cursor.place(fm, tx, rx)
-    else:
-        widenable = {c for c in freed if fm.channel_fits(rx, BS, c)}
-        fits = [c for c in range(fm.n_channels) if fm.channel_fits(tx, rx, c)]
-        ranked = sorted(
-            fits,
-            key=lambda c: (
-                channel.interference(fm, positions, tx, rx, c, params, active),
-                c in widenable,
-                c,
-            ),
-        )
-        placed = None
-        if ranked:
-            placed = ranked[0]
-            fm.set_link(tx, rx, placed)
-    if placed is None:
-        for r, c in saved:
-            fm.set_link(tx, r, c)
+    fits = [c for c in range(fm.n_channels) if fm.channel_fits(tx, rx, c)]
+    if not fits:
+        for c in freed:
+            fm.set_link(tx, BS, c)
         return False
+    widenable = {c for c in freed if fm.channel_fits(rx, BS, c)}
+    placed = min(fits, key=lambda c: (
+        channel.interference(fm, positions, tx, rx, c, params, active), c in widenable, c))
+    fm.set_link(tx, rx, placed)
     for c in freed:
         if c != placed and fm.channel_fits(rx, BS, c):
             fm.set_link(rx, BS, c)
     return True
 
 
-def _point_rates_ok(policy, params, positions, seeker, relay, spare_rate=None) -> bool:
+def _pair_first(fm, tx, candidates, positions, params, active) -> int | None:
+    """Route tx through the first candidate (0-based UAV index, lazily
+    consumed) that has a BS link and takes _relay_pair; None if none does."""
+    for j in candidates:
+        rx = j + 1
+        if not fm.has_link(rx, BS):
+            continue  # a relay with no backhaul would strand the data
+        if _relay_pair(fm, tx, rx, positions, params, active):
+            return j
+    return None
+
+
+def _point_rates_ok(policy, params, positions, seeker, relay, spare_rate) -> bool:
     """Rate guards for a candidate pairing.  The relay's own BS link must
     outrun the seeker's, otherwise rerouting cannot shorten the drain, and
     the U2U hop must clear the configured floor (the seeker's direct rate
-    when none is set).  When the relay's spare backhaul rate is known the
-    detour has to fit into it end to end: a relay whose BS link is already
-    saturated by its own sensing would only queue the seeker's data."""
-    if params is None:
-        return True
+    when none is set).  The detour also has to fit into the relay's spare
+    backhaul rate end to end: a relay whose BS link is already saturated
+    by its own sensing would only queue the seeker's data."""
     seeker_bs = channel.point_rate(positions[seeker], positions[BS], params)
     if channel.point_rate(positions[relay], positions[BS], params) <= seeker_bs:
         return False
-    if spare_rate is not None and spare_rate < seeker_bs:
+    if spare_rate < seeker_bs:
         return False
-    u2u = channel.point_rate(positions[seeker], positions[relay], params)
-    floor = policy.min_rate
-    if floor is None:
-        floor = seeker_bs
-    return u2u >= floor
+    floor = seeker_bs if policy.min_rate is None else policy.min_rate
+    return channel.point_rate(positions[seeker], positions[relay], params) >= floor
 
 
 def eda_nf(
@@ -172,7 +149,7 @@ def eda_nf(
     positions: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
-    params: ChannelParams | None = None,
+    params: ChannelParams,
     active: np.ndarray | None = None,
 ) -> FormationMatrix:
     """Energy/delay-aware relay pairing.
@@ -183,38 +160,31 @@ def eda_nf(
     BS link is replaced by a one-hop link to the relay, which keeps its
     own BS link.  Pairings that would break the sub-channel constraint,
     exceed the pairing range, fall below the minimum link rate, or exceed
-    the relay's spare backhaul (when reported) are skipped.  positions
-    holds node rows with the base station first.
+    the relay's spare backhaul are skipped.  positions holds node rows
+    with the base station first.
     """
     n = report.balance.size
-    cursor = _ChannelCursor(n_channels)
-    fm = _all_direct(n, n_channels, cursor)
+    fm = _all_direct(n, n_channels)
     seekers = [i for i in range(n) if report.balance[i] > policy.balance_threshold]
     relays = [i for i in range(n) if report.balance[i] <= policy.balance_threshold]
     seekers.sort(key=lambda i: (-report.cost[i], i))
     relays.sort(key=lambda i: (report.cost[i], i))
     for i in seekers:
         tx = i + 1
-        for j in relays:
-            rx = j + 1
-            d = float(np.linalg.norm(positions[tx][:2] - positions[rx][:2]))
-            if d >= policy.pair_range_m:
-                continue
-            spare = None if report.spare_rate is None else float(report.spare_rate[j])
-            if not _point_rates_ok(policy, params, positions, tx, rx, spare):
-                continue
-            if not fm.has_link(rx, BS):
-                continue  # a relay with no backhaul would strand the data
-            if not _relay_pair(fm, cursor, tx, rx, positions, params, active):
-                continue
+        # Lazy: the guards of later candidates run only if earlier ones fail.
+        guarded = (j for j in relays
+                   if _planar_gap(positions, tx, j + 1) < policy.pair_range_m
+                   and _point_rates_ok(policy, params, positions, tx, j + 1,
+                                       float(report.spare_rate[j])))
+        j = _pair_first(fm, tx, guarded, positions, params, active)
+        if j is not None:
             relays.remove(j)
-            break
     return fm
 
 
 def baseline_noncoop(n_uavs: int, n_channels: int) -> FormationMatrix:
     """Every UAV keeps a direct BS link; no relaying ever."""
-    return _all_direct(n_uavs, n_channels, _ChannelCursor(n_channels))
+    return _all_direct(n_uavs, n_channels)
 
 
 def baseline_buffer(
@@ -222,32 +192,23 @@ def baseline_buffer(
     positions: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
-    params: ChannelParams | None = None,
+    params: ChannelParams,
     active: np.ndarray | None = None,
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
     nearest UAV that is still below it (within the pairing range)."""
     buffers = np.asarray(buffers, dtype=float)
     n = buffers.size
-    cursor = _ChannelCursor(n_channels)
-    fm = _all_direct(n, n_channels, cursor)
+    fm = _all_direct(n, n_channels)
     for i in range(n):
         if buffers[i] <= policy.buffer_threshold_bits:
             continue
         tx = i + 1
-        order = sorted(
-            (j for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits),
-            key=lambda j: (float(np.linalg.norm(positions[tx][:2] - positions[j + 1][:2])), j),
-        )
-        for j in order:
-            rx = j + 1
-            if float(np.linalg.norm(positions[tx][:2] - positions[rx][:2])) >= policy.pair_range_m:
-                continue
-            if not fm.has_link(rx, BS):
-                continue
-            if not _relay_pair(fm, cursor, tx, rx, positions, params, active):
-                continue
-            break
+        gaps = {j: _planar_gap(positions, tx, j + 1)
+                for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits}
+        order = sorted(gaps, key=lambda j: (gaps[j], j))
+        _pair_first(fm, tx, [j for j in order if gaps[j] < policy.pair_range_m],
+                    positions, params, active)
     return fm
 
 
@@ -256,39 +217,27 @@ def baseline_dynamic_nf(
     positions: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
-    params: ChannelParams | None = None,
+    params: ChannelParams,
     active: np.ndarray | None = None,
 ) -> FormationMatrix:
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
     cost undercuts its own by the configured margin.  Pairings are
     exclusive, most expensive UAV first."""
     n = report.cost.size
-    cursor = _ChannelCursor(n_channels)
-    fm = _all_direct(n, n_channels, cursor)
+    fm = _all_direct(n, n_channels)
     free = set(range(n))
     for i in sorted(range(n), key=lambda i: (-report.cost[i], i)):
         if i not in free:
             continue
         tx = i + 1
-        candidates = sorted(
-            (
-                j
-                for j in free
-                if j != i
-                and report.cost[j] < report.cost[i] - policy.cost_margin
-                and float(np.linalg.norm(positions[tx][:2] - positions[j + 1][:2])) < policy.pair_range_m
-            ),
-            key=lambda j: (report.cost[j], j),
-        )
-        for j in candidates:
-            rx = j + 1
-            if not fm.has_link(rx, BS):
-                continue
-            if not _relay_pair(fm, cursor, tx, rx, positions, params, active):
-                continue
+        candidates = sorted((j for j in free if j != i
+                             and report.cost[j] < report.cost[i] - policy.cost_margin
+                             and _planar_gap(positions, tx, j + 1) < policy.pair_range_m),
+                            key=lambda j: (report.cost[j], j))
+        j = _pair_first(fm, tx, candidates, positions, params, active)
+        if j is not None:
             free.discard(i)
             free.discard(j)
-            break
     return fm
 
 

@@ -223,7 +223,7 @@ def _aggregate(stats_list, horizon: int) -> dict:
         "sensed_mean": sum(s.sensed for s in stats_list) / n,
         "delivered_mean": sum(s.delivered for s in stats_list) / n,
         "energy_mean": sum(s.energy for s in stats_list) / n,
-        "remaining_final_mean": sum(s.remaining_curve[-1] for s in stats_list) / n,
+        "remaining_final_mean": sum(s.remaining_final for s in stats_list) / n,
     }
     return out
 
@@ -247,7 +247,7 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
         policy = dataclasses.replace(cfg.formation, kind=kind)
         for scale in demand_scales:
             stats = trainer.evaluate(n_eval, policy=policy, demand_scale=scale,
-                                     horizon=horizon, collect_curve=True)
+                                     horizon=horizon)
             row = {"policy": kind, "demand_scale": scale}
             row.update(_aggregate(stats, horizon))
             rows.append(row)

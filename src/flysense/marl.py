@@ -369,9 +369,9 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
     that need one build it."""
     def fn(w: WorldState, report: CostReport | None = None) -> channel.FormationMatrix:
         k = w.chan.n_channels
-        positions = w.positions()
         if policy.kind == "non_cooperative":
             return formation.baseline_noncoop(w.n_uavs, k)
+        positions = w.positions()
         active = expected_transmitters(w)
         if policy.kind == "buffer_threshold":
             buffers = np.array([u.buffer for u in w.uavs])
@@ -387,7 +387,6 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
 @dataclass
 class EpisodeStats:
     rewards: np.ndarray        # per-agent total
-    parts: RewardParts         # summed over agents and slots
     sensed: float
     delivered: float
     energy: float
@@ -395,7 +394,8 @@ class EpisodeStats:
     completion_slot: int | None
     max_buffer: float
     bo_frac: float
-    remaining_curve: list = field(default_factory=list)
+    # ground demand plus UAV buffers after the last slot (rollout only)
+    remaining_final: float | None = None
 
 
 def _episode_done(w: WorldState) -> bool:
@@ -403,16 +403,14 @@ def _episode_done(w: WorldState) -> bool:
 
 
 def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWeights,
-            slot_cb=None, collect_curve: bool = False) -> EpisodeStats:
+            slot_cb=None) -> EpisodeStats:
     """Run one episode with an arbitrary action provider
     act_fn(w, obs_list) -> (N, 2) raw actions.  No learning, no noise."""
     n = w.n_uavs
     totals = np.zeros(n)
-    parts_sum = RewardParts(0.0, 0.0, 0.0, 0.0)
     sensed = delivered = energy = 0.0
     max_buffer = max(u.buffer for u in w.uavs)
     completion = None
-    curve = []
     slots = 0
     for slot in range(horizon):
         obs = [observe(w, i) for i in range(n)]
@@ -420,19 +418,12 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
         decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(acts)]
         w, report = world.step(w, decoded, w.formation)
         for i in range(n):
-            r, parts = reward(i, report, weights)
-            totals[i] += r
-            parts_sum.energy += parts.energy
-            parts_sum.data += parts.data
-            parts_sum.sense += parts.sense
-            parts_sum.penalty += parts.penalty
+            totals[i] += reward(i, report, weights)[0]
         sensed += report.sensed.sum()
         delivered += report.delivered_bs.sum()
         energy += report.energy.sum()
         max_buffer = max(max_buffer, max(u.buffer for u in w.uavs))
         slots = slot + 1
-        if collect_curve:
-            curve.append(sum(g.remaining for g in w.gus) + sum(u.buffer for u in w.uavs))
         if slot_cb is not None:
             slot_cb(w, slot, acts, report)
         w.formation = formation_fn(w)
@@ -440,9 +431,10 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
             completion = slots
             break
     return EpisodeStats(
-        rewards=totals, parts=parts_sum, sensed=sensed, delivered=delivered,
+        rewards=totals, sensed=sensed, delivered=delivered,
         energy=energy, slots=slots, completion_slot=completion,
-        max_buffer=max_buffer, bo_frac=0.0, remaining_curve=curve,
+        max_buffer=max_buffer, bo_frac=0.0,
+        remaining_final=sum(g.remaining for g in w.gus) + sum(u.buffer for u in w.uavs),
     )
 
 
@@ -495,14 +487,15 @@ class Trainer:
         self.gp_offsets = gp.candidate_offsets(self.reach_scaled, cfg.gp)
         self.gp_bounds = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
-    def _new_world(self, rng=None, demand_scale: float = 1.0) -> WorldState:
+    def _new_world(self, rng=None, demand_scale: float = 1.0,
+                   formation_fn=None) -> WorldState:
         scenario = self.scenario
         if demand_scale != 1.0:
             scenario = dc_replace(scenario, demand_bits=scenario.demand_bits * demand_scale)
         if rng is None:
             rng = np.random.default_rng(self._world_ss.spawn(1)[0])
         w = world.make_world(scenario, self.chan, rng)
-        w.formation = self.formation_fn(w)
+        w.formation = (formation_fn or self.formation_fn)(w)
         return w
 
     def _bo_action(self, i: int, w: WorldState) -> np.ndarray:
@@ -520,7 +513,6 @@ class Trainer:
         n = w.n_uavs
         hw = self.scenario.half_width_m
         totals = np.zeros(n)
-        parts_sum = RewardParts(0.0, 0.0, 0.0, 0.0)
         sensed = delivered = energy = 0.0
         max_buffer = 0.0
         completion = None
@@ -547,14 +539,8 @@ class Trainer:
                         bo_hits += 1
             decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(a_exec)]
             w, report = world.step(w, decoded, w.formation)
-            rews = np.zeros(n)
-            for i in range(n):
-                r, parts = reward(i, report, tc.weights)
-                rews[i] = r
-                parts_sum.energy += parts.energy
-                parts_sum.data += parts.data
-                parts_sum.sense += parts.sense
-                parts_sum.penalty += parts.penalty
+            scored = [reward(i, report, tc.weights) for i in range(n)]
+            rews = np.array([r for r, _ in scored])
             obs2 = [observe(w, i) for i in range(n)]
             done = _episode_done(w)
             self.replay.add(np.array(obs), np.array(a_exec), rews, np.array(obs2), done)
@@ -572,7 +558,7 @@ class Trainer:
                 cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
-                    r, parts = reward(i, report, tc.weights)
+                    r, parts = scored[i]
                     links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(u.id))
                     sink.slot_row({
                         "episode": ep, "slot": slot, "uav_id": u.id,
@@ -595,7 +581,7 @@ class Trainer:
                 break
         bo_opps = max(1, slots * n)
         return EpisodeStats(
-            rewards=totals, parts=parts_sum, sensed=sensed, delivered=delivered,
+            rewards=totals, sensed=sensed, delivered=delivered,
             energy=energy, slots=slots, completion_slot=completion,
             max_buffer=max_buffer, bo_frac=bo_hits / bo_opps,
         )
@@ -641,24 +627,20 @@ class Trainer:
             early_stopped=stopped, final_smoothed=ema if ema is not None else 0.0,
         )
 
-    def evaluate(self, episodes: int, agents: list | None = None,
-                 policy: FormationPolicy | None = None, demand_scale: float = 1.0,
-                 horizon: int | None = None, slot_cb=None,
-                 collect_curve: bool = False, act_fn=None) -> list:
+    def evaluate(self, episodes: int, policy: FormationPolicy | None = None,
+                 demand_scale: float = 1.0, horizon: int | None = None,
+                 slot_cb=None, act_fn=None) -> list:
         """Deterministic rollouts of the trained actors (or any act_fn):
         no noise, no GP arbitration.  World seeds depend only on (run
         seed, episode), so different policies see identical scenarios."""
-        agents = self.agents if agents is None else agents
         fn = (self.formation_fn if policy is None
               else make_formation_fn(policy, self.chan, self.train_cfg.lam))
         horizon = self.train_cfg.horizon if horizon is None else horizon
-        act = actor_policy(agents) if act_fn is None else act_fn
+        act = actor_policy(self.agents) if act_fn is None else act_fn
         out = []
         for k in range(episodes):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
-            w = self._new_world(rng=rng, demand_scale=demand_scale)
-            w.formation = fn(w)
+            w = self._new_world(rng=rng, demand_scale=demand_scale, formation_fn=fn)
             out.append(rollout(w, act, horizon, fn,
-                               self.train_cfg.weights, slot_cb=slot_cb,
-                               collect_curve=collect_curve))
+                               self.train_cfg.weights, slot_cb=slot_cb))
         return out

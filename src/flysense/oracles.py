@@ -29,10 +29,6 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "max_err": self.max_err, "tol": self.tol,
-                "ok": self.ok, "detail": self.detail}
-
 
 def dense_gp_posterior(positions: np.ndarray, values: np.ndarray, query,
                        cfg: gp.GpConfig) -> tuple[float, float]:
@@ -251,37 +247,46 @@ def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
                        mismatches == 0, detail=f"{total} matrices")
 
 
-def _independent_best_formation(w, lam) -> tuple[bytes, float]:
+def _independent_best_formation(w, lam) -> list:
     """Exhaustive scoring via the constructive enumerator and a plain
-    re-statement of the offload service rule."""
+    re-statement of the offload service rule: links into the BS are served
+    before UAV-to-UAV links; each bit a UAV drains to the BS frees that
+    much of its buffer for relayed-in bits; a UAV with an empty buffer is
+    a silent transmitter; nobody ships more than it held at the start.
+    Returns (cost, enumeration key, matrix key) rows, best first."""
     n = len(w.uavs)
     k = w.chan.n_channels
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     positions = w.positions()
     cap = w.scenario.buffer_capacity_bits
     backlog = sum(g.remaining for g in w.gus)
+    start = np.array([u.buffer for u in w.uavs], dtype=float)
+    talking = np.concatenate([[False], start > 0.0])  # node mask, BS silent
+    # BS-bound links first, then U2U links, each in ascending (tx, rx)
+    order = sorted(((tx, rx) for tx in range(1, n + 1) for rx in range(n + 1) if rx != tx),
+                   key=lambda link: (link[1] != BS, link))
     keys = enumerate_valid_allocs_constructive(n, k)
     shape = (n + 1, n + 1, k)
     scored = []
     for key in keys:
         phi = np.frombuffer(key, dtype=np.int8).reshape(shape)
         fm = FormationMatrix(n, k, phi.copy())
-        left = np.array([u.buffer for u in w.uavs], dtype=float)
-        accept = np.maximum(cap - left, 0.0)
-        new_buf = left.copy()
-        for tx in range(1, n + 1):
-            for rx in range(n + 1):
-                if rx == tx or not phi[tx, rx].any():
-                    continue
-                cap_bits = channel.u2u_rate(fm, positions, tx, rx, w.chan) * w.protocol.t_o
-                amt = min(cap_bits, left[tx - 1])
-                if rx != BS:
-                    amt = min(amt, accept[rx - 1])
-                left[tx - 1] -= amt
-                new_buf[tx - 1] -= amt
-                if rx != BS:
-                    new_buf[rx - 1] += amt
-                    accept[rx - 1] -= amt
+        left = start.copy()
+        room = np.maximum(cap - start, 0.0)
+        new_buf = start.copy()
+        for tx, rx in order:
+            if not phi[tx, rx].any():
+                continue
+            cap_bits = channel.u2u_rate(fm, positions, tx, rx, w.chan, talking) * w.protocol.t_o
+            amt = min(cap_bits, left[tx - 1])
+            if rx == BS:
+                room[tx - 1] += amt
+            else:
+                amt = min(amt, room[rx - 1])
+                room[rx - 1] -= amt
+                new_buf[rx - 1] += amt
+            left[tx - 1] -= amt
+            new_buf[tx - 1] -= amt
         total = float(np.dot(lam_arr, np.minimum(new_buf, cap))) + backlog
         scored.append((total, _matrix_sort_key(key, shape), key))
     scored.sort(key=lambda t: (t[0], t[1]))
@@ -296,23 +301,62 @@ def _matrix_sort_key(key: bytes, shape) -> tuple:
     return tuple(int(phi[tx, rx, ch]) for tx, rx, ch in slots)
 
 
+def _random_small_world(rng: np.random.Generator):
+    """1-3 UAVs with random buffers on 1-2 sub-channels, and per-UAV
+    buffer weights."""
+    n = int(rng.integers(1, 4))
+    k = int(rng.integers(1, 3))
+    scen = world.Scenario(n_uavs=n, n_gus=2, gu_seed=int(rng.integers(1 << 30)))
+    w = world.make_world(scen, ChannelParams(n_channels=k),
+                         np.random.default_rng(int(rng.integers(1 << 30))))
+    for u in w.uavs:
+        u.buffer = float(rng.uniform(0, scen.buffer_capacity_bits))
+    return w, rng.uniform(0.05, 1.0, size=n)
+
+
+def _relay_world(rng: np.random.Generator, sender: int):
+    """Two UAVs on 2 sub-channels, on the diagonal of a wide field that
+    runs away from the base-station corner.  The sender (0-based index)
+    sits far out with a heavy buffer weight; the receiver sits 1.45-1.9x
+    nearer the base station, full, with a light weight.  At this low SNR
+    two short hops beat one long one, so the optimum relays through a
+    receiver that can only take what it drains in the same sub-slot."""
+    far = float(rng.uniform(1.4, 2.0))  # scaled offset from the BS corner
+    near = far / float(rng.uniform(1.45, 1.9))
+    xy = [(1.0 - far, 1.0 - far), (1.0 - near, 1.0 - near)]
+    if sender == 1:
+        xy.reverse()
+    scen = world.Scenario(n_uavs=2, n_gus=2, gu_seed=int(rng.integers(1 << 30)),
+                          half_width_km=float(rng.uniform(4.0, 8.0)), uav_xy=tuple(xy))
+    w = world.make_world(scen, ChannelParams(n_channels=2),
+                         np.random.default_rng(int(rng.integers(1 << 30))))
+    receiver = 1 - sender
+    w.uavs[sender].buffer = float(rng.uniform(0, scen.buffer_capacity_bits))
+    w.uavs[receiver].buffer = scen.buffer_capacity_bits
+    lam = np.empty(2)
+    lam[sender] = rng.uniform(0.5, 1.0)
+    lam[receiver] = rng.uniform(0.0, 0.2)
+    return w, lam
+
+
 def check_brute_force(rng: np.random.Generator, brute_fn=None) -> CheckResult:
     """brute_force_formation against the independent enumerator on random
-    small worlds.  Costs must agree to 1e-9 relative; the chosen matrix
-    must agree whenever the optimum is not a near-tie."""
+    small worlds and on relay worlds (see _relay_world), each relay
+    direction three times.  Costs must agree to 1e-9 relative; the chosen
+    matrix must agree whenever the optimum is not a near-tie.
+
+    Every world draws its own per-UAV buffer weights.  With one weight for
+    every UAV a UAV-to-UAV transfer moves bits between equally weighted
+    buffers, so the objective can never value a relay, and a wrong
+    service rule on relay links would go unseen."""
     brute_fn = brute_fn or formation.brute_force_formation
+    worlds = itertools.chain((_random_small_world(rng) for _ in range(6)),
+                             (_relay_world(rng, t % 2) for t in range(6)))
     worst = 0.0
     mismatched = 0
-    for trial in range(6):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 3))
-        scen = world.Scenario(n_uavs=n, n_gus=2, gu_seed=int(rng.integers(1 << 30)))
-        params = ChannelParams(n_channels=k)
-        w = world.make_world(scen, params, np.random.default_rng(int(rng.integers(1 << 30))))
-        for u in w.uavs:
-            u.buffer = float(rng.uniform(0, scen.buffer_capacity_bits))
-        fm, cost = brute_fn(w, 0.5)
-        scored = _independent_best_formation(w, 0.5)
+    for w, lam in worlds:
+        fm, cost = brute_fn(w, lam)
+        scored = _independent_best_formation(w, lam)
         ref_cost, _, ref_key = scored[0]
         scale = max(abs(ref_cost), 1.0)
         worst = max(worst, abs(cost - ref_cost) / scale)

@@ -257,16 +257,12 @@ def propulsion_energy(speed: float, proto: ProtocolConfig, model: EnergyModel) -
 class StepReport:
     """Everything that happened in one slot, indexed by 0-based UAV."""
 
-    sensed: np.ndarray
-    delivered_bs: np.ndarray
-    relayed_out: np.ndarray
-    relayed_in: np.ndarray
+    sensed: np.ndarray        # bits collected from ground users
+    delivered_bs: np.ndarray  # bits delivered to the base station
+    relayed_out: np.ndarray   # bits sent to other UAVs
     energy: np.ndarray        # propulsion J (enters the objective)
-    tx_energy: np.ndarray     # radio J (reported only)
     violations_per_uav: np.ndarray
     violations: int           # pairs closer than d_min after flying
-    gu_drained: np.ndarray
-    serving: list             # per-UAV id of the GU sensed, or None
 
 
 def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState, StepReport]:
@@ -289,34 +285,25 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         speeds[i] = min(max(float(speed), 0.0), u.v_max)
 
     sensed = np.zeros(n)
-    drained = np.zeros(len(w.gus))
-    serving: list = [None] * n
     claimed: set = set()
     for i, u in enumerate(w.uavs):
         gid = select_gu(u, w.gus, w.protocol, w.chan, exclude=claimed)
         if gid is None:
             continue
-        claimed.add(gid)
-        serving[i] = gid
-        bits = sense(u, w.gus[gid], w.protocol, w.chan, cap)
-        sensed[i] = bits
-        drained[gid] += bits
+        claimed.add(gid)  # no later UAV reads this user, so drain it now
+        sensed[i] = sense(u, w.gus[gid], w.protocol, w.chan, cap)
+        w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
 
     positions = w.positions()
     buffers = np.array([u.buffer for u in w.uavs])
     free = cap - buffers - sensed
     res = channel.offload(buffers, free, positions, fm, w.chan, w.protocol.t_o)
 
-    for gid, bits in enumerate(drained):
-        if bits > 0.0:
-            w.gus[gid] = gu_queue_step(w.gus[gid], bits)
     energy = np.zeros(n)
-    tx_energy = np.zeros(n)
     for i, u in enumerate(w.uavs):
         u.buffer = uav_buffer_step(u.buffer, res.outgoing[i], sensed[i] + res.incoming[i], cap)
         energy[i] = propulsion_energy(speeds[i], w.protocol, w.scenario.energy)
         u.energy_used += energy[i]
-        tx_energy[i] = w.chan.p_uav * w.protocol.t_o * len(fm.out_links(u.id))
 
     viol_per_uav = np.zeros(n, dtype=int)
     pairs = 0
@@ -333,13 +320,9 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         sensed=sensed,
         delivered_bs=res.to_bs,
         relayed_out=res.outgoing - res.to_bs,
-        relayed_in=res.incoming,
         energy=energy,
-        tx_energy=tx_energy,
         violations_per_uav=viol_per_uav,
         violations=pairs,
-        gu_drained=drained,
-        serving=serving,
     )
     return w, report
 

@@ -86,6 +86,25 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,override,path", [
+    ("training", {"warmup": 4}, "training.warmup"),                  # below batch 8
+    ("training", {"eval_episodes": 0}, "training.eval_episodes"),
+    ("scenario", {"uav_xy": [[0.0, 0.0]]}, "scenario.uav_xy"),       # 2 UAVs
+    ("scenario", {"gu_xy": [[0.1, 0.1], [0.2, 0.2]]}, "scenario.gu_xy"),  # 3 GUs
+])
+def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
+                                                             override, path):
+    cfg_path = write_tiny_config(tmp_path)
+    cfg = json.loads(open(cfg_path).read())
+    cfg[section].update(override)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_checkpoint_exit_3(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     code = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o"),

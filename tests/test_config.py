@@ -103,7 +103,7 @@ class TestParse:
 
     def test_optional_fields(self):
         cfg = parse_config({
-            "scenario": {"gu_seed": None, "gu_xy": None, "uav_xy": [[0.1, 0.2]]},
+            "scenario": {"n_uavs": 1, "gu_seed": None, "gu_xy": None, "uav_xy": [[0.1, 0.2]]},
             "formation": {"min_rate": None},
             "training": {"warmup": None},
         })
@@ -150,7 +150,7 @@ class TestRoundTrip:
             "channel": {"n_channels": 2, "p_uav_dbm": 20},
             "formation": {"kind": "eda_nf", "min_rate": 2e5},
             "gp": {"length_scale": 0.4, "n_dir": 8},
-            "training": {"episodes": 3, "hidden": [8], "warmup": 12,
+            "training": {"episodes": 3, "hidden": [8], "batch_size": 8, "warmup": 12,
                          "weights": {"gamma_data": 2.0}},
         })
 

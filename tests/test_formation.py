@@ -4,6 +4,7 @@ the exhaustive search."""
 import numpy as np
 import pytest
 
+from flysense import channel
 from flysense.channel import BS, ChannelParams, point_rate, validate_alloc
 from flysense.formation import (
     RATIO_CAP,
@@ -17,6 +18,7 @@ from flysense.formation import (
     eda_nf,
     load_balance,
 )
+from flysense.oracles import check_brute_force
 from flysense.world import Scenario, make_world
 
 P = ChannelParams()
@@ -61,14 +63,15 @@ def _positions(*uav_xy, bs=(1000.0, 1000.0, 25.0)):
 
 class TestEdaNf:
     def test_balanced_fleet_stays_direct(self):
-        report = CostReport(balance=np.zeros(3), cost=np.ones(3))
+        report = CostReport(balance=np.zeros(3), cost=np.ones(3), spare_rate=np.full(3, np.inf))
         fm = eda_nf(report, _positions((0, 0), (100, 0), (0, 100)), FormationPolicy(), 3, P)
         assert sorted(fm.links()) == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
 
     def test_overloaded_uav_routes_through_cheapest_relay(self):
         # UAV 1 far from the BS and overloaded; 2 and 3 are candidates and
         # 3 is cheaper.
-        report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
+                            spare_rate=np.full(3, np.inf))
         pos = _positions((-800, -800), (-400, -400), (-300, -500))
         fm = eda_nf(report, pos, FormationPolicy(), 3, P)
         assert not fm.has_link(1, BS)
@@ -77,7 +80,8 @@ class TestEdaNf:
         assert validate_alloc(fm) == []
 
     def test_freed_subchannel_widens_relay_backhaul(self):
-        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(), 3, P)
         # seeker keeps one link to the relay; the relay now holds two BS
         # sub-channels (its own plus the seeker's former one)
@@ -86,18 +90,21 @@ class TestEdaNf:
         assert validate_alloc(fm) == []
 
     def test_threshold_gates_seeking(self):
-        report = CostReport(balance=np.array([0.5, -0.5]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([0.5, -0.5]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(balance_threshold=1.0), 3, P)
         assert fm.has_link(1, BS) and fm.has_link(2, BS) and not fm.has_link(1, 2)
 
     def test_out_of_range_relay_skipped(self):
-        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(pair_range_m=100.0)
         fm = eda_nf(report, _positions((-500, -500), (0, 0)), pol, 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_min_rate_guard_blocks_weak_pairs(self):
-        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(min_rate=1e12)
         fm = eda_nf(report, _positions((-500, -500), (0, 0)), pol, 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
@@ -105,7 +112,8 @@ class TestEdaNf:
     def test_slower_relay_backhaul_blocks_pairing(self):
         # the only candidate sits farther from the BS than the seeker, so
         # rerouting through it could not shorten the drain
-        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         fm = eda_nf(report, _positions((-500, -500), (-900, -900)), FormationPolicy(), 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
@@ -129,7 +137,8 @@ class TestEdaNf:
         # with a spare sub-channel the one-hop link lands on it rather than
         # on one already carrying a direct link, and the freed sub-channel
         # still widens the relay's backhaul
-        report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
+                            spare_rate=np.full(3, np.inf))
         pos = _positions((-600, -600), (-400, -400), (600, 600))
         fm = eda_nf(report, pos, FormationPolicy(pair_range_m=3000.0), 4, P)
         assert fm.phi[1, 3, 3] == 1
@@ -139,7 +148,8 @@ class TestEdaNf:
     def test_relay_must_keep_backhaul(self):
         # with a single sub-channel the relay's own BS link is the only
         # allocation; pairing would strand the seeker's data
-        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]))
+        report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
+                            spare_rate=np.full(2, np.inf))
         fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(), 1, P)
         links = sorted(fm.links())
         assert (1, 0, 0) in links or (2, 0, 0) in links
@@ -156,7 +166,8 @@ class TestEdaNf:
             pol = FormationPolicy(balance_threshold=float(rng.uniform(0, 2)))
             raw = rng.uniform(0, 10, n)
             balance = raw - raw.mean()  # sums to zero like the real one
-            report = CostReport(balance=balance, cost=rng.uniform(0, 10, n))
+            report = CostReport(balance=balance, cost=rng.uniform(0, 10, n),
+                                spare_rate=np.full(n, np.inf))
             pos = _positions(*[(x, y) for x, y in rng.uniform(-1000, 1000, (n, 2))])
             fm = eda_nf(report, pos, pol, k, P)
             assert validate_alloc(fm) == []
@@ -171,17 +182,18 @@ class TestEdaNf:
 
 class TestBaselines:
     def test_noncoop_is_all_direct(self):
-        fm = baseline_noncoop(3, 3)
-        assert sorted(fm.links()) == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
-        # more UAVs than sub-channels: the extras go unlinked
-        fm = baseline_noncoop(4, 3)
-        assert sorted(fm.links()) == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
+        # UAV i on BS sub-channel i-1; with more UAVs than sub-channels
+        # the extras go unlinked
+        for n in range(1, 7):
+            for k in range(1, 5):
+                fm = baseline_noncoop(n, k)
+                assert sorted(fm.links()) == [(i, 0, i - 1) for i in range(1, min(n, k) + 1)]
 
     def test_buffer_threshold_uses_nearest_below_threshold(self):
         pol = FormationPolicy(buffer_threshold_bits=1e6)
         buffers = np.array([5e6, 1e5, 1e5])
         pos = _positions((0, 0), (300, 0), (100, 0))
-        fm = baseline_buffer(buffers, pos, pol, 3)
+        fm = baseline_buffer(buffers, pos, pol, 3, P)
         assert fm.has_link(1, 3) and not fm.has_link(1, BS)
         assert validate_alloc(fm) == []
 
@@ -189,26 +201,60 @@ class TestBaselines:
         pol = FormationPolicy(buffer_threshold_bits=1e6, pair_range_m=2000.0)
         buffers = np.array([5e6, 5e6, 1e5])
         pos = _positions((0, 0), (200, 0), (100, 0))
-        fm = baseline_buffer(buffers, pos, pol, 3)
+        fm = baseline_buffer(buffers, pos, pol, 3, P)
         assert fm.has_link(1, 3) and fm.has_link(2, 3)
 
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
         pol = FormationPolicy(cost_margin=1.0)
-        report = CostReport(balance=np.zeros(3), cost=np.array([10.0, 5.0, 0.5]))
+        report = CostReport(balance=np.zeros(3), cost=np.array([10.0, 5.0, 0.5]),
+                            spare_rate=np.full(3, np.inf))
         pos = _positions((0, 0), (100, 0), (200, 0))
-        fm = baseline_dynamic_nf(report, pos, pol, 3)
+        fm = baseline_dynamic_nf(report, pos, pol, 3, P)
         # most expensive first: 1 grabs 3; 2 cannot reuse 3
         assert fm.has_link(1, 3)
         assert not fm.has_link(2, 3) and fm.has_link(2, BS)
         assert validate_alloc(fm) == []
 
 
+def _transmitter_order_offload(buffers, free_space, positions, fm, params, t_o):
+    """Planted mutation of channel.offload: links are served in (tx, rx)
+    order, so a relay hop into a UAV runs before that UAV drains to the
+    base station and finds only the space it had at the start."""
+    n = fm.n_uavs
+    left = np.asarray(buffers, dtype=float).copy()
+    accept = np.asarray(free_space, dtype=float).clip(min=0.0)
+    active = np.concatenate([[False], left > 0.0])
+    outgoing, incoming, to_bs = np.zeros(n), np.zeros(n), np.zeros(n)
+    for tx in range(1, n + 1):
+        for rx in range(n + 1):
+            if rx == tx or not fm.has_link(tx, rx):
+                continue
+            bits = min(channel.u2u_rate(fm, positions, tx, rx, params, active) * t_o, left[tx - 1])
+            if rx == BS:
+                accept[tx - 1] += bits
+                to_bs[tx - 1] += bits
+            else:
+                bits = min(bits, accept[rx - 1])
+                accept[rx - 1] -= bits
+                incoming[rx - 1] += bits
+            left[tx - 1] -= bits
+            outgoing[tx - 1] += bits
+    return channel.OffloadReport([], outgoing, incoming, to_bs)
+
+
 class TestBruteForce:
     def test_matches_independent_enumeration(self):
-        from flysense.oracles import check_brute_force
-
         res = check_brute_force(np.random.default_rng(2))
         assert res.ok, res.detail
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_oracle_flags_transmitter_order_service(self, monkeypatch, seed):
+        def mutated_brute(w, lam):
+            with monkeypatch.context() as m:
+                m.setattr(channel, "offload", _transmitter_order_offload)
+                return brute_force_formation(w, lam)
+
+        assert not check_brute_force(np.random.default_rng(seed), brute_fn=mutated_brute).ok
 
     def test_returns_feasible_matrix(self):
         scen = Scenario(n_uavs=2, n_gus=2, gu_seed=4)

@@ -2,7 +2,9 @@
 arbitration, replay, and the actor-critic updates."""
 
 import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,9 +46,7 @@ def zero_report(n):
     z = np.zeros(n)
     return StepReport(
         sensed=z.copy(), delivered_bs=z.copy(), relayed_out=z.copy(),
-        relayed_in=z.copy(), energy=z.copy(), tx_energy=z.copy(),
-        violations_per_uav=np.zeros(n, dtype=int), violations=0,
-        gu_drained=0, serving=[None] * n,
+        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int), violations=0,
     )
 
 
@@ -517,3 +517,27 @@ class TestTrainer:
         # plus one for the starting world's formation
         start = 1 if kind == "eda_nf" else 0
         assert len(calls) == start + per_slot * stats.slots
+
+
+def test_benchmark_slot_clock_hooks(monkeypatch):
+    """bench/child.py counts a world.step call as a training slot only
+    when its direct caller is train_episode, and as an evaluation slot
+    when it is rollout; bench/tracing.py reads rollout's first four
+    positional arguments.  Both loops must keep their names and the
+    signature its order."""
+    callers = []
+    real_step = world.step
+
+    def recording_step(w, actions, fm):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_step(w, actions, fm)
+
+    monkeypatch.setattr(world, "step", recording_step)
+    tr = Trainer(tiny_run_config(episodes=2))
+    tr.run()
+    assert callers and set(callers) == {"train_episode"}
+    callers.clear()
+    tr.evaluate(1)
+    assert callers and set(callers) == {"rollout"}
+    params = list(inspect.signature(marl.rollout).parameters)
+    assert params[:4] == ["w", "act_fn", "horizon", "formation_fn"]

@@ -165,12 +165,14 @@ class TestStep:
         """Sensing drains users into buffers; the first offload happens a
         slot later because only slot-start bits are sendable."""
         w = _small_world()
+        demand_before = sum(g.remaining for g in w.gus)
         fm = FormationMatrix(2, 3)
         fm.set_link(1, BS, 0)
         fm.set_link(2, BS, 1)
         w, rep = step(w, [((1.0, 0.0), 0.0)] * 2, fm)
         assert rep.delivered_bs.sum() == 0.0
-        np.testing.assert_allclose(rep.sensed.sum(), rep.gu_drained.sum(), rtol=1e-12)
+        drained = demand_before - sum(g.remaining for g in w.gus)
+        np.testing.assert_allclose(rep.sensed.sum(), drained, rtol=1e-12)
         np.testing.assert_allclose(
             [u.buffer for u in w.uavs], rep.sensed, rtol=1e-12
         )
