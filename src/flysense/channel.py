@@ -127,9 +127,21 @@ def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
     return [tuple(ix) for ix in np.argwhere(use > 1)]
 
 
-def _gain(a: np.ndarray, b: np.ndarray, beta: float, alpha: float) -> float:
-    d = max(float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float))), _MIN_PATH_M)
-    return beta * d ** -alpha
+def distance(a, b) -> float:
+    """Separation (m) of two (x, y, z) points, the one range in the package:
+    np.linalg.norm's arithmetic (a dot product, then a correctly rounded
+    square root) without its dispatch cost."""
+    d = np.subtract(a, b, dtype=float)
+    return math.sqrt(d.dot(d))
+
+
+def _gain(d: float, beta: float, alpha: float) -> float:
+    return beta * max(d, _MIN_PATH_M) ** -alpha
+
+
+def link_rate(snr: float, params: ChannelParams) -> float:
+    """Rate (bit/s) of one sub-channel at the given SNR or SINR."""
+    return params.bandwidth * math.log2(1.0 + snr)
 
 
 def interference(
@@ -154,7 +166,8 @@ def interference(
             continue
         if active is not None and not active[m]:
             continue
-        total += params.p_uav * _gain(positions[m], positions[rx], params.beta_u, params.alpha_u)
+        total += params.p_uav * _gain(distance(positions[m], positions[rx]),
+                                      params.beta_u, params.alpha_u)
     return total
 
 
@@ -169,13 +182,14 @@ def u2u_rate(
     """Achievable rate (bit/s) of the tx -> rx link under the current
     allocation, summed over its assigned sub-channels and degraded by
     co-channel interference from the active transmitters."""
-    signal = params.p_uav * _gain(positions[tx], positions[rx], params.beta_u, params.alpha_u)
+    signal = params.p_uav * _gain(distance(positions[tx], positions[rx]),
+                                  params.beta_u, params.alpha_u)
     rate = 0.0
     for ch in range(fm.n_channels):
         if not fm.phi[tx, rx, ch]:
             continue
         sinr = signal / (params.noise + interference(fm, positions, tx, rx, ch, params, active))
-        rate += params.bandwidth * math.log2(1.0 + sinr)
+        rate += link_rate(sinr, params)
     return rate
 
 
@@ -184,18 +198,14 @@ def point_rate(pos_a, pos_b, params: ChannelParams) -> float:
 
     Used for what-if comparisons (relay guards, drain-time balance) where
     no allocation exists yet."""
-    snr = params.p_uav * _gain(pos_a, pos_b, params.beta_u, params.alpha_u) / params.noise
-    return params.bandwidth * math.log2(1.0 + snr)
+    snr = params.p_uav * _gain(distance(pos_a, pos_b), params.beta_u, params.alpha_u) / params.noise
+    return link_rate(snr, params)
 
 
-def g2u_snr(gu_pos, uav_pos, params: ChannelParams) -> float:
-    return params.q_gu * _gain(gu_pos, uav_pos, params.beta_s, params.alpha_s)
-
-
-def g2u_rate(gu_pos, uav_pos, params: ChannelParams) -> float:
-    """Sensing-link rate (bit/s).  Ground uplinks are orthogonal to the
-    relay sub-channels, so there is no interference term."""
-    return params.bandwidth * math.log2(1.0 + g2u_snr(gu_pos, uav_pos, params))
+def g2u_snr(d: float, params: ChannelParams) -> float:
+    """Sensing SNR over slant range d (m).  Ground uplinks are orthogonal
+    to the relay sub-channels, so there is no interference term."""
+    return params.q_gu * _gain(d, params.beta_s, params.alpha_s)
 
 
 @dataclass

@@ -168,7 +168,10 @@ def _parse_channel(data: Any, path: str) -> ChannelParams:
             if target in data:
                 raise ConfigError(f"{path}.{alias}: conflicts with {path}.{target}")
             data[target] = dbm_to_watts(_expect_number(data.pop(alias), f"{path}.{alias}"))
-    return _build(ChannelParams, data, path)
+    chan = _build(ChannelParams, data, path)
+    if chan.n_channels < 1:
+        raise ConfigError(f"{path}.n_channels: must be at least 1, got {chan.n_channels}")
+    return chan
 
 
 def _parse_scenario(data: Any, path: str) -> Scenario:
@@ -181,6 +184,13 @@ def _parse_scenario(data: Any, path: str) -> Scenario:
         "gu_seed": _opt(_expect_int),
     }
     scen = _build(Scenario, data, path, special)
+    # Each rule below would otherwise crash mid-run or simulate nothing.
+    for key, bad, rule in (("n_gus", scen.n_gus < 1, "must be at least 1"),
+                           ("half_width_km", scen.half_width_km <= 0.0, "must be positive"),
+                           ("v_max_mps", scen.v_max_mps <= 0.0, "must be positive"),
+                           ("demand_bits", scen.demand_bits < 0.0, "must not be negative")):
+        if bad:
+            raise ConfigError(f"{path}.{key}: {rule}, got {getattr(scen, key)}")
     # A layout of the wrong length would crash the first slot or silently
     # build a different world.
     for key, count in (("uav_xy", "n_uavs"), ("gu_xy", "n_gus")):
@@ -204,6 +214,8 @@ def _parse_training(data: Any, path: str) -> TrainingConfig:
     }
     tc = _build(TrainingConfig, data, path, special)
     # Each rule below would otherwise crash mid-run or train nothing.
+    if not tc.hidden:
+        raise ConfigError(f"{path}.hidden: needs at least one hidden layer")
     for key in ("batch_size", "update_stride", "bo_stride", "eval_episodes"):
         if getattr(tc, key) < 1:
             raise ConfigError(f"{path}.{key}: must be at least 1, got {getattr(tc, key)}")

@@ -37,7 +37,7 @@ class FormationPolicy:
     kind: str = "eda_nf"             # eda_nf | non_cooperative | buffer_threshold | dynamic_nf
     balance_threshold: float = 1.0   # drain-time imbalance (seconds) before seeking a relay
     buffer_threshold_bits: float = 1e7
-    pair_range_m: float = 1000.0     # one-hop neighborhood
+    pair_range_m: float = 1000.0     # one-hop neighborhood; UAVs share one altitude
     min_rate: float | None = None    # None -> require u2u >= seeker's own BS rate
     cost_margin: float = 1e6         # dynamic_nf: required cost advantage
 
@@ -79,11 +79,6 @@ def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
     for i in range(1, min(n_uavs, n_channels) + 1):
         fm.set_link(i, BS, i - 1)
     return fm
-
-
-def _planar_gap(positions: np.ndarray, a: int, b: int) -> float:
-    """Horizontal separation (m) of nodes a and b."""
-    return float(np.linalg.norm(positions[a][:2] - positions[b][:2]))
 
 
 def _relay_pair(fm: FormationMatrix, tx: int, rx: int, positions: np.ndarray,
@@ -173,7 +168,7 @@ def eda_nf(
         tx = i + 1
         # Lazy: the guards of later candidates run only if earlier ones fail.
         guarded = (j for j in relays
-                   if _planar_gap(positions, tx, j + 1) < policy.pair_range_m
+                   if channel.distance(positions[tx], positions[j + 1]) < policy.pair_range_m
                    and _point_rates_ok(policy, params, positions, tx, j + 1,
                                        float(report.spare_rate[j])))
         j = _pair_first(fm, tx, guarded, positions, params, active)
@@ -204,7 +199,7 @@ def baseline_buffer(
         if buffers[i] <= policy.buffer_threshold_bits:
             continue
         tx = i + 1
-        gaps = {j: _planar_gap(positions, tx, j + 1)
+        gaps = {j: channel.distance(positions[tx], positions[j + 1])
                 for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits}
         order = sorted(gaps, key=lambda j: (gaps[j], j))
         _pair_first(fm, tx, [j for j in order if gaps[j] < policy.pair_range_m],
@@ -232,7 +227,8 @@ def baseline_dynamic_nf(
         tx = i + 1
         candidates = sorted((j for j in free if j != i
                              and report.cost[j] < report.cost[i] - policy.cost_margin
-                             and _planar_gap(positions, tx, j + 1) < policy.pair_range_m),
+                             and channel.distance(positions[tx], positions[j + 1])
+                             < policy.pair_range_m),
                             key=lambda j: (report.cost[j], j))
         j = _pair_first(fm, tx, candidates, positions, params, active)
         if j is not None:

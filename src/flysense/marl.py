@@ -52,10 +52,10 @@ def observe(w: WorldState, i: int) -> np.ndarray:
     obs[3] = min(w.last_energy[i] / e_norm, 1.0)
     obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
     base = 4 + n + 1
-    gid = world.select_gu(u, w.gus, w.protocol, w.chan)
+    gid = world.select_gu(w, i)
     if gid is not None:
         g = w.gus[gid]
-        snr = channel.g2u_snr(g.pos.as_array(), u.pos.as_array(), w.chan)
+        snr = float(w.sensing_snr[i, gid])
         overhead = max(u.pos.z, 1.0)
         snr_max = w.chan.q_gu * w.chan.beta_s * overhead ** -w.chan.alpha_s
         obs[base] = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
@@ -109,18 +109,21 @@ class RewardWeights:
 
 @dataclass
 class RewardParts:
-    energy: float   # -spent kJ (already negative)
-    data: float     # Mbit pushed toward the BS (direct or relayed)
-    sense: float    # Mbit collected
-    penalty: float  # separation penalty, subtracted
+    """Per-agent reward terms of one slot, each an (N,) array."""
+
+    energy: np.ndarray   # -spent kJ (already negative)
+    data: np.ndarray     # Mbit pushed toward the BS (direct or relayed)
+    sense: np.ndarray    # Mbit collected
+    penalty: np.ndarray  # separation penalty, subtracted
 
 
-def reward(i: int, report: StepReport, weights: RewardWeights) -> tuple[float, RewardParts]:
+def reward(report: StepReport, weights: RewardWeights) -> tuple[np.ndarray, RewardParts]:
+    """Every agent's reward total and its parts for one slot."""
     parts = RewardParts(
-        energy=-report.energy[i] / ENERGY_UNIT,
-        data=(report.delivered_bs[i] + report.relayed_out[i]) / DATA_UNIT,
-        sense=report.sensed[i] / DATA_UNIT,
-        penalty=weights.mu * float(report.violations_per_uav[i]),
+        energy=-report.energy / ENERGY_UNIT,
+        data=(report.delivered_bs + report.relayed_out) / DATA_UNIT,
+        sense=report.sensed / DATA_UNIT,
+        penalty=weights.mu * report.violations_per_uav,
     )
     total = (
         weights.gamma_energy * parts.energy
@@ -331,15 +334,12 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
     costs = np.zeros(n)
     spare = np.zeros(n)
     sub_slots = w.protocol.t_s / w.protocol.t_o
-    for i, u in enumerate(w.uavs):
-        backlog = sum(g.remaining for g in w.gus
-                      if world.distance(u.pos, g.pos) <= w.protocol.coverage_radius)
+    for i in range(n):
+        row = w.sensing_snr[i].tolist()
+        backlog = sum(g.remaining for g, snr in zip(w.gus, row) if snr >= 0.0)
         costs[i] = formation.cost(w.last_energy[i], buffers[i], backlog, lam)
-        gid = world.select_gu(u, w.gus, w.protocol, w.chan)
-        intake = 0.0
-        if gid is not None:
-            g = next(g for g in w.gus if g.id == gid)
-            intake = channel.g2u_rate(g.pos.as_array(), u.pos.as_array(), w.chan)
+        gid = world.select_gu(w, i)
+        intake = 0.0 if gid is None else channel.link_rate(row[gid], w.chan)
         spare[i] = max(0.0, rates[i] - intake * sub_slots)
     return CostReport(balance=balance, cost=costs, spare_rate=spare)
 
@@ -351,14 +351,7 @@ def expected_transmitters(w: WorldState) -> np.ndarray:
     allocations as quiet spectrum."""
     act = np.zeros(w.n_uavs + 1, dtype=bool)
     for i, u in enumerate(w.uavs):
-        busy = u.buffer > 0.0
-        if not busy:
-            busy = any(
-                g.remaining > 0.0
-                and world.distance(u.pos, g.pos) <= w.protocol.coverage_radius
-                for g in w.gus
-            )
-        act[i + 1] = busy
+        act[i + 1] = u.buffer > 0.0 or world.select_gu(w, i) is not None
     return act
 
 
@@ -387,15 +380,24 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
 @dataclass
 class EpisodeStats:
     rewards: np.ndarray        # per-agent total
-    sensed: float
-    delivered: float
-    energy: float
-    slots: int
-    completion_slot: int | None
-    max_buffer: float
-    bo_frac: float
+    sensed: float = 0.0
+    delivered: float = 0.0
+    energy: float = 0.0
+    slots: int = 0
+    completion_slot: int | None = None
+    max_buffer: float = 0.0
+    bo_frac: float = 0.0
     # ground demand plus UAV buffers after the last slot (rollout only)
     remaining_final: float | None = None
+
+    def add_slot(self, w: WorldState, report: StepReport, rews: np.ndarray) -> None:
+        """Fold one stepped slot into the episode totals."""
+        self.rewards += rews
+        self.sensed += report.sensed.sum()
+        self.delivered += report.delivered_bs.sum()
+        self.energy += report.energy.sum()
+        self.max_buffer = max(self.max_buffer, max(u.buffer for u in w.uavs))
+        self.slots += 1
 
 
 def _episode_done(w: WorldState) -> bool:
@@ -407,35 +409,21 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
     """Run one episode with an arbitrary action provider
     act_fn(w, obs_list) -> (N, 2) raw actions.  No learning, no noise."""
     n = w.n_uavs
-    totals = np.zeros(n)
-    sensed = delivered = energy = 0.0
-    max_buffer = max(u.buffer for u in w.uavs)
-    completion = None
-    slots = 0
+    stats = EpisodeStats(np.zeros(n), max_buffer=max(u.buffer for u in w.uavs))
     for slot in range(horizon):
         obs = [observe(w, i) for i in range(n)]
         acts = np.asarray(act_fn(w, obs), dtype=float)
         decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(acts)]
         w, report = world.step(w, decoded, w.formation)
-        for i in range(n):
-            totals[i] += reward(i, report, weights)[0]
-        sensed += report.sensed.sum()
-        delivered += report.delivered_bs.sum()
-        energy += report.energy.sum()
-        max_buffer = max(max_buffer, max(u.buffer for u in w.uavs))
-        slots = slot + 1
+        stats.add_slot(w, report, reward(report, weights)[0])
         if slot_cb is not None:
             slot_cb(w, slot, acts, report)
         w.formation = formation_fn(w)
         if _episode_done(w):
-            completion = slots
+            stats.completion_slot = stats.slots
             break
-    return EpisodeStats(
-        rewards=totals, sensed=sensed, delivered=delivered,
-        energy=energy, slots=slots, completion_slot=completion,
-        max_buffer=max_buffer, bo_frac=0.0,
-        remaining_final=sum(g.remaining for g in w.gus) + sum(u.buffer for u in w.uavs),
-    )
+    stats.remaining_final = sum(g.remaining for g in w.gus) + sum(u.buffer for u in w.uavs)
+    return stats
 
 
 def actor_policy(agents: list):
@@ -512,14 +500,10 @@ class Trainer:
         w = self._new_world()
         n = w.n_uavs
         hw = self.scenario.half_width_m
-        totals = np.zeros(n)
-        sensed = delivered = energy = 0.0
-        max_buffer = 0.0
-        completion = None
+        stats = EpisodeStats(np.zeros(n))
         bo_hits = 0
         log_slots = (sink is not None and tc.metrics_episode_stride > 0
                      and ep % tc.metrics_episode_stride == 0)
-        slots = 0
         for slot in range(tc.horizon):
             obs = [observe(w, i) for i in range(n)]
             a_actor = [act(self.agents[i].actor, obs[i], tc.noise_scale, self.noise_rng)
@@ -539,8 +523,7 @@ class Trainer:
                         bo_hits += 1
             decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(a_exec)]
             w, report = world.step(w, decoded, w.formation)
-            scored = [reward(i, report, tc.weights) for i in range(n)]
-            rews = np.array([r for r, _ in scored])
+            rews, parts = reward(report, tc.weights)
             obs2 = [observe(w, i) for i in range(n)]
             done = _episode_done(w)
             self.replay.add(np.array(obs), np.array(a_exec), rews, np.array(obs2), done)
@@ -558,33 +541,23 @@ class Trainer:
                 cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
-                    r, parts = scored[i]
                     links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(u.id))
                     sink.slot_row({
                         "episode": ep, "slot": slot, "uav_id": u.id,
                         "x": u.pos.x, "y": u.pos.y, "buffer_bits": u.buffer,
-                        "energy_j": u.energy_used, "reward_total": r,
-                        "reward_e": parts.energy, "reward_d": parts.data,
-                        "reward_s": parts.sense, "penalty": parts.penalty,
+                        "energy_j": u.energy_used, "reward_total": rews[i],
+                        "reward_e": parts.energy[i], "reward_d": parts.data[i],
+                        "reward_s": parts.sense[i], "penalty": parts.penalty[i],
                         "b_i": cost_rep.balance[i], "c_i": cost_rep.cost[i],
                         "formation_links": links, "gu_backlog_total": backlog,
                     })
-            totals += rews
-            sensed += report.sensed.sum()
-            delivered += report.delivered_bs.sum()
-            energy += report.energy.sum()
-            max_buffer = max(max_buffer, max(u.buffer for u in w.uavs))
-            slots = slot + 1
+            stats.add_slot(w, report, rews)
             w.formation = self.formation_fn(w, cost_rep)
             if done:
-                completion = slots
+                stats.completion_slot = stats.slots
                 break
-        bo_opps = max(1, slots * n)
-        return EpisodeStats(
-            rewards=totals, sensed=sensed, delivered=delivered,
-            energy=energy, slots=slots, completion_slot=completion,
-            max_buffer=max_buffer, bo_frac=bo_hits / bo_opps,
-        )
+        stats.bo_frac = bo_hits / max(1, stats.slots * n)
+        return stats
 
     def run(self, episodes: int | None = None, sink=None) -> TrainResult:
         tc = self.train_cfg

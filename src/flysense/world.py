@@ -9,28 +9,21 @@ energy is joules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel
-from .channel import BS, ChannelParams, FormationMatrix, FormationError
+from .channel import ChannelParams, FormationMatrix, FormationError
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
+    """A point in meters; a tuple, so channel.distance takes it as is."""
+
     x: float
     y: float
     z: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-def distance(a: Position, b: Position) -> float:
-    """Straight-line separation in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
 @dataclass
@@ -52,14 +45,13 @@ class UavState:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Slot timing plus the two safety/coverage radii."""
+    """Slot timing plus the minimum UAV separation."""
 
     slot_len: float = 1.0
     t_f: float = 0.3
     t_s: float = 0.3
     t_o: float = 0.4
     d_min: float = 10.0            # minimum UAV separation, meters
-    coverage_radius: float = 5331.892626665244  # sensing range, meters
 
     def __post_init__(self):
         for name in ("t_f", "t_s", "t_o"):
@@ -124,30 +116,44 @@ class WorldState:
     uavs: list
     gus: list
     formation: FormationMatrix
-    rng: np.random.Generator
     scenario: Scenario
     chan: ChannelParams
-    protocol: ProtocolConfig
     bs_pos: Position
     last_energy: np.ndarray  # per-UAV propulsion J spent in the previous slot
+    sensing_snr: np.ndarray  # (N, M) sensing_table at the current positions
 
     @property
     def n_uavs(self) -> int:
         return len(self.uavs)
 
+    @property
+    def protocol(self) -> ProtocolConfig:
+        return self.scenario.protocol
+
     def positions(self) -> np.ndarray:
         """(N+1, 3) node positions, base station in row 0."""
-        rows = [self.bs_pos.as_array()]
-        rows += [u.pos.as_array() for u in self.uavs]
-        return np.vstack(rows)
+        return np.array([self.bs_pos, *(u.pos for u in self.uavs)], dtype=float)
+
+
+def sensing_table(uavs: list, gus: list, scenario: Scenario, params: ChannelParams) -> np.ndarray:
+    """(N, M) sensing SNR of every UAV-ground-user pair, exactly -1 where
+    the user lies outside the UAV's coverage radius.  Positions change only
+    in make_world and in step's fly phase, so the world builds the table at
+    those two points and every sensing decision of the slot reads it."""
+    radius = coverage_radius_m(scenario, params)
+    uav_xyz = np.array([u.pos for u in uavs], dtype=float)
+    gu_xyz = np.array([g.pos for g in gus], dtype=float)
+    table = np.full((len(uavs), len(gus)), -1.0)
+    for i, at in enumerate(uav_xyz):
+        for m, g_at in enumerate(gu_xyz):
+            d = channel.distance(at, g_at)
+            if d <= radius:
+                table[i, m] = channel.g2u_snr(d, params)
+    return table
 
 
 def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generator) -> WorldState:
     hw = scenario.half_width_m
-    proto = scenario.protocol
-    if scenario.coverage_snr_min_db is not None:
-        proto = replace(proto, coverage_radius=coverage_radius_m(scenario, params))
-
     layout_rng = rng if scenario.gu_seed is None else np.random.default_rng(scenario.gu_seed)
     if scenario.gu_xy is not None:
         gu_xy = np.asarray(scenario.gu_xy, dtype=float)
@@ -174,12 +180,11 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         uavs=uavs,
         gus=gus,
         formation=fm,
-        rng=rng,
         scenario=scenario,
         chan=params,
-        protocol=proto,
         bs_pos=bs,
         last_energy=np.zeros(scenario.n_uavs),
+        sensing_snr=sensing_table(uavs, gus, scenario, params),
     )
 
 
@@ -201,34 +206,27 @@ def move_uav(u: UavState, direction, speed: float, proto: ProtocolConfig, half_w
     return Position(x, y, u.pos.z)
 
 
-def select_gu(u: UavState, gus: list, proto: ProtocolConfig, params: ChannelParams,
-              exclude=()) -> int | None:
-    """Ground user this UAV will serve: the strongest received signal
-    (equal transmit powers, so the smallest slant range) among users with
-    data left inside the coverage radius.  Ties break to the lowest id;
-    returns None when nobody qualifies."""
+def select_gu(w: WorldState, i: int, exclude=()) -> int | None:
+    """Ground user UAV i (0-based) will serve: the strongest received
+    signal (equal transmit powers, so the smallest slant range) among
+    users with data left inside its coverage radius.  Ties break to the
+    lowest id; returns None when nobody qualifies."""
     best_id = None
-    best_snr = -1.0
-    for g in gus:
-        if g.id in exclude or g.remaining <= 0.0:
-            continue
-        if distance(u.pos, g.pos) > proto.coverage_radius:
-            continue
-        snr = channel.g2u_snr(g.pos.as_array(), u.pos.as_array(), params)
-        if snr > best_snr:
+    best_snr = -1.0  # the sensing table's out-of-coverage value
+    for g, snr in zip(w.gus, w.sensing_snr[i].tolist()):
+        if snr > best_snr and g.remaining > 0.0 and g.id not in exclude:
             best_snr = snr
             best_id = g.id
     return best_id
 
 
-def sense(u: UavState, g: GroundUser, proto: ProtocolConfig, params: ChannelParams,
-          buffer_capacity: float) -> float:
-    """Bits collected from g during the sensing sub-slot: the link-rate
-    budget capped by what the user still has and by the UAV's free buffer
-    space."""
-    rate = channel.g2u_rate(g.pos.as_array(), u.pos.as_array(), params)
-    free = max(buffer_capacity - u.buffer, 0.0)
-    return min(proto.t_s * rate, g.remaining, free)
+def sense(w: WorldState, i: int, gid: int) -> float:
+    """Bits UAV i collects from ground user gid during the sensing
+    sub-slot: the link-rate budget capped by what the user still has and
+    by the UAV's free buffer space."""
+    rate = channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
+    free = max(w.scenario.buffer_capacity_bits - w.uavs[i].buffer, 0.0)
+    return min(w.protocol.t_s * rate, w.gus[gid].remaining, free)
 
 
 def gu_queue_step(g: GroundUser, drained: float) -> GroundUser:
@@ -261,8 +259,7 @@ class StepReport:
     delivered_bs: np.ndarray  # bits delivered to the base station
     relayed_out: np.ndarray   # bits sent to other UAVs
     energy: np.ndarray        # propulsion J (enters the objective)
-    violations_per_uav: np.ndarray
-    violations: int           # pairs closer than d_min after flying
+    violations_per_uav: np.ndarray  # neighbours closer than d_min after flying
 
 
 def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState, StepReport]:
@@ -283,15 +280,16 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     for i, (u, (direction, speed)) in enumerate(zip(w.uavs, actions)):
         u.pos = move_uav(u, direction, speed, w.protocol, hw)
         speeds[i] = min(max(float(speed), 0.0), u.v_max)
+    w.sensing_snr = sensing_table(w.uavs, w.gus, w.scenario, w.chan)
 
     sensed = np.zeros(n)
     claimed: set = set()
-    for i, u in enumerate(w.uavs):
-        gid = select_gu(u, w.gus, w.protocol, w.chan, exclude=claimed)
+    for i in range(n):
+        gid = select_gu(w, i, exclude=claimed)
         if gid is None:
             continue
         claimed.add(gid)  # no later UAV reads this user, so drain it now
-        sensed[i] = sense(u, w.gus[gid], w.protocol, w.chan, cap)
+        sensed[i] = sense(w, i, gid)
         w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
 
     positions = w.positions()
@@ -306,11 +304,9 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         u.energy_used += energy[i]
 
     viol_per_uav = np.zeros(n, dtype=int)
-    pairs = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if distance(w.uavs[i].pos, w.uavs[j].pos) < w.protocol.d_min:
-                pairs += 1
+            if channel.distance(positions[i + 1], positions[j + 1]) < w.protocol.d_min:
                 viol_per_uav[i] += 1
                 viol_per_uav[j] += 1
 
@@ -322,7 +318,6 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         relayed_out=res.outgoing - res.to_bs,
         energy=energy,
         violations_per_uav=viol_per_uav,
-        violations=pairs,
     )
     return w, report
 

@@ -99,7 +99,7 @@ def test_criterion_2_simulator_invariants():
                 actions.append((np.array([math.cos(ang), math.sin(ang)]), speed))
             before_buf = np.array([u.buffer for u in w.uavs])
             before_rem = np.array([g.remaining for g in w.gus])
-            before_pos = [dataclasses.replace(u.pos) for u in w.uavs]
+            before_pos = [u.pos for u in w.uavs]  # immutable tuples
             w, rep = world.step(w, actions, fm)
             cap = scenario.buffer_capacity_bits
             # buffer bounds

@@ -14,9 +14,10 @@ from flysense.channel import (
     ChannelParams,
     FormationError,
     FormationMatrix,
-    g2u_rate,
+    distance,
     g2u_snr,
     interference,
+    link_rate,
     offload,
     point_rate,
     u2u_rate,
@@ -185,9 +186,20 @@ def test_silent_transmitters_do_not_interfere():
 def test_g2u_snr_and_sense_rate_closed_form():
     uav = np.array([0.0, 0.0, 100.0])
     gu = np.array([0.0, 0.0, 0.0])
-    snr = g2u_snr(gu, uav, P)
+    snr = g2u_snr(distance(gu, uav), P)
     np.testing.assert_allclose(snr, 2842.9078982287197, rtol=1e-12)
-    np.testing.assert_allclose(g2u_rate(gu, uav, P), 11473659.027776841, rtol=1e-12)
+    np.testing.assert_allclose(link_rate(snr, P), 11473659.027776841, rtol=1e-12)
+
+
+def test_distance_is_linalg_norm_bitwise():
+    """Every gain and range rests on distance; it must stay np.linalg.norm
+    of the difference to the last bit, for arrays and plain tuples."""
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        a, b = rng.uniform(-5000.0, 5000.0, (2, 3))
+        want = float(np.linalg.norm(a - b))
+        assert distance(a, b) == want
+        assert distance(tuple(a.tolist()), tuple(b.tolist())) == want
 
 
 class TestOffload:

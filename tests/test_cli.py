@@ -91,17 +91,37 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("training", {"eval_episodes": 0}, "training.eval_episodes"),
     ("scenario", {"uav_xy": [[0.0, 0.0]]}, "scenario.uav_xy"),       # 2 UAVs
     ("scenario", {"gu_xy": [[0.1, 0.1], [0.2, 0.2]]}, "scenario.gu_xy"),  # 3 GUs
+    ("scenario", {"n_gus": 0}, "scenario.n_gus"),
+    ("channel", {"n_channels": 0}, "channel.n_channels"),
+    ("scenario", {"demand_bits": -1.0}, "scenario.demand_bits"),
+    ("training", {"hidden": []}, "training.hidden"),
+    ("scenario", {"v_max_mps": 0.0}, "scenario.v_max_mps"),
+    ("scenario", {"half_width_km": 0.0}, "scenario.half_width_km"),
+    # the radius derives from coverage_snr_min_db alone
+    ("scenario", {"protocol": {"coverage_radius": 50.0}}, "scenario.protocol.coverage_radius"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
     cfg_path = write_tiny_config(tmp_path)
     cfg = json.loads(open(cfg_path).read())
-    cfg[section].update(override)
+    cfg.setdefault(section, {}).update(override)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--episodes", "0", "--checkpoint", "checkpoint.json"], "--episodes"),
+    (["compare", "--episodes", "0", "--eval-episodes", "0"], "--eval-episodes"),
+])
+def test_evaluation_count_below_one_exit_1_before_running(tmp_path, capsys, argv, flag):
+    cfg = write_tiny_config(tmp_path)
+    code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -2,16 +2,19 @@
 arbitration, replay, and the actor-critic updates."""
 
 import dataclasses
+import importlib
 import inspect
 import math
+import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from flysense import channel, gp, marl, nn, world
 from flysense.channel import ChannelParams, FormationMatrix
-from flysense.config import RunConfig
+from flysense.config import RunConfig, load_config
 from flysense.formation import FormationPolicy
 from flysense.marl import (
     ACT_DIM,
@@ -34,9 +37,12 @@ from flysense.marl import (
 from flysense.world import Position, Scenario, StepReport
 
 
-def tiny_world(n_uavs=2, n_gus=3, seed=0, uav_xy=None, gu_xy=None):
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def tiny_world(n_uavs=2, n_gus=3, seed=0, uav_xy=None, gu_xy=None, **scenario_kw):
     scenario = Scenario(n_uavs=n_uavs, n_gus=n_gus, gu_seed=seed,
-                        uav_xy=uav_xy, gu_xy=gu_xy)
+                        uav_xy=uav_xy, gu_xy=gu_xy, **scenario_kw)
     params = ChannelParams()
     w = world.make_world(scenario, params, np.random.default_rng(seed))
     return w
@@ -46,7 +52,7 @@ def zero_report(n):
     z = np.zeros(n)
     return StepReport(
         sensed=z.copy(), delivered_bs=z.copy(), relayed_out=z.copy(),
-        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int), violations=0,
+        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int),
     )
 
 
@@ -91,11 +97,10 @@ class TestObserve:
                 assert np.all(obs >= -1.0 - 1e-12) and np.all(obs <= 1.0 + 1e-12)
 
     def test_no_gu_in_range_zero_fills(self):
-        w = tiny_world(n_uavs=1, n_gus=1, uav_xy=[(0.0, 0.0)], gu_xy=[(0.9, 0.9)])
-        # shrink coverage so the lone GU is out of reach
-        proto = dataclasses.replace(w.protocol, coverage_radius=50.0)
-        w.protocol = proto
-        w.scenario = dataclasses.replace(w.scenario, protocol=proto)
+        # shrink coverage to 50 m so the lone GU is out of reach
+        p = ChannelParams()
+        w = tiny_world(n_uavs=1, n_gus=1, uav_xy=[(0.0, 0.0)], gu_xy=[(0.9, 0.9)],
+                       coverage_snr_min_db=10.0 * math.log10(p.q_gu * p.beta_s / 50.0 ** 2))
         obs = observe(w, 0)
         np.testing.assert_array_equal(obs[6:], np.zeros(4))
 
@@ -155,21 +160,43 @@ class TestReward:
         rep.relayed_out[:] = [1e6, 0.0]
         rep.sensed[:] = [3e6, 0.0]
         rep.violations_per_uav[:] = [1, 0]
-        total, parts = reward(0, rep, RewardWeights())
-        assert parts.energy == pytest.approx(-0.5)
-        assert parts.data == pytest.approx(3.0)
-        assert parts.sense == pytest.approx(3.0)
-        assert parts.penalty == pytest.approx(10.0)
-        assert total == pytest.approx(-0.5 + 3.0 + 3.0 - 10.0)
+        totals, parts = reward(rep, RewardWeights())
+        assert parts.energy[0] == pytest.approx(-0.5)
+        assert parts.data[0] == pytest.approx(3.0)
+        assert parts.sense[0] == pytest.approx(3.0)
+        assert parts.penalty[0] == pytest.approx(10.0)
+        assert totals[0] == pytest.approx(-0.5 + 3.0 + 3.0 - 10.0)
         # the idle agent earns exactly zero
-        assert reward(1, rep, RewardWeights())[0] == 0.0
+        assert totals[1] == 0.0
 
     def test_weights_scale_terms(self):
         rep = zero_report(1)
         rep.sensed[0] = 2e6
         wts = RewardWeights(gamma_sense=0.25)
-        total, _ = reward(0, rep, wts)
-        assert total == pytest.approx(0.5)
+        totals, _ = reward(rep, wts)
+        assert totals[0] == pytest.approx(0.5)
+
+    def test_arrays_equal_the_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(8)
+        wts = RewardWeights(gamma_energy=0.7, gamma_data=1.3, gamma_sense=0.4, mu=7.5)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            rep = zero_report(n)
+            rep.energy[:] = rng.uniform(0, 3000, n)
+            rep.delivered_bs[:] = rng.uniform(0, 1e7, n)
+            rep.relayed_out[:] = rng.uniform(0, 1e7, n)
+            rep.sensed[:] = rng.uniform(0, 1e7, n)
+            rep.violations_per_uav[:] = rng.integers(0, 3, n)
+            totals, parts = reward(rep, wts)
+            for i in range(n):
+                energy = -rep.energy[i] / marl.ENERGY_UNIT
+                data = (rep.delivered_bs[i] + rep.relayed_out[i]) / marl.DATA_UNIT
+                sense = rep.sensed[i] / marl.DATA_UNIT
+                penalty = wts.mu * float(rep.violations_per_uav[i])
+                total = (wts.gamma_energy * energy + wts.gamma_data * data
+                         + wts.gamma_sense * sense - penalty)
+                assert (parts.energy[i], parts.data[i], parts.sense[i],
+                        parts.penalty[i], totals[i]) == (energy, data, sense, penalty, total)
 
 
 class TestArbitrate:
@@ -541,3 +568,44 @@ def test_benchmark_slot_clock_hooks(monkeypatch):
     assert callers and set(callers) == {"rollout"}
     params = list(inspect.signature(marl.rollout).parameters)
     assert params[:4] == ["w", "act_fn", "horizon", "formation_fn"]
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """bench/tracing.py wraps each (module, attribute) of its SPANS and
+    COUNTS by name; the traced benchmark breaks if one is renamed."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for module, path in tracing.SPANS + tracing.COUNTS:
+        owner = importlib.import_module(f"flysense.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []
+
+
+def test_sensing_table_built_once_per_world_and_slot(monkeypatch):
+    """The UAV x ground-user sensing table is built when a world is made
+    and once in each slot's fly phase, and nowhere else, during training
+    and evaluation."""
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(world, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_world", "step", "sensing_table"):
+        monkeypatch.setattr(world, name, counted(name))
+    tr = Trainer(load_config(os.path.join(ROOT, "configs", "tiny.json")))
+    tr.run()
+    assert counts["step"] > 0
+    assert counts["sensing_table"] == counts["make_world"] + counts["step"]
+    counts.clear()
+    tr.evaluate(2)
+    assert counts["step"] > 0
+    assert counts["sensing_table"] == counts["make_world"] + counts["step"]

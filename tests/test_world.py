@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from flysense.channel import BS, ChannelParams, FormationError, FormationMatrix
+from flysense.channel import (
+    BS,
+    ChannelParams,
+    FormationError,
+    FormationMatrix,
+    distance,
+    g2u_snr,
+)
 from flysense.world import (
     EnergyModel,
     GroundUser,
@@ -15,7 +22,6 @@ from flysense.world import (
     UavState,
     WorldState,
     coverage_radius_m,
-    distance,
     gu_queue_step,
     make_world,
     move_uav,
@@ -77,37 +83,67 @@ class TestMoveUav:
             move_uav(self.u(), (1.0, 0.0), -1.0, PROTO, 1000.0)
 
 
+def _placed_world(uav_xy, gu_xy, demand_bits=1e6, **scenario):
+    """World on a 1 km half-width field (scaled coordinates x 1000 m)."""
+    scen = Scenario(n_uavs=len(uav_xy), n_gus=len(gu_xy), uav_xy=uav_xy, gu_xy=gu_xy,
+                    demand_bits=demand_bits, **scenario)
+    return make_world(scen, P, np.random.default_rng(0))
+
+
+def _snr_db_for_radius(radius_m):
+    """coverage_snr_min_db that puts the coverage edge at radius_m."""
+    return 10.0 * math.log10(P.q_gu * P.beta_s / radius_m ** P.alpha_s)
+
+
 class TestSelectGu:
     def test_closest_user_wins_and_ties_break_low(self):
-        u = UavState(1, Position(0.0, 0.0, 100.0), 0.0, 0.0, 20.0)
-        gus = [
-            GroundUser(0, Position(500.0, 0.0, 0.0), 1e6, 1e6),
-            GroundUser(1, Position(100.0, 0.0, 0.0), 1e6, 1e6),
-            GroundUser(2, Position(-100.0, 0.0, 0.0), 1e6, 1e6),
-        ]
-        assert select_gu(u, gus, PROTO, P) == 1  # same range as 2, lower id
-        assert select_gu(u, gus, PROTO, P, exclude={1}) == 2
+        w = _placed_world([(0.0, 0.0)], [(0.5, 0.0), (0.1, 0.0), (-0.1, 0.0)])
+        assert select_gu(w, 0) == 1  # same range as 2, lower id
+        assert select_gu(w, 0, exclude={1}) == 2
 
     def test_skips_drained_and_out_of_coverage(self):
-        u = UavState(1, Position(0.0, 0.0, 100.0), 0.0, 0.0, 20.0)
-        proto = ProtocolConfig(coverage_radius=150.0)
-        gus = [
-            GroundUser(0, Position(100.0, 0.0, 0.0), 0.0, 1e6),
-            GroundUser(1, Position(500.0, 0.0, 0.0), 1e6, 1e6),
-        ]
-        assert select_gu(u, gus, proto, P) is None
+        w = _placed_world([(0.0, 0.0)], [(0.1, 0.0), (0.5, 0.0)],
+                          coverage_snr_min_db=_snr_db_for_radius(150.0))
+        w.gus[0].remaining = 0.0
+        assert select_gu(w, 0) is None
+
+
+class TestSensingTable:
+    def test_each_pair_is_the_scalar_snr_or_minus_one(self):
+        """Bit for bit g2u_snr(distance(uav, gu)) inside the coverage
+        radius and exactly -1 outside, at the start and after flying."""
+        rng = np.random.default_rng(17)
+        outside = inside = 0
+        for trial in range(40):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            scen = Scenario(n_uavs=n, n_gus=m, gu_seed=trial,
+                            coverage_snr_min_db=float(rng.uniform(0.0, 40.0)))
+            w = make_world(scen, P, np.random.default_rng(trial))
+            radius = coverage_radius_m(scen, P)
+            for t in range(3):
+                assert w.sensing_snr.shape == (n, m)
+                for i, u in enumerate(w.uavs):
+                    for k, g in enumerate(w.gus):
+                        d = distance(u.pos, g.pos)
+                        want = g2u_snr(d, P) if d <= radius else -1.0
+                        assert w.sensing_snr[i, k] == want
+                        inside += d <= radius
+                        outside += d > radius
+                acts = [((1.0, 0.0), float(rng.uniform(0, 20))) for _ in range(n)]
+                w, _ = step(w, acts, w.formation)
+        assert inside > 0 and outside > 0
 
 
 def test_sense_rate_budget_and_caps():
-    u = UavState(1, Position(0.0, 0.0, 100.0), 0.0, 0.0, 20.0)
-    g = GroundUser(0, Position(0.0, 0.0, 0.0), 1e9, 1e9)
-    np.testing.assert_allclose(sense(u, g, PROTO, P, 2e7), 3442097.7083330527, rtol=1e-12)
+    w = _placed_world([(0.0, 0.0)], [(0.0, 0.0)], demand_bits=1e9)
+    np.testing.assert_allclose(sense(w, 0, 0), 3442097.7083330527, rtol=1e-12)
     # capped by the user's remaining data
-    g2 = GroundUser(0, Position(0.0, 0.0, 0.0), 1000.0, 1e9)
-    assert sense(u, g2, PROTO, P, 2e7) == 1000.0
+    w.gus[0].remaining = 1000.0
+    assert sense(w, 0, 0) == 1000.0
     # capped by free buffer space
-    u2 = UavState(1, Position(0.0, 0.0, 100.0), 2e7 - 500.0, 0.0, 20.0)
-    assert sense(u2, g, PROTO, P, 2e7) == 500.0
+    w.gus[0].remaining = 1e9
+    w.uavs[0].buffer = 2e7 - 500.0
+    assert sense(w, 0, 0) == 500.0
 
 
 def test_queue_and_buffer_steps():
@@ -212,7 +248,6 @@ class TestStep:
         scen = Scenario(n_uavs=2, n_gus=1, gu_seed=3, uav_xy=((0.0, 0.0), (0.001, 0.0)))
         w = make_world(scen, P, np.random.default_rng(0))
         w2, rep = step(w, [((1.0, 0.0), 0.0), ((1.0, 0.0), 0.0)], w.formation)
-        assert rep.violations == 1
         assert rep.violations_per_uav.tolist() == [1, 1]
 
 
