@@ -51,17 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The evaluation episode count the results are averaged over; compare
-# --episodes 0 (no training) stays valid.
-_EVAL_COUNT = {"eval": "episodes", "compare": "eval_episodes"}
-
-
 def _load(args) -> RunConfig:
-    dest = _EVAL_COUNT.get(args.command)
-    count = getattr(args, dest) if dest else None
-    if count is not None and count < 1:
-        flag = "--" + dest.replace("_", "-")
-        raise ConfigError(f"{flag}: must be at least 1, got {count}")
+    # compare --episodes 0 (no training) stays valid.
+    if args.command == "eval" and args.episodes is not None and args.episodes < 1:
+        raise ConfigError(f"--episodes: must be at least 1, got {args.episodes}")
+    if args.command == "compare" and args.eval_episodes is not None and args.eval_episodes < 1:
+        raise ConfigError(f"--eval-episodes: must be at least 1, got {args.eval_episodes}")
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -281,7 +281,7 @@ def brute_force_formation(w: "world.WorldState", lam) -> tuple[FormationMatrix, 
     best = None
     best_cost = math.inf
     for fm in _feasible_matrices(n, k):
-        res = channel.offload(buffers, free, positions, fm, w.chan, w.protocol.t_o)
+        res = channel.offload(buffers, free, positions, fm, w.chan, w.scenario.protocol.t_o)
         new_buf = [
             world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)
             for i in range(n)

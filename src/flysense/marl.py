@@ -33,12 +33,6 @@ def observation_dim(n_uavs: int) -> int:
     return 4 + (n_uavs + 1) + 4
 
 
-def _slot_energy_norm(proto: world.ProtocolConfig, model: world.EnergyModel, v_max: float) -> float:
-    worst = max(world.propulsion_energy(0.0, proto, model),
-                world.propulsion_energy(v_max, proto, model))
-    return worst
-
-
 def observe(w: WorldState, i: int) -> np.ndarray:
     """Local observation of UAV i; every component lies in [-1, 1]."""
     u = w.uavs[i]
@@ -48,7 +42,9 @@ def observe(w: WorldState, i: int) -> np.ndarray:
     obs[0] = u.pos.x / hw
     obs[1] = u.pos.y / hw
     obs[2] = u.buffer / w.scenario.buffer_capacity_bits
-    e_norm = _slot_energy_norm(w.protocol, w.scenario.energy, u.v_max)
+    proto, model = w.scenario.protocol, w.scenario.energy
+    e_norm = max(world.propulsion_energy(0.0, proto, model),
+                 world.propulsion_energy(u.v_max, proto, model))
     obs[3] = min(w.last_energy[i] / e_norm, 1.0)
     obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
     base = 4 + n + 1
@@ -333,13 +329,13 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
     balance = formation.load_balance(buffers, rates, ratio_cap) if n >= 2 else np.zeros(1)
     costs = np.zeros(n)
     spare = np.zeros(n)
-    sub_slots = w.protocol.t_s / w.protocol.t_o
+    sub_slots = w.scenario.protocol.t_s / w.scenario.protocol.t_o
+    covered = world.in_coverage(w).tolist()
     for i in range(n):
-        row = w.sensing_snr[i].tolist()
-        backlog = sum(g.remaining for g, snr in zip(w.gus, row) if snr >= 0.0)
+        backlog = sum(g.remaining for g, inside in zip(w.gus, covered[i]) if inside)
         costs[i] = formation.cost(w.last_energy[i], buffers[i], backlog, lam)
         gid = world.select_gu(w, i)
-        intake = 0.0 if gid is None else channel.link_rate(row[gid], w.chan)
+        intake = 0.0 if gid is None else channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
         spare[i] = max(0.0, rates[i] - intake * sub_slots)
     return CostReport(balance=balance, cost=costs, spare_rate=spare)
 
@@ -350,8 +346,10 @@ def expected_transmitters(w: WorldState) -> np.ndarray:
     ground user.  Lets the formation builders treat drained UAVs'
     allocations as quiet spectrum."""
     act = np.zeros(w.n_uavs + 1, dtype=bool)
+    covered = world.in_coverage(w).tolist()
     for i, u in enumerate(w.uavs):
-        act[i + 1] = u.buffer > 0.0 or world.select_gu(w, i) is not None
+        act[i + 1] = u.buffer > 0.0 or any(
+            inside and g.remaining > 0.0 for g, inside in zip(w.gus, covered[i]))
     return act
 
 
@@ -493,7 +491,7 @@ class Trainer:
         prop = gp.propose_point(self.histories[i], cur, self.reach_scaled,
                                 self.cfg.gp, bounds=self.gp_bounds,
                                 offsets=self.gp_offsets)
-        return bo_to_action(u.pos, prop * hw, u.v_max, w.protocol.t_f)
+        return bo_to_action(u.pos, prop * hw, u.v_max, w.scenario.protocol.t_f)
 
     def train_episode(self, ep: int, sink=None) -> EpisodeStats:
         tc = self.train_cfg

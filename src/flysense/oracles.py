@@ -277,7 +277,8 @@ def _independent_best_formation(w, lam) -> list:
         for tx, rx in order:
             if not phi[tx, rx].any():
                 continue
-            cap_bits = channel.u2u_rate(fm, positions, tx, rx, w.chan, talking) * w.protocol.t_o
+            cap_bits = (channel.u2u_rate(fm, positions, tx, rx, w.chan, talking)
+                        * w.scenario.protocol.t_o)
             amt = min(cap_bits, left[tx - 1])
             if rx == BS:
                 room[tx - 1] += amt

@@ -116,6 +116,7 @@ class WorldState:
     uavs: list
     gus: list
     formation: FormationMatrix
+    rng: np.random.Generator
     scenario: Scenario
     chan: ChannelParams
     bs_pos: Position
@@ -126,30 +127,34 @@ class WorldState:
     def n_uavs(self) -> int:
         return len(self.uavs)
 
-    @property
-    def protocol(self) -> ProtocolConfig:
-        return self.scenario.protocol
-
     def positions(self) -> np.ndarray:
         """(N+1, 3) node positions, base station in row 0."""
         return np.array([self.bs_pos, *(u.pos for u in self.uavs)], dtype=float)
 
 
+OUT_OF_COVERAGE = -1.0  # sensing-table entry of a user outside a UAV's radius
+
+
 def sensing_table(uavs: list, gus: list, scenario: Scenario, params: ChannelParams) -> np.ndarray:
-    """(N, M) sensing SNR of every UAV-ground-user pair, exactly -1 where
-    the user lies outside the UAV's coverage radius.  Positions change only
+    """(N, M) sensing SNR of every UAV-ground-user pair, OUT_OF_COVERAGE
+    where the user lies outside the UAV's coverage radius.  Positions change only
     in make_world and in step's fly phase, so the world builds the table at
     those two points and every sensing decision of the slot reads it."""
     radius = coverage_radius_m(scenario, params)
     uav_xyz = np.array([u.pos for u in uavs], dtype=float)
     gu_xyz = np.array([g.pos for g in gus], dtype=float)
-    table = np.full((len(uavs), len(gus)), -1.0)
+    table = np.full((len(uavs), len(gus)), OUT_OF_COVERAGE)
     for i, at in enumerate(uav_xyz):
         for m, g_at in enumerate(gu_xyz):
             d = channel.distance(at, g_at)
             if d <= radius:
                 table[i, m] = channel.g2u_snr(d, params)
     return table
+
+
+def in_coverage(w: WorldState) -> np.ndarray:
+    """(N, M) mask of the ground users inside each UAV's coverage radius."""
+    return w.sensing_snr > OUT_OF_COVERAGE
 
 
 def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generator) -> WorldState:
@@ -180,6 +185,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         uavs=uavs,
         gus=gus,
         formation=fm,
+        rng=rng,
         scenario=scenario,
         chan=params,
         bs_pos=bs,
@@ -212,7 +218,7 @@ def select_gu(w: WorldState, i: int, exclude=()) -> int | None:
     users with data left inside its coverage radius.  Ties break to the
     lowest id; returns None when nobody qualifies."""
     best_id = None
-    best_snr = -1.0  # the sensing table's out-of-coverage value
+    best_snr = OUT_OF_COVERAGE
     for g, snr in zip(w.gus, w.sensing_snr[i].tolist()):
         if snr > best_snr and g.remaining > 0.0 and g.id not in exclude:
             best_snr = snr
@@ -226,7 +232,7 @@ def sense(w: WorldState, i: int, gid: int) -> float:
     by the UAV's free buffer space."""
     rate = channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
     free = max(w.scenario.buffer_capacity_bits - w.uavs[i].buffer, 0.0)
-    return min(w.protocol.t_s * rate, w.gus[gid].remaining, free)
+    return min(w.scenario.protocol.t_s * rate, w.gus[gid].remaining, free)
 
 
 def gu_queue_step(g: GroundUser, drained: float) -> GroundUser:
@@ -259,7 +265,8 @@ class StepReport:
     delivered_bs: np.ndarray  # bits delivered to the base station
     relayed_out: np.ndarray   # bits sent to other UAVs
     energy: np.ndarray        # propulsion J (enters the objective)
-    violations_per_uav: np.ndarray  # neighbours closer than d_min after flying
+    violations_per_uav: np.ndarray
+    violations: int           # pairs closer than d_min after flying
 
 
 def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState, StepReport]:
@@ -273,12 +280,11 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     if len(actions) != n:
         raise ValueError(f"expected {n} actions, got {len(actions)}")
     w.formation = fm
-    hw = w.scenario.half_width_m
     cap = w.scenario.buffer_capacity_bits
 
     speeds = np.zeros(n)
     for i, (u, (direction, speed)) in enumerate(zip(w.uavs, actions)):
-        u.pos = move_uav(u, direction, speed, w.protocol, hw)
+        u.pos = move_uav(u, direction, speed, w.scenario.protocol, w.scenario.half_width_m)
         speeds[i] = min(max(float(speed), 0.0), u.v_max)
     w.sensing_snr = sensing_table(w.uavs, w.gus, w.scenario, w.chan)
 
@@ -295,18 +301,18 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     positions = w.positions()
     buffers = np.array([u.buffer for u in w.uavs])
     free = cap - buffers - sensed
-    res = channel.offload(buffers, free, positions, fm, w.chan, w.protocol.t_o)
+    res = channel.offload(buffers, free, positions, fm, w.chan, w.scenario.protocol.t_o)
 
     energy = np.zeros(n)
     for i, u in enumerate(w.uavs):
         u.buffer = uav_buffer_step(u.buffer, res.outgoing[i], sensed[i] + res.incoming[i], cap)
-        energy[i] = propulsion_energy(speeds[i], w.protocol, w.scenario.energy)
+        energy[i] = propulsion_energy(speeds[i], w.scenario.protocol, w.scenario.energy)
         u.energy_used += energy[i]
 
     viol_per_uav = np.zeros(n, dtype=int)
     for i in range(n):
         for j in range(i + 1, n):
-            if channel.distance(positions[i + 1], positions[j + 1]) < w.protocol.d_min:
+            if channel.distance(positions[i + 1], positions[j + 1]) < w.scenario.protocol.d_min:
                 viol_per_uav[i] += 1
                 viol_per_uav[j] += 1
 
@@ -318,6 +324,7 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         relayed_out=res.outgoing - res.to_bs,
         energy=energy,
         violations_per_uav=viol_per_uav,
+        violations=int(viol_per_uav.sum()) // 2,
     )
     return w, report
 

@@ -119,7 +119,7 @@ def test_criterion_2_simulator_invariants():
             # speed bound
             for u, prev in zip(w.uavs, before_pos):
                 moved = math.hypot(u.pos.x - prev.x, u.pos.y - prev.y)
-                assert moved <= u.v_max * w.protocol.t_f + 1e-9
+                assert moved <= u.v_max * w.scenario.protocol.t_f + 1e-9
             slots += 1
             if slots == 1000:
                 break

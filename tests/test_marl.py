@@ -52,7 +52,7 @@ def zero_report(n):
     z = np.zeros(n)
     return StepReport(
         sensed=z.copy(), delivered_bs=z.copy(), relayed_out=z.copy(),
-        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int),
+        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int), violations=0,
     )
 
 
@@ -74,7 +74,7 @@ class TestObserve:
         assert obs[0] == pytest.approx(0.5)
         assert obs[1] == pytest.approx(0.5)
         assert obs[2] == pytest.approx(5e6 / 2e7)
-        e_norm = world.propulsion_energy(0.0, w.protocol, w.scenario.energy)
+        e_norm = world.propulsion_energy(0.0, w.scenario.protocol, w.scenario.energy)
         assert obs[3] == pytest.approx(100.0 / e_norm)
         # link row: only the BS column set
         np.testing.assert_array_equal(obs[4:7], [1.0, 0.0, 0.0])

@@ -236,7 +236,7 @@ class TestStep:
                 for i, u in enumerate(w.uavs):
                     assert -1e-9 <= u.buffer <= cap + 1e-9
                     dx = math.hypot(u.pos.x - before_pos[i][0], u.pos.y - before_pos[i][1])
-                    assert dx <= u.v_max * w.protocol.t_f + 1e-9
+                    assert dx <= u.v_max * w.scenario.protocol.t_f + 1e-9
                 for g, rb in zip(w.gus, before_rem):
                     assert g.remaining <= rb + 1e-9
                 delta = sum(u.buffer for u in w.uavs) - before_buf
@@ -248,6 +248,7 @@ class TestStep:
         scen = Scenario(n_uavs=2, n_gus=1, gu_seed=3, uav_xy=((0.0, 0.0), (0.001, 0.0)))
         w = make_world(scen, P, np.random.default_rng(0))
         w2, rep = step(w, [((1.0, 0.0), 0.0), ((1.0, 0.0), 0.0)], w.formation)
+        assert rep.violations == 1
         assert rep.violations_per_uav.tolist() == [1, 1]
 
 
