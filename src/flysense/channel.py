@@ -128,15 +128,33 @@ def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
 
 
 def distance(a, b) -> float:
-    """Separation (m) of two (x, y, z) points, the one range in the package:
-    np.linalg.norm's arithmetic (a dot product, then a correctly rounded
-    square root) without its dispatch cost."""
+    """Separation (m) of two (x, y, z) points: np.linalg.norm's arithmetic
+    (a dot product, then a correctly rounded square root) without its
+    dispatch cost.  The scalar reference for ranges()."""
     d = np.subtract(a, b, dtype=float)
     return math.sqrt(d.dot(d))
 
 
+def ranges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) separations (m) of every row of a from every row
+    of b in one pass.  Entry [i, j] equals distance(a[i], b[j]) bit for
+    bit: vecdot over float64 rows is the same fused dot product as
+    ndarray.dot, where (d * d).sum(-1) or einsum would round differently."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.vecdot(diff, diff))
+
+
 def _gain(d: float, beta: float, alpha: float) -> float:
     return beta * max(d, _MIN_PATH_M) ** -alpha
+
+
+def link_power(node_range: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """Received power (W) p_uav * gain(d) of every node pair, from the
+    node-range table.  The path loss keeps its scalar formula entry by
+    entry: np.power rounds differently from Python's ** on some inputs."""
+    p, beta, alpha = params.p_uav, params.beta_u, params.alpha_u
+    return np.array([[p * _gain(d, beta, alpha) for d in row]
+                     for row in node_range.tolist()])
 
 
 def link_rate(snr: float, params: ChannelParams) -> float:
@@ -146,14 +164,14 @@ def link_rate(snr: float, params: ChannelParams) -> float:
 
 def interference(
     fm: FormationMatrix,
-    positions: np.ndarray,
+    power: np.ndarray,
     tx: int,
     rx: int,
     ch: int,
-    params: ChannelParams,
     active=None,
 ) -> float:
-    """Aggregate co-channel power (W) hitting rx on sub-channel ch.
+    """Aggregate co-channel power (W) hitting rx on sub-channel ch, read
+    from the link_power table.
 
     Sums over every other active transmitter on ch; the link under test
     (tx -> rx) itself is excluded.  active, when given, is a per-node
@@ -161,19 +179,18 @@ def interference(
     nodes radiate nothing even if they hold an allocation.
     """
     total = 0.0
-    for m, n, k in zip(*np.nonzero(fm.phi)):
-        if k != ch or m == tx or n == rx:
+    for m, n in zip(*np.nonzero(fm.phi[:, :, ch])):
+        if m == tx or n == rx:
             continue
         if active is not None and not active[m]:
             continue
-        total += params.p_uav * _gain(distance(positions[m], positions[rx]),
-                                      params.beta_u, params.alpha_u)
+        total += power[m, rx]
     return total
 
 
 def u2u_rate(
     fm: FormationMatrix,
-    positions: np.ndarray,
+    power: np.ndarray,
     tx: int,
     rx: int,
     params: ChannelParams,
@@ -182,24 +199,23 @@ def u2u_rate(
     """Achievable rate (bit/s) of the tx -> rx link under the current
     allocation, summed over its assigned sub-channels and degraded by
     co-channel interference from the active transmitters."""
-    signal = params.p_uav * _gain(distance(positions[tx], positions[rx]),
-                                  params.beta_u, params.alpha_u)
+    signal = power[tx, rx]
     rate = 0.0
     for ch in range(fm.n_channels):
         if not fm.phi[tx, rx, ch]:
             continue
-        sinr = signal / (params.noise + interference(fm, positions, tx, rx, ch, params, active))
+        sinr = signal / (params.noise + interference(fm, power, tx, rx, ch, active))
         rate += link_rate(sinr, params)
     return rate
 
 
-def point_rate(pos_a, pos_b, params: ChannelParams) -> float:
-    """Interference-free single-channel UAV rate (bit/s) between two points.
+def point_rate(power: np.ndarray, tx: int, rx: int, params: ChannelParams) -> float:
+    """Interference-free single-channel rate (bit/s) of the tx -> rx node
+    pair.
 
     Used for what-if comparisons (relay guards, drain-time balance) where
     no allocation exists yet."""
-    snr = params.p_uav * _gain(distance(pos_a, pos_b), params.beta_u, params.alpha_u) / params.noise
-    return link_rate(snr, params)
+    return link_rate(power[tx, rx] / params.noise, params)
 
 
 def g2u_snr(d: float, params: ChannelParams) -> float:
@@ -221,7 +237,7 @@ class OffloadReport:
 def offload(
     buffers: np.ndarray,
     free_space: np.ndarray,
-    positions: np.ndarray,
+    power: np.ndarray,
     fm: FormationMatrix,
     params: ChannelParams,
     t_o: float,
@@ -239,10 +255,10 @@ def offload(
     so no bits are ever silently dropped; refused bits simply stay with
     the sender.  UAVs with nothing buffered transmit nothing, so their
     allocated links contribute no co-channel interference this sub-slot.
+    power is the link_power table of the current positions, and fm must
+    already pass validate_alloc (world.step checks it before anything
+    mutates).
     """
-    violations = validate_alloc(fm)
-    if violations:
-        raise FormationError(f"invalid allocation at (node, channel): {violations}")
     n = fm.n_uavs
     remaining = np.asarray(buffers, dtype=float).copy()
     accept = np.asarray(free_space, dtype=float).clip(min=0.0).copy()
@@ -252,10 +268,11 @@ def offload(
     incoming = np.zeros(n)
     to_bs = np.zeros(n)
     link_bits = []
+    linked = fm.phi.any(axis=2).tolist()
     for tx in range(1, n + 1):
-        if not fm.has_link(tx, BS):
+        if not linked[tx][BS]:
             continue
-        capacity = u2u_rate(fm, positions, tx, BS, params, active) * t_o
+        capacity = u2u_rate(fm, power, tx, BS, params, active) * t_o
         amount = min(capacity, remaining[tx - 1])
         if amount <= 0.0:
             continue
@@ -266,9 +283,9 @@ def offload(
         link_bits.append((tx, BS, amount))
     for tx in range(1, n + 1):
         for rx in range(1, n + 1):
-            if rx == tx or not fm.has_link(tx, rx):
+            if rx == tx or not linked[tx][rx]:
                 continue
-            capacity = u2u_rate(fm, positions, tx, rx, params, active) * t_o
+            capacity = u2u_rate(fm, power, tx, rx, params, active) * t_o
             amount = min(capacity, remaining[tx - 1], accept[rx - 1])
             if amount <= 0.0:
                 continue

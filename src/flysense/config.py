@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,7 +28,7 @@ from .channel import ChannelParams
 from .formation import FormationPolicy
 from .gp import GpConfig
 from .marl import RewardWeights, TrainingConfig
-from .world import EnergyModel, ProtocolConfig, Scenario
+from .world import EnergyModel, ProtocolConfig, Scenario, coverage_radius_m, max_slot_energy
 
 
 class ConfigError(ValueError):
@@ -39,8 +40,6 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def watts_to_dbm(watts: float) -> float:
-    import math
-
     return 10.0 * math.log10(watts * 1000.0)
 
 
@@ -117,6 +116,23 @@ def _int_tuple(raw: Any, path: str) -> tuple:
     return tuple(_expect_int(item, f"{path}[{i}]") for i, item in enumerate(raw))
 
 
+def _finite(compute) -> float | None:
+    """compute()'s value if it is a finite number, else None; float
+    overflow and division by zero count as not finite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _require(obj, path: str, rules) -> None:
+    """Raise on the first (key, broken, rule) whose broken is true."""
+    for key, broken, rule in rules:
+        if broken:
+            raise ConfigError(f"{path}.{key}: {rule}, got {getattr(obj, key)}")
+
+
 def _field_defaults(cls) -> dict:
     out = {}
     for f in dataclasses.fields(cls):
@@ -169,8 +185,12 @@ def _parse_channel(data: Any, path: str) -> ChannelParams:
                 raise ConfigError(f"{path}.{alias}: conflicts with {path}.{target}")
             data[target] = dbm_to_watts(_expect_number(data.pop(alias), f"{path}.{alias}"))
     chan = _build(ChannelParams, data, path)
-    if chan.n_channels < 1:
-        raise ConfigError(f"{path}.n_channels: must be at least 1, got {chan.n_channels}")
+    _require(chan, path, [("n_channels", chan.n_channels < 1, "must be at least 1")])
+    # Rates take log2 of power ratios and the coverage radius a root of
+    # one: a zero or negative quantity crashes them or moves no bits.
+    _require(chan, path, [(key, not getattr(chan, key) > 0.0, "must be positive")
+                          for key in ("bandwidth", "noise", "alpha_u", "alpha_s",
+                                      "beta_u", "beta_s", "p_uav", "q_gu")])
     return chan
 
 
@@ -185,12 +205,25 @@ def _parse_scenario(data: Any, path: str) -> Scenario:
     }
     scen = _build(Scenario, data, path, special)
     # Each rule below would otherwise crash mid-run or simulate nothing.
-    for key, bad, rule in (("n_gus", scen.n_gus < 1, "must be at least 1"),
-                           ("half_width_km", scen.half_width_km <= 0.0, "must be positive"),
-                           ("v_max_mps", scen.v_max_mps <= 0.0, "must be positive"),
-                           ("demand_bits", scen.demand_bits < 0.0, "must not be negative")):
-        if bad:
-            raise ConfigError(f"{path}.{key}: {rule}, got {getattr(scen, key)}")
+    _require(scen, path, [
+        ("n_uavs", scen.n_uavs < 1, "must be at least 1"),
+        ("n_gus", scen.n_gus < 1, "must be at least 1"),
+        ("gu_seed", scen.gu_seed is not None and scen.gu_seed < 0, "must not be negative"),
+        ("half_width_km", scen.half_width_km <= 0.0, "must be positive"),
+        ("v_max_mps", scen.v_max_mps <= 0.0, "must be positive"),
+        ("demand_bits", scen.demand_bits < 0.0, "must not be negative"),
+        ("buffer_capacity_bits", scen.buffer_capacity_bits <= 0.0, "must be positive"),
+    ])
+    # Ranges square coordinate differences, which must not overflow.
+    if _finite(lambda: sum(x * x for x in (2.0 * scen.half_width_m, scen.uav_alt_m,
+                                              scen.bs_height_m))) is None:
+        raise ConfigError(f"{path}.half_width_km: with uav_alt_m and bs_height_m the "
+                          f"field is too large for a finite squared range")
+    _require(scen.energy, f"{path}.energy",
+             [("v_floor", scen.energy.v_floor <= 0.0, "must be positive")])
+    if _finite(lambda: max_slot_energy(scen)) is None:
+        raise ConfigError(f"{path}.energy: the propulsion energy of one slot at speeds up "
+                          f"to {path}.v_max_mps ({scen.v_max_mps} m/s) is not finite")
     # A layout of the wrong length would crash the first slot or silently
     # build a different world.
     for key, count in (("uav_xy", "n_uavs"), ("gu_xy", "n_gus")):
@@ -206,6 +239,23 @@ def _parse_formation(data: Any, path: str) -> FormationPolicy:
     return _build(FormationPolicy, data, path, special)
 
 
+def _parse_gp(data: Any, path: str) -> GpConfig:
+    gcfg = _build(GpConfig, data, path)
+    # The kernel divides by the squared length scale.
+    square = _finite(lambda: gcfg.length_scale ** 2) if gcfg.length_scale > 0.0 else None
+    # Each rule below would otherwise crash mid-run or give NaN posteriors.
+    _require(gcfg, path, [
+        ("length_scale", square is None or square == 0.0,
+         "must be positive with a finite, nonzero square"),
+        ("signal_var", gcfg.signal_var <= 0.0, "must be positive"),
+        ("noise_jitter", gcfg.noise_jitter < 0.0, "must not be negative"),
+        ("window", gcfg.window < 1, "must be at least 1"),
+        ("n_dir", gcfg.n_dir < 1, "must be at least 1"),
+        ("n_rad", gcfg.n_rad < 1, "must be at least 1"),
+    ])
+    return gcfg
+
+
 def _parse_training(data: Any, path: str) -> TrainingConfig:
     special = {
         "weights": lambda raw, p: _build(RewardWeights, raw, p),
@@ -216,9 +266,12 @@ def _parse_training(data: Any, path: str) -> TrainingConfig:
     # Each rule below would otherwise crash mid-run or train nothing.
     if not tc.hidden:
         raise ConfigError(f"{path}.hidden: needs at least one hidden layer")
-    for key in ("batch_size", "update_stride", "bo_stride", "eval_episodes"):
-        if getattr(tc, key) < 1:
-            raise ConfigError(f"{path}.{key}: must be at least 1, got {getattr(tc, key)}")
+    for i, width in enumerate(tc.hidden):
+        if width < 1:
+            raise ConfigError(f"{path}.hidden[{i}]: must be at least 1, got {width}")
+    _require(tc, path, [(key, getattr(tc, key) < 1, "must be at least 1")
+                        for key in ("horizon", "batch_size", "update_stride", "bo_stride",
+                                    "eval_episodes")])
     if tc.warmup_size < tc.batch_size:
         raise ConfigError(f"{path}.warmup: {tc.warmup} is below the batch size "
                           f"({tc.batch_size}), so the first update could not fill a batch")
@@ -232,7 +285,7 @@ _SECTIONS = {
     "scenario": _parse_scenario,
     "channel": _parse_channel,
     "formation": _parse_formation,
-    "gp": lambda raw, p: _build(GpConfig, raw, p),
+    "gp": _parse_gp,
     "training": _parse_training,
 }
 
@@ -248,7 +301,13 @@ def parse_config(data: Any) -> RunConfig:
             kwargs[key] = _SECTIONS[key](raw, key)
         else:
             raise ConfigError(f"unknown key {key}")
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    radius = _finite(lambda: coverage_radius_m(cfg.scenario, cfg.channel))
+    if radius is None or radius <= 0.0:
+        raise ConfigError(f"scenario.coverage_snr_min_db: {cfg.scenario.coverage_snr_min_db} "
+                          f"dB leaves no finite coverage radius with channel.q_gu, "
+                          f"beta_s and alpha_s")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

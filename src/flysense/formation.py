@@ -81,8 +81,8 @@ def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
     return fm
 
 
-def _relay_pair(fm: FormationMatrix, tx: int, rx: int, positions: np.ndarray,
-                params: ChannelParams, active: np.ndarray | None) -> bool:
+def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: np.ndarray,
+                active: np.ndarray | None) -> bool:
     """Replace tx's direct BS link with a one-hop link to rx.
 
     The one-hop link goes on the fitting sub-channel with the least
@@ -103,7 +103,7 @@ def _relay_pair(fm: FormationMatrix, tx: int, rx: int, positions: np.ndarray,
         return False
     widenable = {c for c in freed if fm.channel_fits(rx, BS, c)}
     placed = min(fits, key=lambda c: (
-        channel.interference(fm, positions, tx, rx, c, params, active), c in widenable, c))
+        channel.interference(fm, power, tx, rx, c, active), c in widenable, c))
     fm.set_link(tx, rx, placed)
     for c in freed:
         if c != placed and fm.channel_fits(rx, BS, c):
@@ -111,37 +111,38 @@ def _relay_pair(fm: FormationMatrix, tx: int, rx: int, positions: np.ndarray,
     return True
 
 
-def _pair_first(fm, tx, candidates, positions, params, active) -> int | None:
+def _pair_first(fm, tx, candidates, power, active) -> int | None:
     """Route tx through the first candidate (0-based UAV index, lazily
     consumed) that has a BS link and takes _relay_pair; None if none does."""
     for j in candidates:
         rx = j + 1
         if not fm.has_link(rx, BS):
             continue  # a relay with no backhaul would strand the data
-        if _relay_pair(fm, tx, rx, positions, params, active):
+        if _relay_pair(fm, tx, rx, power, active):
             return j
     return None
 
 
-def _point_rates_ok(policy, params, positions, seeker, relay, spare_rate) -> bool:
+def _point_rates_ok(policy, params, power, seeker, relay, spare_rate) -> bool:
     """Rate guards for a candidate pairing.  The relay's own BS link must
     outrun the seeker's, otherwise rerouting cannot shorten the drain, and
     the U2U hop must clear the configured floor (the seeker's direct rate
     when none is set).  The detour also has to fit into the relay's spare
     backhaul rate end to end: a relay whose BS link is already saturated
     by its own sensing would only queue the seeker's data."""
-    seeker_bs = channel.point_rate(positions[seeker], positions[BS], params)
-    if channel.point_rate(positions[relay], positions[BS], params) <= seeker_bs:
+    seeker_bs = channel.point_rate(power, seeker, BS, params)
+    if channel.point_rate(power, relay, BS, params) <= seeker_bs:
         return False
     if spare_rate < seeker_bs:
         return False
     floor = seeker_bs if policy.min_rate is None else policy.min_rate
-    return channel.point_rate(positions[seeker], positions[relay], params) >= floor
+    return channel.point_rate(power, seeker, relay, params) >= floor
 
 
 def eda_nf(
     report: CostReport,
-    positions: np.ndarray,
+    node_range: np.ndarray,
+    power: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
     params: ChannelParams,
@@ -155,8 +156,9 @@ def eda_nf(
     BS link is replaced by a one-hop link to the relay, which keeps its
     own BS link.  Pairings that would break the sub-channel constraint,
     exceed the pairing range, fall below the minimum link rate, or exceed
-    the relay's spare backhaul are skipped.  positions holds node rows
-    with the base station first.
+    the relay's spare backhaul are skipped.  node_range and power are
+    the channel.ranges and channel.link_power node tables (base station
+    first).
     """
     n = report.balance.size
     fm = _all_direct(n, n_channels)
@@ -168,10 +170,10 @@ def eda_nf(
         tx = i + 1
         # Lazy: the guards of later candidates run only if earlier ones fail.
         guarded = (j for j in relays
-                   if channel.distance(positions[tx], positions[j + 1]) < policy.pair_range_m
-                   and _point_rates_ok(policy, params, positions, tx, j + 1,
+                   if node_range[tx, j + 1] < policy.pair_range_m
+                   and _point_rates_ok(policy, params, power, tx, j + 1,
                                        float(report.spare_rate[j])))
-        j = _pair_first(fm, tx, guarded, positions, params, active)
+        j = _pair_first(fm, tx, guarded, power, active)
         if j is not None:
             relays.remove(j)
     return fm
@@ -184,10 +186,10 @@ def baseline_noncoop(n_uavs: int, n_channels: int) -> FormationMatrix:
 
 def baseline_buffer(
     buffers: np.ndarray,
-    positions: np.ndarray,
+    node_range: np.ndarray,
+    power: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
-    params: ChannelParams,
     active: np.ndarray | None = None,
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
@@ -199,20 +201,20 @@ def baseline_buffer(
         if buffers[i] <= policy.buffer_threshold_bits:
             continue
         tx = i + 1
-        gaps = {j: channel.distance(positions[tx], positions[j + 1])
+        gaps = {j: node_range[tx, j + 1]
                 for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits}
         order = sorted(gaps, key=lambda j: (gaps[j], j))
         _pair_first(fm, tx, [j for j in order if gaps[j] < policy.pair_range_m],
-                    positions, params, active)
+                    power, active)
     return fm
 
 
 def baseline_dynamic_nf(
     report: CostReport,
-    positions: np.ndarray,
+    node_range: np.ndarray,
+    power: np.ndarray,
     policy: FormationPolicy,
     n_channels: int,
-    params: ChannelParams,
     active: np.ndarray | None = None,
 ) -> FormationMatrix:
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
@@ -227,10 +229,9 @@ def baseline_dynamic_nf(
         tx = i + 1
         candidates = sorted((j for j in free if j != i
                              and report.cost[j] < report.cost[i] - policy.cost_margin
-                             and channel.distance(positions[tx], positions[j + 1])
-                             < policy.pair_range_m),
+                             and node_range[tx, j + 1] < policy.pair_range_m),
                             key=lambda j: (report.cost[j], j))
-        j = _pair_first(fm, tx, candidates, positions, params, active)
+        j = _pair_first(fm, tx, candidates, power, active)
         if j is not None:
             free.discard(i)
             free.discard(j)
@@ -273,7 +274,6 @@ def brute_force_formation(w: "world.WorldState", lam) -> tuple[FormationMatrix, 
     if n > 3 or k > 2:
         raise ValueError(f"exhaustive search capped at 3 UAVs x 2 channels, got {n}x{k}")
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
-    positions = w.positions()
     buffers = np.array([u.buffer for u in w.uavs])
     cap = w.scenario.buffer_capacity_bits
     free = cap - buffers
@@ -281,7 +281,7 @@ def brute_force_formation(w: "world.WorldState", lam) -> tuple[FormationMatrix, 
     best = None
     best_cost = math.inf
     for fm in _feasible_matrices(n, k):
-        res = channel.offload(buffers, free, positions, fm, w.chan, w.scenario.protocol.t_o)
+        res = channel.offload(buffers, free, w.link_power, fm, w.chan, w.scenario.protocol.t_o)
         new_buf = [
             world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)
             for i in range(n)

@@ -42,10 +42,7 @@ def observe(w: WorldState, i: int) -> np.ndarray:
     obs[0] = u.pos.x / hw
     obs[1] = u.pos.y / hw
     obs[2] = u.buffer / w.scenario.buffer_capacity_bits
-    proto, model = w.scenario.protocol, w.scenario.energy
-    e_norm = max(world.propulsion_energy(0.0, proto, model),
-                 world.propulsion_energy(u.v_max, proto, model))
-    obs[3] = min(w.last_energy[i] / e_norm, 1.0)
+    obs[3] = min(w.last_energy[i] / w.max_slot_energy, 1.0)
     obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
     base = 4 + n + 1
     gid = world.select_gu(w, i)
@@ -68,9 +65,9 @@ def decode_action(raw, v_max: float):
     """Raw (-1,1)^2 action to (unit heading, speed): the first component
     is the heading angle over pi, the second maps linearly onto
     [0, v_max]."""
-    a = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
-    ang = math.pi * a[0]
-    speed = v_max * (a[1] + 1.0) / 2.0
+    heading, throttle = (min(max(float(a), -1.0), 1.0) for a in raw)
+    ang = math.pi * heading
+    speed = v_max * (throttle + 1.0) / 2.0
     return np.array([math.cos(ang), math.sin(ang)]), speed
 
 
@@ -81,7 +78,7 @@ def act(actor: nn.Mlp, obs: np.ndarray, noise_scale: float = 0.0,
     raw, _ = actor.forward(obs)
     if noise_scale > 0.0 and rng is not None:
         raw = raw + noise_scale * rng.standard_normal(ACT_DIM)
-    return np.clip(raw, -1.0, 1.0)
+    return np.array([min(max(a, -1.0), 1.0) for a in raw.tolist()])
 
 
 def bo_to_action(current: Position, proposed, v_max: float, t_f: float) -> np.ndarray:
@@ -322,10 +319,8 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
     spare backhaul rate each UAV could lend a seeker (BS rate minus the
     sensing intake of its current target, scaled to the offload sub-slot)."""
     n = w.n_uavs
-    positions = w.positions()
     buffers = np.array([u.buffer for u in w.uavs])
-    rates = np.array([channel.point_rate(positions[i + 1], positions[0], w.chan)
-                      for i in range(n)])
+    rates = np.array([channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(n)])
     balance = formation.load_balance(buffers, rates, ratio_cap) if n >= 2 else np.zeros(1)
     costs = np.zeros(n)
     spare = np.zeros(n)
@@ -362,16 +357,16 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
         k = w.chan.n_channels
         if policy.kind == "non_cooperative":
             return formation.baseline_noncoop(w.n_uavs, k)
-        positions = w.positions()
+        tables = (w.node_range, w.link_power)
         active = expected_transmitters(w)
         if policy.kind == "buffer_threshold":
             buffers = np.array([u.buffer for u in w.uavs])
-            return formation.baseline_buffer(buffers, positions, policy, k, params, active)
+            return formation.baseline_buffer(buffers, *tables, policy, k, active)
         if report is None:
             report = build_cost_report(w, lam)
         if policy.kind == "dynamic_nf":
-            return formation.baseline_dynamic_nf(report, positions, policy, k, params, active)
-        return formation.eda_nf(report, positions, policy, k, params, active)
+            return formation.baseline_dynamic_nf(report, *tables, policy, k, active)
+        return formation.eda_nf(report, *tables, policy, k, params, active)
     return fn
 
 

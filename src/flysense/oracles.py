@@ -257,7 +257,6 @@ def _independent_best_formation(w, lam) -> list:
     n = len(w.uavs)
     k = w.chan.n_channels
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
-    positions = w.positions()
     cap = w.scenario.buffer_capacity_bits
     backlog = sum(g.remaining for g in w.gus)
     start = np.array([u.buffer for u in w.uavs], dtype=float)
@@ -277,7 +276,7 @@ def _independent_best_formation(w, lam) -> list:
         for tx, rx in order:
             if not phi[tx, rx].any():
                 continue
-            cap_bits = (channel.u2u_rate(fm, positions, tx, rx, w.chan, talking)
+            cap_bits = (channel.u2u_rate(fm, w.link_power, tx, rx, w.chan, talking)
                         * w.scenario.protocol.t_o)
             amt = min(cap_bits, left[tx - 1])
             if rx == BS:

@@ -9,6 +9,7 @@ energy is joules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -110,7 +111,11 @@ def coverage_radius_m(scenario: Scenario, params: ChannelParams) -> float:
 
 @dataclass
 class WorldState:
-    """Single-writer simulation state; all mutation goes through step()."""
+    """Single-writer simulation state; all mutation goes through step().
+
+    The geometry fields are built from the positions by place(), which
+    make_world and the fly phase of step() call: positions change nowhere
+    else, so every decision of a slot reads these tables."""
 
     t: int
     uavs: list
@@ -121,35 +126,46 @@ class WorldState:
     chan: ChannelParams
     bs_pos: Position
     last_energy: np.ndarray  # per-UAV propulsion J spent in the previous slot
-    sensing_snr: np.ndarray  # (N, M) sensing_table at the current positions
+    max_slot_energy: float   # most propulsion J one slot can burn
+    nodes: np.ndarray = field(init=False)        # (N+1, 3) positions, BS in row 0
+    node_range: np.ndarray = field(init=False)   # (N+1, N+1) channel.ranges
+    link_power: np.ndarray = field(init=False)   # (N+1, N+1) channel.link_power
+    sensing_snr: np.ndarray = field(init=False)  # (N, M) sensing_table
 
     @property
     def n_uavs(self) -> int:
         return len(self.uavs)
 
     def positions(self) -> np.ndarray:
-        """(N+1, 3) node positions, base station in row 0."""
-        return np.array([self.bs_pos, *(u.pos for u in self.uavs)], dtype=float)
+        """(N+1, 3) node positions, base station in row 0 (read-only)."""
+        return self.nodes
 
 
 OUT_OF_COVERAGE = -1.0  # sensing-table entry of a user outside a UAV's radius
 
 
-def sensing_table(uavs: list, gus: list, scenario: Scenario, params: ChannelParams) -> np.ndarray:
+def sensing_table(uav_xyz: np.ndarray, gu_xyz: np.ndarray, scenario: Scenario,
+                  params: ChannelParams) -> np.ndarray:
     """(N, M) sensing SNR of every UAV-ground-user pair, OUT_OF_COVERAGE
-    where the user lies outside the UAV's coverage radius.  Positions change only
-    in make_world and in step's fly phase, so the world builds the table at
-    those two points and every sensing decision of the slot reads it."""
+    where the user lies outside the UAV's coverage radius.  The ranges
+    come in one batch; the SNR keeps its scalar formula entry by entry."""
     radius = coverage_radius_m(scenario, params)
-    uav_xyz = np.array([u.pos for u in uavs], dtype=float)
-    gu_xyz = np.array([g.pos for g in gus], dtype=float)
-    table = np.full((len(uavs), len(gus)), OUT_OF_COVERAGE)
-    for i, at in enumerate(uav_xyz):
-        for m, g_at in enumerate(gu_xyz):
-            d = channel.distance(at, g_at)
-            if d <= radius:
-                table[i, m] = channel.g2u_snr(d, params)
-    return table
+    return np.array([[channel.g2u_snr(d, params) if d <= radius else OUT_OF_COVERAGE
+                      for d in row]
+                     for row in channel.ranges(uav_xyz, gu_xyz).tolist()])
+
+
+def place(w: WorldState) -> None:
+    """Build the slot's geometry from the current positions: the node
+    array, the node-range and received-power tables, and the sensing
+    table."""
+    nodes = np.array([w.bs_pos, *(u.pos for u in w.uavs)], dtype=float)
+    nodes.flags.writeable = False
+    w.nodes = nodes
+    w.node_range = channel.ranges(nodes, nodes)
+    w.link_power = channel.link_power(w.node_range, w.chan)
+    gu_xyz = np.array([g.pos for g in w.gus], dtype=float)
+    w.sensing_snr = sensing_table(nodes[1:], gu_xyz, w.scenario, w.chan)
 
 
 def in_coverage(w: WorldState) -> np.ndarray:
@@ -180,7 +196,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
 
     bs = Position(scenario.bs_xy[0] * hw, scenario.bs_xy[1] * hw, scenario.bs_height_m)
     fm = FormationMatrix(scenario.n_uavs, params.n_channels)
-    return WorldState(
+    w = WorldState(
         t=0,
         uavs=uavs,
         gus=gus,
@@ -190,8 +206,10 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         chan=params,
         bs_pos=bs,
         last_energy=np.zeros(scenario.n_uavs),
-        sensing_snr=sensing_table(uavs, gus, scenario, params),
+        max_slot_energy=max_slot_energy(scenario),
     )
+    place(w)
+    return w
 
 
 def move_uav(u: UavState, direction, speed: float, proto: ProtocolConfig, half_width_m: float) -> Position:
@@ -201,14 +219,16 @@ def move_uav(u: UavState, direction, speed: float, proto: ProtocolConfig, half_w
     clamped to the UAV's limit and the result is clamped to the field.
     Altitude never changes.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (2,) or abs(float(np.hypot(d[0], d[1])) - 1.0) > 1e-9:
+    if len(direction) != 2:
+        raise ValueError(f"direction must be a unit 2-vector, got {direction!r}")
+    dx, dy = float(direction[0]), float(direction[1])
+    if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit 2-vector, got {direction!r}")
     if speed < 0:
         raise ValueError("speed must be non-negative")
     step_m = min(float(speed), u.v_max) * proto.t_f
-    x = min(max(u.pos.x + d[0] * step_m, -half_width_m), half_width_m)
-    y = min(max(u.pos.y + d[1] * step_m, -half_width_m), half_width_m)
+    x = min(max(u.pos.x + dx * step_m, -half_width_m), half_width_m)
+    y = min(max(u.pos.y + dy * step_m, -half_width_m), half_width_m)
     return Position(x, y, u.pos.z)
 
 
@@ -257,6 +277,15 @@ def propulsion_energy(speed: float, proto: ProtocolConfig, model: EnergyModel) -
     return p_fly * proto.t_f + model.hover_w * (proto.t_s + proto.t_o)
 
 
+def max_slot_energy(scenario: Scenario) -> float:
+    """Most propulsion energy (J) one slot can burn at any commanded speed
+    from 0 to v_max: the floor speed or the top speed, whichever costs
+    more."""
+    proto, model = scenario.protocol, scenario.energy
+    return max(propulsion_energy(0.0, proto, model),
+               propulsion_energy(scenario.v_max_mps, proto, model))
+
+
 @dataclass
 class StepReport:
     """Everything that happened in one slot, indexed by 0-based UAV."""
@@ -286,7 +315,7 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     for i, (u, (direction, speed)) in enumerate(zip(w.uavs, actions)):
         u.pos = move_uav(u, direction, speed, w.scenario.protocol, w.scenario.half_width_m)
         speeds[i] = min(max(float(speed), 0.0), u.v_max)
-    w.sensing_snr = sensing_table(w.uavs, w.gus, w.scenario, w.chan)
+    place(w)
 
     sensed = np.zeros(n)
     claimed: set = set()
@@ -298,10 +327,9 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         sensed[i] = sense(w, i, gid)
         w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
 
-    positions = w.positions()
     buffers = np.array([u.buffer for u in w.uavs])
     free = cap - buffers - sensed
-    res = channel.offload(buffers, free, positions, fm, w.chan, w.scenario.protocol.t_o)
+    res = channel.offload(buffers, free, w.link_power, fm, w.chan, w.scenario.protocol.t_o)
 
     energy = np.zeros(n)
     for i, u in enumerate(w.uavs):
@@ -309,12 +337,9 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         energy[i] = propulsion_energy(speeds[i], w.scenario.protocol, w.scenario.energy)
         u.energy_used += energy[i]
 
-    viol_per_uav = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if channel.distance(positions[i + 1], positions[j + 1]) < w.scenario.protocol.d_min:
-                viol_per_uav[i] += 1
-                viol_per_uav[j] += 1
+    close = w.node_range[1:, 1:] < w.scenario.protocol.d_min
+    np.fill_diagonal(close, False)
+    viol_per_uav = close.sum(axis=1)
 
     w.last_energy = energy
     w.t += 1

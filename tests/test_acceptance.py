@@ -144,8 +144,9 @@ def test_criterion_3_eda_nf_structure():
         positions[1:, :2] = rng.uniform(-1000, 1000, size=(n, 2))
         positions[1:, 2] = 100.0
         buffers = rng.uniform(0, 2e7, size=n)
-        rates = np.array([channel.point_rate(positions[i + 1], positions[0], params)
-                          for i in range(n)])
+        node_range = channel.ranges(positions, positions)
+        power = channel.link_power(node_range, params)
+        rates = np.array([channel.point_rate(power, i + 1, BS, params) for i in range(n)])
         zero_rate = rng.random() < 0.1
         if zero_rate:
             rates[int(rng.integers(n))] = 0.0
@@ -158,7 +159,7 @@ def test_criterion_3_eda_nf_structure():
             pair_range_m=float(rng.choice([500.0, 1000.0, 2000.0, 4000.0])),
             min_rate=None if rng.random() < 0.5 else float(rng.uniform(1e5, 5e6)),
         )
-        fm = formation.eda_nf(report_, positions, policy, k, params)
+        fm = formation.eda_nf(report_, node_range, power, policy, k, params)
         # 1. the allocation is always feasible
         assert channel.validate_alloc(fm) == []
         # 2. every relay link joins an overloaded sender to an in-range,

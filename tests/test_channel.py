@@ -17,14 +17,22 @@ from flysense.channel import (
     distance,
     g2u_snr,
     interference,
+    link_power,
     link_rate,
     offload,
     point_rate,
+    ranges,
     u2u_rate,
     validate_alloc,
 )
 
 P = ChannelParams()
+
+
+def power_table(positions):
+    """link_power of the node rows, as the world builds it each slot."""
+    positions = np.asarray(positions, dtype=float)
+    return link_power(ranges(positions, positions), P)
 
 
 def test_default_link_budget_constants():
@@ -102,7 +110,8 @@ def test_point_rate_closed_form():
     b = np.array([300.0, 0.0, 500.0])  # 500 m apart
     sinr = P.p_uav * P.beta_u / 500.0**2 / P.noise
     np.testing.assert_allclose(sinr, 113.71631592914879, rtol=1e-12)
-    np.testing.assert_allclose(point_rate(a, b, P), 1e6 * math.log2(1 + sinr), rtol=1e-12)
+    np.testing.assert_allclose(point_rate(power_table([a, b]), 0, 1, P),
+                               1e6 * math.log2(1 + sinr), rtol=1e-12)
 
 
 def test_u2u_rate_equals_point_rate_without_interference():
@@ -110,7 +119,8 @@ def test_u2u_rate_equals_point_rate_without_interference():
     fm = FormationMatrix(2, 3)
     fm.set_link(1, BS, 0)
     np.testing.assert_allclose(
-        u2u_rate(fm, positions, 1, BS, P), point_rate(positions[1], positions[0], P), rtol=1e-12
+        u2u_rate(fm, power_table(positions), 1, BS, P),
+        point_rate(power_table(positions), 1, BS, P), rtol=1e-12
     )
 
 
@@ -120,7 +130,8 @@ def test_u2u_rate_sums_over_assigned_subchannels():
     fm.set_link(1, BS, 0)
     fm.set_link(1, BS, 1)
     np.testing.assert_allclose(
-        u2u_rate(fm, positions, 1, BS, P), 2 * point_rate(positions[1], positions[0], P), rtol=1e-12
+        u2u_rate(fm, power_table(positions), 1, BS, P),
+        2 * point_rate(power_table(positions), 1, BS, P), rtol=1e-12
     )
 
 
@@ -136,8 +147,9 @@ def test_cochannel_interference_matches_hand_formula():
     d_int = math.dist(u2, bs)
     sig = P.p_uav * P.beta_u * d_sig**-2
     inter = P.p_uav * P.beta_u * d_int**-2
-    np.testing.assert_allclose(interference(fm, positions, 1, BS, 0, P), inter, rtol=1e-12)
-    got = u2u_rate(fm, positions, 1, BS, P)
+    power = power_table(positions)
+    np.testing.assert_allclose(interference(fm, power, 1, BS, 0), inter, rtol=1e-12)
+    got = u2u_rate(fm, power, 1, BS, P)
     np.testing.assert_allclose(got, 1e6 * math.log2(1 + sig / (P.noise + inter)), rtol=1e-12)
     np.testing.assert_allclose(got, 319268.8118659811, rtol=1e-9)
 
@@ -146,16 +158,17 @@ def test_interference_excludes_own_signal_and_other_channels():
     positions = np.array(
         [[1000.0, 1000.0, 25.0], [0.0, 0.0, 100.0], [500.0, 500.0, 100.0], [-500.0, 0.0, 100.0]]
     )
+    power = power_table(positions)
     fm = FormationMatrix(3, 2)
     fm.set_link(1, BS, 0)
-    assert interference(fm, positions, 1, BS, 0, P) == 0.0
+    assert interference(fm, power, 1, BS, 0) == 0.0
     # a transmission on another sub-channel never interferes
     fm.set_link(2, BS, 1)
-    assert interference(fm, positions, 1, BS, 0, P) == 0.0
+    assert interference(fm, power, 1, BS, 0) == 0.0
     # a valid co-channel link elsewhere is heard at the BS
     fm.set_link(3, 2, 0)
     np.testing.assert_allclose(
-        interference(fm, positions, 1, BS, 0, P),
+        interference(fm, power, 1, BS, 0),
         P.p_uav * P.beta_u * math.dist(positions[3], positions[0]) ** -2,
         rtol=1e-12,
     )
@@ -169,17 +182,18 @@ def test_silent_transmitters_do_not_interfere():
     fm.set_link(1, BS, 0)
     fm.set_link(3, 2, 0)
     active = np.array([False, True, False, False])  # node 3 has nothing buffered
-    assert interference(fm, positions, 1, BS, 0, P, active) == 0.0
+    power = power_table(positions)
+    assert interference(fm, power, 1, BS, 0, active) == 0.0
     np.testing.assert_allclose(
-        u2u_rate(fm, positions, 1, BS, P, active),
-        point_rate(positions[1], positions[0], P),
+        u2u_rate(fm, power, 1, BS, P, active),
+        point_rate(power, 1, BS, P),
         rtol=1e-12,
     )
     # offload with an empty co-channel sender reaches the clean-link rate
     buffers = np.array([1e9, 0.0, 0.0])
-    rep = offload(buffers, np.full(3, 1e7), positions, fm, P, t_o=0.4)
+    rep = offload(buffers, np.full(3, 1e7), power, fm, P, t_o=0.4)
     np.testing.assert_allclose(
-        rep.to_bs[0], point_rate(positions[1], positions[0], P) * 0.4, rtol=1e-12
+        rep.to_bs[0], point_rate(power, 1, BS, P) * 0.4, rtol=1e-12
     )
 
 
@@ -203,34 +217,34 @@ def test_distance_is_linalg_norm_bitwise():
 
 
 class TestOffload:
-    def positions(self):
-        return np.array([[1000.0, 1000.0, 25.0], [0.0, 0.0, 100.0], [200.0, 0.0, 100.0]])
+    def power(self):
+        return power_table([[1000.0, 1000.0, 25.0], [0.0, 0.0, 100.0], [200.0, 0.0, 100.0]])
 
     def test_refuses_more_than_slot_start_buffer(self):
-        positions = self.positions()
+        power = self.power()
         fm = FormationMatrix(2, 3)
         fm.set_link(1, BS, 0)
         buffers = np.array([1500.0, 0.0])
-        rep = offload(buffers, np.array([1e7, 1e7]), positions, fm, P, t_o=0.4)
+        rep = offload(buffers, np.array([1e7, 1e7]), power, fm, P, t_o=0.4)
         np.testing.assert_allclose(rep.outgoing, [1500.0, 0.0])
         np.testing.assert_allclose(rep.to_bs.sum(), 1500.0)
 
     def test_receiver_acceptance_capped_by_free_space(self):
-        positions = self.positions()
+        power = self.power()
         fm = FormationMatrix(2, 3)
         fm.set_link(1, 2, 0)
         buffers = np.array([5e6, 0.0])
-        rep = offload(buffers, np.array([0.0, 1000.0]), positions, fm, P, t_o=0.4)
+        rep = offload(buffers, np.array([0.0, 1000.0]), power, fm, P, t_o=0.4)
         np.testing.assert_allclose(rep.incoming, [0.0, 1000.0])
         np.testing.assert_allclose(rep.outgoing, [1000.0, 0.0])
 
     def test_bs_served_before_relay_links(self):
-        positions = self.positions()
+        power = self.power()
         fm = FormationMatrix(2, 3)
         fm.set_link(1, 2, 0)
         fm.set_link(1, BS, 1)
         buffers = np.array([100.0, 0.0])
-        rep = offload(buffers, np.array([1e7, 1e7]), positions, fm, P, t_o=0.4)
+        rep = offload(buffers, np.array([1e7, 1e7]), power, fm, P, t_o=0.4)
         # everything fits on the BS link, which is served first
         np.testing.assert_allclose(rep.to_bs[0], 100.0)
         np.testing.assert_allclose(rep.incoming[1], 0.0)
@@ -239,23 +253,14 @@ class TestOffload:
         # receiver has zero spare capacity, but its own BS delivery in the
         # same sub-slot frees room for relayed bits (departures before
         # arrivals in the queue update)
-        positions = self.positions()
+        power = self.power()
         fm = FormationMatrix(2, 3)
         fm.set_link(2, BS, 0)
         fm.set_link(1, 2, 1)
         buffers = np.array([5e6, 3000.0])
-        rep = offload(buffers, np.array([1e7, 0.0]), positions, fm, P, t_o=0.4)
+        rep = offload(buffers, np.array([1e7, 0.0]), power, fm, P, t_o=0.4)
         np.testing.assert_allclose(rep.to_bs[1], 3000.0)
         np.testing.assert_allclose(rep.incoming[1], 3000.0)
-
-    def test_rejects_invalid_allocation(self):
-        positions = self.positions()
-        phi = np.zeros((3, 3, 1), dtype=np.int8)
-        phi[1, 0, 0] = 1
-        phi[2, 1, 0] = 1
-        fm = FormationMatrix(2, 1, phi)
-        with pytest.raises(FormationError):
-            offload(np.zeros(2), np.zeros(2), positions, fm, P, t_o=0.4)
 
     def test_conservation_random(self):
         """Bits are conserved: outgoing equals incoming plus BS deliveries,
@@ -282,7 +287,8 @@ class TestOffload:
             if rng.random() < 0.3:
                 buffers[rng.integers(0, n)] = 0.0
             free = rng.uniform(0, 2e7, n)
-            rep = offload(buffers.copy(), free.copy(), positions, fm, P, t_o=0.4)
+            power = power_table(positions)
+            rep = offload(buffers.copy(), free.copy(), power, fm, P, t_o=0.4)
             np.testing.assert_allclose(
                 rep.outgoing.sum(), rep.incoming.sum() + rep.to_bs.sum(), rtol=0, atol=1e-6
             )
@@ -292,5 +298,5 @@ class TestOffload:
             assert np.all(rep.incoming <= free + rep.to_bs + 1e-9)
             active = np.concatenate([[False], buffers > 0.0])
             for tx, rx, bits in rep.link_bits:
-                cap = u2u_rate(fm, positions, tx, rx, P, active) * 0.4
+                cap = u2u_rate(fm, power, tx, rx, P, active) * 0.4
                 assert bits <= cap + 1e-6

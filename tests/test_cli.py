@@ -1,10 +1,17 @@
 """Command-line surface: argument routing, artifact writing, exit codes."""
 
+import dataclasses
 import json
+import pathlib
+import random
+from collections import Counter
 
 import pytest
 
 from flysense import cli, harness, oracles
+from flysense.config import RunConfig
+
+TINY = pathlib.Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
 
 
 def write_tiny_config(tmp_path, seed=11):
@@ -99,6 +106,13 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("scenario", {"half_width_km": 0.0}, "scenario.half_width_km"),
     # the radius derives from coverage_snr_min_db alone
     ("scenario", {"protocol": {"coverage_radius": 50.0}}, "scenario.protocol.coverage_radius"),
+    ("scenario", {"n_uavs": 0}, "scenario.n_uavs"),                        # IndexError
+    ("scenario", {"buffer_capacity_bits": 0.0}, "scenario.buffer_capacity_bits"),  # 1/0
+    ("training", {"hidden": [0]}, "training.hidden"),                      # OverflowError
+    ("gp", {"window": 0}, "gp.window"),                                    # ValueError
+    ("training", {"horizon": 0}, "training.horizon"),                      # zero-slot episodes
+    ("channel", {"bandwidth": 0.0}, "channel.bandwidth"),                  # no bit ever moves
+    ("gp", {"length_scale": 0.0}, "gp.length_scale"),                      # NaN posteriors
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -141,3 +155,63 @@ def test_oracle_check_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "run_all", lambda seed: bad)
     assert cli.main(["oracle-check", "--seed", "3"]) == 2
     capsys.readouterr()
+
+
+# Fields whose default is None, with the type a config may give them.
+_NONE_DEFAULT_KINDS = {"warmup": int, "gu_seed": int, "min_rate": float}
+# Integer sizes and counts get no very large value: a huge horizon or
+# network is a valid request for a long or large run, not a bad config.
+_BOUNDARY_VALUES = {int: (0, -1, 1), float: (0.0, -1.0, 1.0, 1e-300, 1e300),
+                    "widths": ([0], [-1], [1])}
+
+
+def _numeric_fields() -> list:
+    """(section, ..., key) path and value kind of every numeric config field."""
+    fields = [(("training", "hidden"), "widths")]
+
+    def walk(obj, path):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                walk(value, path + (f.name,))
+            elif f.name in _NONE_DEFAULT_KINDS:
+                fields.append((path + (f.name,), _NONE_DEFAULT_KINDS[f.name]))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                fields.append((path + (f.name,), type(value)))
+
+    for section in ("scenario", "channel", "formation", "gp", "training"):
+        walk(getattr(RunConfig(), section), (section,))
+    return fields
+
+
+def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
+    """Seeded fuzz over configs/tiny.json: each case sets one or two numeric
+    fields to a boundary value.  A config must either be rejected with
+    exit 1 before anything is written, or run (exit 0); it must never
+    crash mid-run (exit 3)."""
+    rng = random.Random(20261018)
+    fields = _numeric_fields()
+    base = json.loads(TINY.read_text())
+    codes = Counter()
+    bad = []
+    for case in range(400):
+        cfg = json.loads(json.dumps(base))
+        overrides = {}
+        for path, kind in rng.sample(fields, rng.choice((1, 2))):
+            value = rng.choice(_BOUNDARY_VALUES[kind])
+            section = cfg
+            for key in path[:-1]:
+                section = section.setdefault(key, {})
+            section[path[-1]] = value
+            overrides[".".join(path)] = value
+        cfg_path = tmp_path / f"case{case}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{case}"
+        code = cli.main(["train", "--config", str(cfg_path), "--episodes", "1",
+                         "--out", str(out)])
+        codes[code] += 1
+        if code not in (0, 1) or (code == 1 and out.exists()):
+            bad.append((overrides, code, capsys.readouterr().err.strip()))
+        capsys.readouterr()
+    assert bad == []
+    assert codes[0] > 0 and codes[1] > 0  # the cases both run and get rejected

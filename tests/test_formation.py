@@ -61,10 +61,20 @@ def _positions(*uav_xy, bs=(1000.0, 1000.0, 25.0)):
     return np.vstack(rows)
 
 
+def _tables(positions):
+    """The (node_range, link_power) pair a world builds for the planners."""
+    node_range = channel.ranges(positions, positions)
+    return node_range, channel.link_power(node_range, P)
+
+
+def _placed(*uav_xy):
+    return _tables(_positions(*uav_xy))
+
+
 class TestEdaNf:
     def test_balanced_fleet_stays_direct(self):
         report = CostReport(balance=np.zeros(3), cost=np.ones(3), spare_rate=np.full(3, np.inf))
-        fm = eda_nf(report, _positions((0, 0), (100, 0), (0, 100)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((0, 0), (100, 0), (0, 100)), FormationPolicy(), 3, P)
         assert sorted(fm.links()) == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
 
     def test_overloaded_uav_routes_through_cheapest_relay(self):
@@ -73,7 +83,7 @@ class TestEdaNf:
         report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
                             spare_rate=np.full(3, np.inf))
         pos = _positions((-800, -800), (-400, -400), (-300, -500))
-        fm = eda_nf(report, pos, FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
         assert not fm.has_link(1, BS)
         assert fm.has_link(1, 3)
         assert fm.has_link(3, BS) and fm.has_link(2, BS)
@@ -82,7 +92,7 @@ class TestEdaNf:
     def test_freed_subchannel_widens_relay_backhaul(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 3, P)
         # seeker keeps one link to the relay; the relay now holds two BS
         # sub-channels (its own plus the seeker's former one)
         assert fm.has_link(1, 2) and not fm.has_link(1, BS)
@@ -92,21 +102,21 @@ class TestEdaNf:
     def test_threshold_gates_seeking(self):
         report = CostReport(balance=np.array([0.5, -0.5]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(balance_threshold=1.0), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(balance_threshold=1.0), 3, P)
         assert fm.has_link(1, BS) and fm.has_link(2, BS) and not fm.has_link(1, 2)
 
     def test_out_of_range_relay_skipped(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(pair_range_m=100.0)
-        fm = eda_nf(report, _positions((-500, -500), (0, 0)), pol, 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_min_rate_guard_blocks_weak_pairs(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(min_rate=1e12)
-        fm = eda_nf(report, _positions((-500, -500), (0, 0)), pol, 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_slower_relay_backhaul_blocks_pairing(self):
@@ -114,23 +124,23 @@ class TestEdaNf:
         # rerouting through it could not shorten the drain
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, _positions((-500, -500), (-900, -900)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (-900, -900)), FormationPolicy(), 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_saturated_relay_backhaul_blocks_pairing(self):
         # the candidate's BS link is faster, but its reported spare rate
         # (backhaul minus own sensing intake) cannot absorb the detour
         pos = _positions((-500, -500), (0, 0))
-        seeker_bs = point_rate(pos[1], pos[0], P)
+        seeker_bs = point_rate(_tables(pos)[1], 1, BS, P)
         report = CostReport(
             balance=np.array([5.0, -5.0]),
             cost=np.array([9.0, 1.0]),
             spare_rate=np.array([0.0, 0.5 * seeker_bs]),
         )
-        fm = eda_nf(report, pos, FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
         report.spare_rate[1] = 2.0 * seeker_bs
-        fm = eda_nf(report, pos, FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
         assert fm.has_link(1, 2)
 
     def test_pairing_picks_clean_subchannel_and_widens(self):
@@ -140,7 +150,7 @@ class TestEdaNf:
         report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
                             spare_rate=np.full(3, np.inf))
         pos = _positions((-600, -600), (-400, -400), (600, 600))
-        fm = eda_nf(report, pos, FormationPolicy(pair_range_m=3000.0), 4, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(pair_range_m=3000.0), 4, P)
         assert fm.phi[1, 3, 3] == 1
         assert sorted(ch for rx, ch in fm.out_links(3) if rx == BS) == [0, 2]
         assert validate_alloc(fm) == []
@@ -150,7 +160,7 @@ class TestEdaNf:
         # allocation; pairing would strand the seeker's data
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, _positions((-500, -500), (0, 0)), FormationPolicy(), 1, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 1, P)
         links = sorted(fm.links())
         assert (1, 0, 0) in links or (2, 0, 0) in links
         assert validate_alloc(fm) == []
@@ -169,7 +179,7 @@ class TestEdaNf:
             report = CostReport(balance=balance, cost=rng.uniform(0, 10, n),
                                 spare_rate=np.full(n, np.inf))
             pos = _positions(*[(x, y) for x, y in rng.uniform(-1000, 1000, (n, 2))])
-            fm = eda_nf(report, pos, pol, k, P)
+            fm = eda_nf(report, *_tables(pos), pol, k, P)
             assert validate_alloc(fm) == []
             for tx, rx, ch in fm.links():
                 if rx == BS:
@@ -193,7 +203,7 @@ class TestBaselines:
         pol = FormationPolicy(buffer_threshold_bits=1e6)
         buffers = np.array([5e6, 1e5, 1e5])
         pos = _positions((0, 0), (300, 0), (100, 0))
-        fm = baseline_buffer(buffers, pos, pol, 3, P)
+        fm = baseline_buffer(buffers, *_tables(pos), pol, 3)
         assert fm.has_link(1, 3) and not fm.has_link(1, BS)
         assert validate_alloc(fm) == []
 
@@ -201,7 +211,7 @@ class TestBaselines:
         pol = FormationPolicy(buffer_threshold_bits=1e6, pair_range_m=2000.0)
         buffers = np.array([5e6, 5e6, 1e5])
         pos = _positions((0, 0), (200, 0), (100, 0))
-        fm = baseline_buffer(buffers, pos, pol, 3, P)
+        fm = baseline_buffer(buffers, *_tables(pos), pol, 3)
         assert fm.has_link(1, 3) and fm.has_link(2, 3)
 
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
@@ -209,14 +219,14 @@ class TestBaselines:
         report = CostReport(balance=np.zeros(3), cost=np.array([10.0, 5.0, 0.5]),
                             spare_rate=np.full(3, np.inf))
         pos = _positions((0, 0), (100, 0), (200, 0))
-        fm = baseline_dynamic_nf(report, pos, pol, 3, P)
+        fm = baseline_dynamic_nf(report, *_tables(pos), pol, 3)
         # most expensive first: 1 grabs 3; 2 cannot reuse 3
         assert fm.has_link(1, 3)
         assert not fm.has_link(2, 3) and fm.has_link(2, BS)
         assert validate_alloc(fm) == []
 
 
-def _transmitter_order_offload(buffers, free_space, positions, fm, params, t_o):
+def _transmitter_order_offload(buffers, free_space, power, fm, params, t_o):
     """Planted mutation of channel.offload: links are served in (tx, rx)
     order, so a relay hop into a UAV runs before that UAV drains to the
     base station and finds only the space it had at the start."""
@@ -229,7 +239,7 @@ def _transmitter_order_offload(buffers, free_space, positions, fm, params, t_o):
         for rx in range(n + 1):
             if rx == tx or not fm.has_link(tx, rx):
                 continue
-            bits = min(channel.u2u_rate(fm, positions, tx, rx, params, active) * t_o, left[tx - 1])
+            bits = min(channel.u2u_rate(fm, power, tx, rx, params, active) * t_o, left[tx - 1])
             if rx == BS:
                 accept[tx - 1] += bits
                 to_bs[tx - 1] += bits

@@ -352,9 +352,7 @@ class TestCostReport:
         w.uavs[0].buffer = 1e6
         w.uavs[1].buffer = 1e6
         rep = build_cost_report(w, lam=0.5)
-        positions = w.positions()
-        rates = [channel.point_rate(positions[i + 1], positions[0], w.chan)
-                 for i in range(2)]
+        rates = [channel.point_rate(w.link_power, i + 1, 0, w.chan) for i in range(2)]
         drains = [1e6 / rates[0], 1e6 / rates[1]]
         assert rep.balance[0] == pytest.approx(drains[0] - drains[1])
         assert rep.balance.sum() == pytest.approx(0.0)
@@ -586,26 +584,28 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
 
 
 def test_sensing_table_built_once_per_world_and_slot(monkeypatch):
-    """The UAV x ground-user sensing table is built when a world is made
-    and once in each slot's fly phase, and nowhere else, during training
-    and evaluation."""
+    """The UAV x ground-user sensing table and the node-range and
+    link-power tables are built when a world is made and once in each
+    slot's fly phase, and nowhere else, during training and evaluation."""
     counts = Counter()
 
-    def counted(name):
-        real = getattr(world, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("make_world", "step", "sensing_table"):
-        monkeypatch.setattr(world, name, counted(name))
+        counted(world, name)
+    for name in ("ranges", "link_power"):
+        counted(channel, name)
     tr = Trainer(load_config(os.path.join(ROOT, "configs", "tiny.json")))
-    tr.run()
-    assert counts["step"] > 0
-    assert counts["sensing_table"] == counts["make_world"] + counts["step"]
-    counts.clear()
-    tr.evaluate(2)
-    assert counts["step"] > 0
-    assert counts["sensing_table"] == counts["make_world"] + counts["step"]
+    for run in (tr.run, lambda: tr.evaluate(2)):
+        counts.clear()
+        run()
+        passes = counts["make_world"] + counts["step"]
+        assert counts["step"] > 0
+        assert counts["sensing_table"] == counts["link_power"] == passes
+        assert counts["ranges"] == 2 * passes  # node pairs, then UAV-user pairs

@@ -10,8 +10,12 @@ from flysense.channel import (
     ChannelParams,
     FormationError,
     FormationMatrix,
+    _gain,
     distance,
     g2u_snr,
+    interference,
+    point_rate,
+    u2u_rate,
 )
 from flysense.world import (
     EnergyModel,
@@ -132,6 +136,96 @@ class TestSensingTable:
                 acts = [((1.0, 0.0), float(rng.uniform(0, 20))) for _ in range(n)]
                 w, _ = step(w, acts, w.formation)
         assert inside > 0 and outside > 0
+
+
+def _scalar_power(a, b):
+    return P.p_uav * _gain(distance(a, b), P.beta_u, P.alpha_u)
+
+
+def _scalar_interference(fm, positions, tx, rx, ch, active):
+    """Co-channel power at rx restated pair by pair from positions."""
+    total = 0.0
+    for m, n, k in zip(*np.nonzero(fm.phi)):
+        if k != ch or m == tx or n == rx or (active is not None and not active[m]):
+            continue
+        total += _scalar_power(positions[m], positions[rx])
+    return total
+
+
+def _scalar_u2u_rate(fm, positions, tx, rx, active):
+    signal = _scalar_power(positions[tx], positions[rx])
+    rate = 0.0
+    for ch in range(fm.n_channels):
+        if fm.phi[tx, rx, ch]:
+            sinr = signal / (P.noise + _scalar_interference(fm, positions, tx, rx, ch, active))
+            rate += P.bandwidth * math.log2(1.0 + sinr)
+    return rate
+
+
+class TestNodeTables:
+    """The slot's batched geometry equals the scalar formulas bit for bit.
+    The ranges come from np.vecdot, which matches ndarray.dot (and so
+    channel.distance) only while numpy and the BLAS compute both as the
+    same fused dot product; a change there fails here before any run
+    artifact drifts."""
+
+    def worlds(self):
+        """Random worlds, each with two coincident UAVs and one 0.4 m from
+        them (below the 1 m path-loss floor), at the start and after
+        flying."""
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            n, m = int(rng.integers(3, 6)), int(rng.integers(1, 7))
+            xy = rng.uniform(-1.0, 1.0, (n, 2))
+            xy[1] = xy[0]
+            xy[2] = xy[0] + (0.0004, 0.0)
+            scen = Scenario(n_uavs=n, n_gus=m, gu_seed=trial, uav_xy=xy.tolist(),
+                            coverage_snr_min_db=float(rng.uniform(0.0, 40.0)))
+            w = make_world(scen, P, np.random.default_rng(trial))
+            for _ in range(3):
+                yield w, rng
+                acts = [((1.0, 0.0), float(rng.uniform(0, 20))) for _ in range(n)]
+                w, _ = step(w, acts, w.formation)
+
+    def test_range_power_and_sensing_entries_are_the_scalar_formulas(self):
+        floored = 0
+        for w, _ in self.worlds():
+            nodes = [w.bs_pos, *(u.pos for u in w.uavs)]
+            assert np.array_equal(w.positions(), np.array(nodes, dtype=float))
+            for a, pa in enumerate(nodes):
+                for b, pb in enumerate(nodes):
+                    assert w.node_range[a, b] == distance(pa, pb)
+                    assert w.link_power[a, b] == _scalar_power(pa, pb)
+                    floored += a != b and distance(pa, pb) < 1.0
+            radius = coverage_radius_m(w.scenario, P)
+            for i, u in enumerate(w.uavs):
+                for k, g in enumerate(w.gus):
+                    d = distance(u.pos, g.pos)
+                    assert w.sensing_snr[i, k] == (g2u_snr(d, P) if d <= radius else -1.0)
+        assert floored > 0
+
+    def test_rates_from_the_power_table_equal_the_positions_formulas(self):
+        for w, rng in self.worlds():
+            n, k = w.n_uavs, P.n_channels
+            positions = np.array([w.bs_pos, *(u.pos for u in w.uavs)], dtype=float)
+            phi = (rng.random((n + 1, n + 1, k)) < 0.3).astype(np.int8)
+            phi[BS] = 0
+            for node in range(n + 1):
+                phi[node, node] = 0
+            fm = FormationMatrix(n, k, phi)  # rates are defined on any matrix
+            active = np.concatenate([[False], rng.random(n) < 0.7])
+            for tx in range(n + 1):
+                for rx in range(n + 1):
+                    snr = _scalar_power(positions[tx], positions[rx]) / P.noise
+                    assert point_rate(w.link_power, tx, rx, P) == P.bandwidth * math.log2(1.0 + snr)
+                    if tx == rx:
+                        continue
+                    for mask in (None, active):
+                        assert (u2u_rate(fm, w.link_power, tx, rx, P, mask)
+                                == _scalar_u2u_rate(fm, positions, tx, rx, mask))
+                        for ch in range(k):
+                            assert (interference(fm, w.link_power, tx, rx, ch, mask)
+                                    == _scalar_interference(fm, positions, tx, rx, ch, mask))
 
 
 def test_sense_rate_budget_and_caps():
