@@ -96,7 +96,7 @@ class FormationMatrix:
 
     def usage(self, node: int, ch: int) -> int:
         """Incoming plus outgoing assignments of node on one sub-channel."""
-        return int(self.phi[:, node, ch].sum() + self.phi[node, :, ch].sum())
+        return sum(self.phi[:, node, ch].tolist()) + sum(self.phi[node, :, ch].tolist())
 
     def channel_fits(self, tx: int, rx: int, ch: int) -> bool:
         """True if adding tx->rx on ch keeps both endpoints within the
@@ -124,6 +124,8 @@ def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
     """
     phi = fm.phi
     use = phi.sum(axis=0) + phi.sum(axis=1)  # (node, ch): in + out
+    if use.max() <= 1:
+        return []
     return [tuple(ix) for ix in np.argwhere(use > 1)]
 
 
@@ -150,11 +152,17 @@ def _gain(d: float, beta: float, alpha: float) -> float:
 
 def link_power(node_range: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Received power (W) p_uav * gain(d) of every node pair, from the
-    node-range table.  The path loss keeps its scalar formula entry by
+    symmetric node-range table (ranges(nodes, nodes) is symmetric bit for
+    bit, since a - b == -(b - a)), so each unordered pair is evaluated
+    once and mirrored.  The path loss keeps its scalar formula entry by
     entry: np.power rounds differently from Python's ** on some inputs."""
     p, beta, alpha = params.p_uav, params.beta_u, params.alpha_u
-    return np.array([[p * _gain(d, beta, alpha) for d in row]
-                     for row in node_range.tolist()])
+    rows = node_range.tolist()
+    out = [[0.0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(row)):
+            out[i][j] = out[j][i] = p * _gain(row[j], beta, alpha)
+    return np.array(out)
 
 
 def link_rate(snr: float, params: ChannelParams) -> float:

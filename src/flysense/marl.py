@@ -33,31 +33,31 @@ def observation_dim(n_uavs: int) -> int:
     return 4 + (n_uavs + 1) + 4
 
 
-def observe(w: WorldState, i: int) -> np.ndarray:
-    """Local observation of UAV i; every component lies in [-1, 1]."""
-    u = w.uavs[i]
+def observe(w: WorldState) -> np.ndarray:
+    """(N, obs_dim) local observations, row i for UAV i; every component
+    lies in [-1, 1].  Row i reads only UAV i's own state and its stored
+    target (w.targets).  The columns that are one IEEE operation per
+    entry are computed for the whole fleet; log2, hypot and the divisions
+    after them stay scalar, per UAV."""
     n = w.n_uavs
-    hw = w.scenario.half_width_m
-    obs = np.zeros(observation_dim(n))
-    obs[0] = u.pos.x / hw
-    obs[1] = u.pos.y / hw
-    obs[2] = u.buffer / w.scenario.buffer_capacity_bits
-    obs[3] = min(w.last_energy[i] / w.max_slot_energy, 1.0)
-    obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
-    base = 4 + n + 1
-    gid = world.select_gu(w, i)
-    if gid is not None:
-        g = w.gus[gid]
-        snr = float(w.sensing_snr[i, gid])
+    obs = np.zeros((n, observation_dim(n)))
+    obs[:, :2] = w.nodes[1:, :2] / w.scenario.half_width_m
+    obs[:, 2] = np.array([u.buffer for u in w.uavs]) / w.scenario.buffer_capacity_bits
+    obs[:, 3] = np.minimum(w.last_energy / w.max_slot_energy, 1.0)
+    obs[:, 4:5 + n] = w.formation.phi[1:].any(axis=2)
+    base = 5 + n
+    for i, gid in enumerate(w.targets):
+        if gid is None:
+            continue
+        u, g = w.uavs[i], w.gus[gid]
         overhead = max(u.pos.z, 1.0)
         snr_max = w.chan.q_gu * w.chan.beta_s * overhead ** -w.chan.alpha_s
-        obs[base] = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
+        snr = float(w.sensing_snr[i, gid])
+        signal = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
         dx, dy = g.pos.x - u.pos.x, g.pos.y - u.pos.y
         norm = math.hypot(dx, dy)
-        if norm > 0.0:
-            obs[base + 1] = dx / norm
-            obs[base + 2] = dy / norm
-        obs[base + 3] = g.remaining / g.demand
+        bearing = (dx / norm, dy / norm) if norm > 0.0 else (0.0, 0.0)
+        obs[i, base:base + 4] = (signal, *bearing, g.remaining / g.demand)
     return obs
 
 
@@ -71,14 +71,16 @@ def decode_action(raw, v_max: float):
     return np.array([math.cos(ang), math.sin(ang)]), speed
 
 
-def act(actor: nn.Mlp, obs: np.ndarray, noise_scale: float = 0.0,
+def act(actors: nn.MlpStack, obs: np.ndarray, noise_scale: float = 0.0,
         rng: np.random.Generator | None = None) -> np.ndarray:
-    """Actor output with optional Gaussian exploration noise, clamped to
-    the raw action box."""
-    raw, _ = actor.forward(obs)
+    """(N, 2) raw actions: row i is actor i's output on observation row
+    i, plus optional Gaussian exploration noise, clamped to the raw action
+    box.  One stacked forward equals the N single-vector forwards bit for
+    bit, and the (N, 2) noise draw is the stream of N draws of 2."""
+    raw = actors.forward(obs)
     if noise_scale > 0.0 and rng is not None:
-        raw = raw + noise_scale * rng.standard_normal(ACT_DIM)
-    return np.array([min(max(a, -1.0), 1.0) for a in raw.tolist()])
+        raw = raw + noise_scale * rng.standard_normal(raw.shape)
+    return raw.clip(-1.0, 1.0)
 
 
 def bo_to_action(current: Position, proposed, v_max: float, t_f: float) -> np.ndarray:
@@ -127,15 +129,15 @@ def reward(report: StepReport, weights: RewardWeights) -> tuple[np.ndarray, Rewa
     return total, parts
 
 
-def joint_input(obs_list, acts) -> np.ndarray:
-    """Critic input layout: all observations then all raw actions."""
-    return np.concatenate([np.asarray(obs_list, dtype=float).ravel(),
-                           np.asarray(acts, dtype=float).ravel()])
-
-
-def critic_q(critic: nn.Mlp, obs_list, acts) -> float:
-    y, _ = critic.forward(joint_input(obs_list, acts))
-    return float(y[0])
+def critic_q(critic: nn.Mlp, obs: np.ndarray, acts: np.ndarray) -> list:
+    """Q of each candidate joint action acts[r], shape (R, N, 2), under the
+    (N, obs_dim) observations.  Critic input layout: all observations,
+    then all raw actions.  One row-wise forward, each value equal to a
+    single-vector forward bit for bit."""
+    r = len(acts)
+    x = np.concatenate([np.broadcast_to(obs.ravel(), (r, obs.size)),
+                        acts.reshape(r, -1)], axis=1)
+    return critic.forward_rows(x)[:, 0].tolist()
 
 
 def arbitrate(a_actor, a_bo, q_actor: float, q_bo: float, epsilon: float = 0.0,
@@ -329,7 +331,7 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
     for i in range(n):
         backlog = sum(g.remaining for g, inside in zip(w.gus, covered[i]) if inside)
         costs[i] = formation.cost(w.last_energy[i], buffers[i], backlog, lam)
-        gid = world.select_gu(w, i)
+        gid = w.targets[i]
         intake = 0.0 if gid is None else channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
         spare[i] = max(0.0, rates[i] - intake * sub_slots)
     return CostReport(balance=balance, cost=costs, spare_rate=spare)
@@ -338,13 +340,10 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
 def expected_transmitters(w: WorldState) -> np.ndarray:
     """Per-node mask of UAVs likely to send in the coming offload sub-slot:
     anyone holding buffered data or still able to sense an unfinished
-    ground user.  Lets the formation builders treat drained UAVs'
-    allocations as quiet spectrum."""
+    ground user (that is, with a stored target).  Lets the formation
+    builders treat drained UAVs' allocations as quiet spectrum."""
     act = np.zeros(w.n_uavs + 1, dtype=bool)
-    covered = world.in_coverage(w).tolist()
-    for i, u in enumerate(w.uavs):
-        act[i + 1] = u.buffer > 0.0 or any(
-            inside and g.remaining > 0.0 for g, inside in zip(w.gus, covered[i]))
+    act[1:] = [u.buffer > 0.0 or gid is not None for u, gid in zip(w.uavs, w.targets)]
     return act
 
 
@@ -400,13 +399,14 @@ def _episode_done(w: WorldState) -> bool:
 def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWeights,
             slot_cb=None) -> EpisodeStats:
     """Run one episode with an arbitrary action provider
-    act_fn(w, obs_list) -> (N, 2) raw actions.  No learning, no noise."""
+    act_fn(w, obs) -> (N, 2) raw actions, obs being observe(w).  No
+    learning, no noise."""
     n = w.n_uavs
     stats = EpisodeStats(np.zeros(n), max_buffer=max(u.buffer for u in w.uavs))
     for slot in range(horizon):
-        obs = [observe(w, i) for i in range(n)]
+        obs = observe(w)
         acts = np.asarray(act_fn(w, obs), dtype=float)
-        decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(acts)]
+        decoded = [decode_action(a, u.v_max) for a, u in zip(acts.tolist(), w.uavs)]
         w, report = world.step(w, decoded, w.formation)
         stats.add_slot(w, report, reward(report, weights)[0])
         if slot_cb is not None:
@@ -420,9 +420,12 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
 
 
 def actor_policy(agents: list):
-    """Deterministic decentralized policy from the trained actors."""
+    """Deterministic decentralized policy from the actors as they are
+    now: they are stacked once, so later training does not reach it."""
+    actors = nn.MlpStack(a.actor for a in agents)
+
     def fn(w, obs):
-        return np.array([act(agents[i].actor, obs[i]) for i in range(len(agents))])
+        return act(actors, obs)
     return fn
 
 
@@ -498,32 +501,31 @@ class Trainer:
         log_slots = (sink is not None and tc.metrics_episode_stride > 0
                      and ep % tc.metrics_episode_stride == 0)
         for slot in range(tc.horizon):
-            obs = [observe(w, i) for i in range(n)]
-            a_actor = [act(self.agents[i].actor, obs[i], tc.noise_scale, self.noise_rng)
-                       for i in range(n)]
-            a_exec = list(a_actor)
+            obs = observe(w)
+            actors = nn.MlpStack(a.actor for a in self.agents)  # they learn
+            a_actor = act(actors, obs, tc.noise_scale, self.noise_rng)
+            a_exec = a_actor.copy()
             if tc.bo_enabled and slot % tc.bo_stride == 0:
-                base_acts = np.array(a_actor)
                 for i in range(n):
                     a_bo = self._bo_action(i, w)
-                    trial = base_acts.copy()
-                    q_a = critic_q(self.agents[i].critic, obs, trial)
-                    trial[i] = a_bo
-                    q_b = critic_q(self.agents[i].critic, obs, trial)
+                    trials = np.stack([a_actor, a_actor])
+                    trials[1, i] = a_bo
+                    q_a, q_b = critic_q(self.agents[i].critic, obs, trials)
                     a_exec[i], src = arbitrate(a_actor[i], a_bo, q_a, q_b,
                                                tc.epsilon, self.arb_rng)
                     if src == "bo":
                         bo_hits += 1
-            decoded = [decode_action(a, w.uavs[i].v_max) for i, a in enumerate(a_exec)]
+            decoded = [decode_action(a, u.v_max) for a, u in zip(a_exec.tolist(), w.uavs)]
             w, report = world.step(w, decoded, w.formation)
             rews, parts = reward(report, tc.weights)
-            obs2 = [observe(w, i) for i in range(n)]
+            obs2 = observe(w)
             done = _episode_done(w)
-            self.replay.add(np.array(obs), np.array(a_exec), rews, np.array(obs2), done)
-            for i in range(n):
-                u = w.uavs[i]
-                self.histories[i].add((u.pos.x / hw, u.pos.y / hw),
-                                      report.sensed[i] / DATA_UNIT)
+            self.replay.add(obs, a_exec, rews, obs2, done)
+            if tc.bo_enabled:  # only the GP proposer reads the histories
+                for i in range(n):
+                    u = w.uavs[i]
+                    self.histories[i].add((u.pos.x / hw, u.pos.y / hw),
+                                          report.sensed[i] / DATA_UNIT)
             if len(self.replay) >= tc.warmup_size and slot % tc.update_stride == 0:
                 batch = self.replay.sample(tc.batch_size)
                 next_acts = [None] * n

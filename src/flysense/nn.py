@@ -5,6 +5,14 @@ tanh or identity output, Adam, Polyak target updates, and a JSON
 checkpoint format that round-trips parameters bit-exactly.  Inputs may
 be single vectors or batches (rows).
 
+Row-wise forwards: ``Mlp.forward_rows`` and ``MlpStack.forward`` feed
+each row of an (R, fan_in) input through as an (R, 1, fan_in) stack of
+one-row inputs.  numpy's matmul then runs one matrix-vector product
+(gemv) per row, exactly as ``forward`` does for a single vector, so
+every output row equals the single-vector forward bit for bit.  A 2-D
+(R, fan_in) batch goes through one matrix-matrix product (gemm), whose
+sums round differently on most rows.
+
 Parameter layout: every net keeps all of its parameters in one flat
 vector, ``params``.  Layer l occupies one contiguous run of it, its
 weights first, row-major as a (fan_in, fan_out) matrix, then its
@@ -24,15 +32,31 @@ _ACTIVATIONS = ("identity", "tanh")
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
-    """Per-layer (fan_in, fan_out) weight and bias views into flat."""
+    """Per-layer (fan_in, fan_out) weight and bias views into flat, along
+    its last axis; leading axes (one row per net) are kept."""
+    lead = flat.shape[:-1]
     ws, bs = [], []
     off = 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        ws.append(flat[off:off + d_in * d_out].reshape(d_in, d_out))
+        ws.append(flat[..., off:off + d_in * d_out].reshape(*lead, d_in, d_out))
         off += d_in * d_out
-        bs.append(flat[off:off + d_out])
+        bs.append(flat[..., off:off + d_out])
         off += d_out
     return ws, bs
+
+
+def _forward_rows(ws, bs, out_act: str, x) -> np.ndarray:
+    """(R, fan_out) outputs of the R rows of x, each run as a one-row
+    input (gemv per row, see the module docstring).  ws and bs are one
+    net's layers, or (R, ...) stacks with one net per row."""
+    a = np.asarray(x, dtype=float)[:, None, :]
+    last = len(ws) - 1
+    for l, (w, b) in enumerate(zip(ws, bs)):
+        a = a @ w
+        a += b
+        if l < last or out_act == "tanh":
+            np.tanh(a, out=a)
+    return a[:, 0, :]
 
 
 def _n_params(dims) -> int:
@@ -93,6 +117,11 @@ class Mlp:
         y = acts[-1][0] if single else acts[-1]
         return y, (acts, single)
 
+    def forward_rows(self, x) -> np.ndarray:
+        """(R, fan_out) outputs of the R rows of x; row r equals
+        forward(x[r])[0] bit for bit.  No cache: not for backward."""
+        return _forward_rows(self.ws, self.bs, self.out_act, x)
+
     def backward(self, cache, dy, params: bool = True, inputs: bool = True):
         """Gradients of sum(y * dy) w.r.t. the parameters and the input.
 
@@ -144,6 +173,25 @@ class Mlp:
             w[...] = np.array(w_raw, dtype=float)
             b[...] = np.array(b_raw, dtype=float)
         return net
+
+
+class MlpStack:
+    """Frozen copies of N nets of one shape, run as one forward: net k's
+    layer-l weights are row k of an (N, fan_in, fan_out) stack.  forward
+    maps an (N, fan_in) input to (N, fan_out), row k through net k, equal
+    to net k's single-vector forward bit for bit.  Later updates of the
+    nets do not reach a stack; build a new one."""
+
+    def __init__(self, nets):
+        nets = list(nets)
+        dims, self.out_act = nets[0].dims, nets[0].out_act
+        if any(net.dims != dims or net.out_act != self.out_act for net in nets):
+            raise ValueError("stacked nets must share dims and output activation")
+        self.ws, bs = _layer_views(np.stack([net.params for net in nets]), dims)
+        self.bs = [b[:, None, :] for b in bs]
+
+    def forward(self, x) -> np.ndarray:
+        return _forward_rows(self.ws, self.bs, self.out_act, x)
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:

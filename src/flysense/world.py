@@ -115,7 +115,9 @@ class WorldState:
 
     The geometry fields are built from the positions by place(), which
     make_world and the fly phase of step() call: positions change nowhere
-    else, so every decision of a slot reads these tables."""
+    else, so every decision of a slot reads these tables.  targets holds
+    each UAV's select_gu(w, i) choice for the state make_world or step
+    left, so observations and the cost report rank no users again."""
 
     t: int
     uavs: list
@@ -127,10 +129,12 @@ class WorldState:
     bs_pos: Position
     last_energy: np.ndarray  # per-UAV propulsion J spent in the previous slot
     max_slot_energy: float   # most propulsion J one slot can burn
+    gu_xyz: np.ndarray = field(init=False)       # (M, 3) user positions; users never move
     nodes: np.ndarray = field(init=False)        # (N+1, 3) positions, BS in row 0
     node_range: np.ndarray = field(init=False)   # (N+1, N+1) channel.ranges
     link_power: np.ndarray = field(init=False)   # (N+1, N+1) channel.link_power
     sensing_snr: np.ndarray = field(init=False)  # (N, M) sensing_table
+    targets: list = field(init=False)            # per UAV: user id or None
 
     @property
     def n_uavs(self) -> int:
@@ -164,8 +168,13 @@ def place(w: WorldState) -> None:
     w.nodes = nodes
     w.node_range = channel.ranges(nodes, nodes)
     w.link_power = channel.link_power(w.node_range, w.chan)
-    gu_xyz = np.array([g.pos for g in w.gus], dtype=float)
-    w.sensing_snr = sensing_table(nodes[1:], gu_xyz, w.scenario, w.chan)
+    w.sensing_snr = sensing_table(nodes[1:], w.gu_xyz, w.scenario, w.chan)
+
+
+def _rank_targets(w: WorldState) -> list:
+    """Every UAV's select_gu target without exclusions, on the current
+    state; make_world and step store it as w.targets."""
+    return [select_gu(w, i) for i in range(w.n_uavs)]
 
 
 def in_coverage(w: WorldState) -> np.ndarray:
@@ -208,7 +217,10 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         last_energy=np.zeros(scenario.n_uavs),
         max_slot_energy=max_slot_energy(scenario),
     )
+    w.gu_xyz = np.array([g.pos for g in gus], dtype=float)
+    w.gu_xyz.flags.writeable = False
     place(w)
+    w.targets = _rank_targets(w)
     return w
 
 
@@ -326,6 +338,7 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         claimed.add(gid)  # no later UAV reads this user, so drain it now
         sensed[i] = sense(w, i, gid)
         w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
+    w.targets = _rank_targets(w)  # offload below leaves the users alone
 
     buffers = np.array([u.buffer for u in w.uavs])
     free = cap - buffers - sensed

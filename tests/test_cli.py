@@ -83,7 +83,8 @@ def test_bad_config_exit_1(tmp_path, capsys):
 ])
 def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, override, path):
     cfg_path = write_tiny_config(tmp_path)
-    cfg = json.loads(open(cfg_path).read())
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
     cfg["training"].update(override)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -117,7 +118,8 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
     cfg_path = write_tiny_config(tmp_path)
-    cfg = json.loads(open(cfg_path).read())
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
     cfg.setdefault(section, {}).update(override)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flysense import channel, gp, marl, nn, world
+from flysense import channel, formation, gp, marl, nn, world
 from flysense.channel import ChannelParams, FormationMatrix
 from flysense.config import RunConfig, load_config
 from flysense.formation import FormationPolicy
@@ -25,9 +25,12 @@ from flysense.marl import (
     TrainingConfig,
     arbitrate,
     bo_to_action,
+    act,
     build_agents,
     build_cost_report,
+    critic_q,
     decode_action,
+    expected_transmitters,
     observation_dim,
     observe,
     reward,
@@ -69,8 +72,9 @@ class TestObserve:
         w.last_energy[:] = [100.0, 1e9]
         w.formation = FormationMatrix(2, 3)
         w.formation.set_link(1, 0, 0)
-        obs = observe(w, 0)
-        assert obs.shape == (observation_dim(2),)
+        fleet = observe(w)
+        assert fleet.shape == (2, observation_dim(2))
+        obs = fleet[0]
         assert obs[0] == pytest.approx(0.5)
         assert obs[1] == pytest.approx(0.5)
         assert obs[2] == pytest.approx(5e6 / 2e7)
@@ -83,7 +87,7 @@ class TestObserve:
         assert obs[8] == 0.0 and obs[9] == 0.0
         assert obs[10] == pytest.approx(1.0)  # untouched demand
         # the saturated-energy agent clamp
-        assert observe(w, 1)[3] == 1.0
+        assert fleet[1, 3] == 1.0
 
     def test_all_bounded(self):
         rng = np.random.default_rng(7)
@@ -92,17 +96,158 @@ class TestObserve:
             for u in w.uavs:
                 u.buffer = float(rng.uniform(0, 2e7))
             w.last_energy[:] = rng.uniform(0, 2000, 3)
-            for i in range(3):
-                obs = observe(w, i)
-                assert np.all(obs >= -1.0 - 1e-12) and np.all(obs <= 1.0 + 1e-12)
+            obs = observe(w)
+            assert np.all(obs >= -1.0 - 1e-12) and np.all(obs <= 1.0 + 1e-12)
 
     def test_no_gu_in_range_zero_fills(self):
         # shrink coverage to 50 m so the lone GU is out of reach
         p = ChannelParams()
         w = tiny_world(n_uavs=1, n_gus=1, uav_xy=[(0.0, 0.0)], gu_xy=[(0.9, 0.9)],
                        coverage_snr_min_db=10.0 * math.log10(p.q_gu * p.beta_s / 50.0 ** 2))
-        obs = observe(w, 0)
+        obs = observe(w)[0]
         np.testing.assert_array_equal(obs[6:], np.zeros(4))
+
+
+def _reference_observe(w, i):
+    """observe as first written: one UAV at a time, its target ranked by
+    select_gu on the spot."""
+    u = w.uavs[i]
+    n = w.n_uavs
+    hw = w.scenario.half_width_m
+    obs = np.zeros(observation_dim(n))
+    obs[0] = u.pos.x / hw
+    obs[1] = u.pos.y / hw
+    obs[2] = u.buffer / w.scenario.buffer_capacity_bits
+    obs[3] = min(w.last_energy[i] / w.max_slot_energy, 1.0)
+    obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
+    base = 4 + n + 1
+    gid = world.select_gu(w, i)
+    if gid is not None:
+        g = w.gus[gid]
+        snr = float(w.sensing_snr[i, gid])
+        overhead = max(u.pos.z, 1.0)
+        snr_max = w.chan.q_gu * w.chan.beta_s * overhead ** -w.chan.alpha_s
+        obs[base] = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
+        dx, dy = g.pos.x - u.pos.x, g.pos.y - u.pos.y
+        norm = math.hypot(dx, dy)
+        if norm > 0.0:
+            obs[base + 1] = dx / norm
+            obs[base + 2] = dy / norm
+        obs[base + 3] = g.remaining / g.demand
+    return obs
+
+
+def _stepped_worlds(seed, episodes=15, slots=10):
+    """Random small worlds, yielded after make_world and after every step
+    under random actions and random direct formations.  Coverage radii are
+    narrow (about 170 to 900 m), ground user 0 sits at UAV 1's coverage
+    edge and user 1 just beyond it, and demand is small enough that users
+    drain, so UAVs both with and without a target occur."""
+    rng = np.random.default_rng(seed)
+    params = ChannelParams()
+    for _ in range(episodes):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        scen = Scenario(n_uavs=n, n_gus=m, coverage_snr_min_db=float(rng.uniform(15.0, 30.0)),
+                        demand_bits=float(rng.uniform(1e5, 3e6)), gu_seed=0)
+        edge = math.sqrt(world.coverage_radius_m(scen, params) ** 2 - scen.uav_alt_m ** 2)
+        uav_xy = rng.uniform(-0.4, 0.4, (n, 2))
+        gu_xy = rng.uniform(-1.0, 1.0, (m, 2))
+        hw = scen.half_width_m
+        gu_xy[0] = uav_xy[0] + (edge / hw, 0.0)
+        gu_xy[1] = uav_xy[0] - (edge * (1.0 + 1e-9) / hw, 0.0)
+        scen = dataclasses.replace(scen, uav_xy=uav_xy.tolist(), gu_xy=gu_xy.tolist())
+        w = world.make_world(scen, params, np.random.default_rng(int(rng.integers(1 << 30))))
+        yield w
+        for _ in range(slots):
+            decoded = [decode_action(a, scen.v_max_mps) for a in rng.uniform(-1, 1, (n, 2))]
+            fm = formation.baseline_noncoop(n, params.n_channels)
+            if rng.random() < 0.5:
+                fm.clear_link(int(rng.integers(1, n + 1)), 0)
+            w, _ = world.step(w, decoded, fm)
+            yield w
+
+
+def test_fleet_observe_equals_per_uav_reference_bitwise():
+    with_target = without_target = 0
+    for w in _stepped_worlds(seed=21):
+        fleet = observe(w)
+        assert fleet.shape == (w.n_uavs, observation_dim(w.n_uavs))
+        for i in range(w.n_uavs):
+            assert np.array_equal(fleet[i], _reference_observe(w, i))
+            if w.targets[i] is None:
+                without_target += 1
+            else:
+                with_target += 1
+    assert with_target > 0 and without_target > 0
+
+
+def test_stored_targets_are_select_gu_after_make_world_and_each_step():
+    for w in _stepped_worlds(seed=22):
+        assert w.targets == [world.select_gu(w, i) for i in range(w.n_uavs)]
+
+
+def test_expected_transmitters_equal_the_coverage_rule():
+    """A UAV is expected to send when it holds data or covers a user with
+    data left; the stored target stands for the second half."""
+    for w in _stepped_worlds(seed=23):
+        covered = world.in_coverage(w)
+        want = [False] + [u.buffer > 0.0 or any(inside and g.remaining > 0.0
+                                                for g, inside in zip(w.gus, covered[i]))
+                          for i, u in enumerate(w.uavs)]
+        assert expected_transmitters(w).tolist() == want
+
+
+def test_observe_and_cost_report_rank_no_users(monkeypatch):
+    w = tiny_world(n_uavs=3, n_gus=5, seed=4)
+    calls = []
+    real = world.select_gu
+    monkeypatch.setattr(world, "select_gu", lambda *a, **k: calls.append(a) or real(*a, **k))
+    observe(w)
+    build_cost_report(w, lam=0.5)
+    expected_transmitters(w)
+    assert calls == []
+
+
+def _config_agents(name, seed=3):
+    cfg = load_config(os.path.join(ROOT, "configs", f"{name}.json"))
+    n = cfg.scenario.n_uavs
+    obs_dim = observation_dim(n)
+    return n, obs_dim, build_agents(n, obs_dim, cfg.training.hidden, 1e-3, 1e-4,
+                                    np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name", ["desk", "single_agent", "tiny"])
+def test_fleet_act_equals_per_agent_forward_and_clamp_bitwise(name):
+    n, obs_dim, agents = _config_agents(name)
+    actors = nn.MlpStack(a.actor for a in agents)
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        obs = rng.uniform(-1.0, 1.0, (n, obs_dim))
+        for scale in (0.0, 0.1, 3.0):  # 3.0 pushes most actions past the box
+            got = act(actors, obs, scale, np.random.default_rng(trial))
+            noise_rng = np.random.default_rng(trial)
+            want = []
+            for i, agent in enumerate(agents):
+                raw, _ = agent.actor.forward(obs[i])
+                if scale > 0.0:
+                    raw = raw + scale * noise_rng.standard_normal(ACT_DIM)
+                want.append([min(max(a, -1.0), 1.0) for a in raw.tolist()])
+            assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("name", ["desk", "single_agent", "tiny"])
+def test_critic_q_equals_single_vector_forwards_bitwise(name):
+    n, obs_dim, agents = _config_agents(name)
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        i = trial % n
+        obs = rng.uniform(-1.0, 1.0, (n, obs_dim))
+        trials = np.stack([rng.uniform(-1.0, 1.0, (n, ACT_DIM))] * 2)
+        trials[1, i] = rng.uniform(-1.0, 1.0, ACT_DIM)
+        critic = agents[i].critic
+        want = [float(critic.forward(np.concatenate([obs.ravel(), t.ravel()]))[0][0])
+                for t in trials]
+        assert critic_q(critic, obs, trials) == want
 
 
 class TestActionCodec:
@@ -521,6 +666,12 @@ class TestTrainer:
     def test_bo_disabled_runs(self):
         res = Trainer(tiny_run_config(bo_enabled=False, episodes=2)).run()
         assert all(row["bo_frac"] == 0.0 for row in res.episode_rows)
+
+    @pytest.mark.parametrize("bo", [False, True])
+    def test_gp_samples_kept_only_for_the_proposer(self, bo):
+        tr = Trainer(tiny_run_config(bo_enabled=bo))
+        stats = tr.train_episode(0)
+        assert [len(h) for h in tr.histories] == [stats.slots if bo else 0] * 2
 
     @pytest.mark.parametrize("kind,log,per_slot", [
         ("eda_nf", True, 1), ("eda_nf", False, 1),

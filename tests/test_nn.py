@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from flysense.nn import Adam, Mlp, load_checkpoint, save_checkpoint, soft_update
+from flysense.nn import Adam, Mlp, MlpStack, load_checkpoint, save_checkpoint, soft_update
 from flysense.oracles import (
     check_mlp_gradients,
     finite_diff_input_grad,
@@ -105,6 +105,53 @@ class TestForward:
     def test_rejects_unknown_activation(self):
         with pytest.raises(ValueError):
             _net([2, 2], out_act="relu")
+
+
+# Actor and critic shapes of the shipped configs (desk, single_agent,
+# tiny): actors obs_dim -> hidden -> 2 with tanh, critics N*(obs_dim + 2)
+# -> hidden -> 1.
+ACTOR_SHAPES = ([12, 64, 64, 2], [10, 32, 32, 2], [11, 16, 16, 2])
+CRITIC_SHAPES = ([42, 64, 64, 1], [12, 32, 32, 1], [26, 16, 16, 1])
+
+
+class TestRowForwards:
+    """Row-wise forwards run each row as its own one-row input (gemv per
+    row), so they must equal single-vector forwards bit for bit."""
+
+    @pytest.mark.parametrize("dims", ACTOR_SHAPES + CRITIC_SHAPES)
+    def test_stack_rows_equal_each_nets_single_vector_forward(self, dims):
+        rng = np.random.default_rng(dims[0])
+        out_act = "tanh" if dims[-1] == 2 else "identity"
+        for trial in range(200):
+            n = 1 + trial % 3
+            nets = [_net(dims, out_act=out_act, seed=1000 * trial + k) for k in range(n)]
+            x = rng.uniform(-1.5, 1.5, (n, dims[0]))
+            want = np.array([net.forward(row)[0] for net, row in zip(nets, x)])
+            assert np.array_equal(MlpStack(nets).forward(x), want)
+
+    @pytest.mark.parametrize("dims", CRITIC_SHAPES)
+    def test_forward_rows_equal_single_vector_forwards(self, dims):
+        rng = np.random.default_rng(dims[0])
+        for trial in range(200):
+            net = _net(dims, seed=trial)
+            x = rng.uniform(-1.5, 1.5, (2 + trial % 3, dims[0]))
+            want = np.array([net.forward(row)[0] for row in x])
+            assert np.array_equal(net.forward_rows(x), want)
+
+    def test_stack_is_a_frozen_copy(self):
+        nets = [_net([3, 4, 2], out_act="tanh", seed=k) for k in range(2)]
+        stack = MlpStack(nets)
+        x = np.ones((2, 3))
+        before = stack.forward(x)
+        nets[0].params += 1.0
+        assert np.array_equal(stack.forward(x), before)
+        assert not np.array_equal(MlpStack(nets).forward(x), before)
+
+    def test_stack_rejects_mixed_nets(self):
+        with pytest.raises(ValueError):
+            MlpStack([_net([3, 4, 2]), _net([3, 5, 2])])
+        with pytest.raises(ValueError):
+            MlpStack([_net([3, 4, 2]), _net([3, 4, 2], out_act="tanh")])
 
 
 class TestBackward:
