@@ -152,17 +152,11 @@ def _gain(d: float, beta: float, alpha: float) -> float:
 
 def link_power(node_range: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Received power (W) p_uav * gain(d) of every node pair, from the
-    symmetric node-range table (ranges(nodes, nodes) is symmetric bit for
-    bit, since a - b == -(b - a)), so each unordered pair is evaluated
-    once and mirrored.  The path loss keeps its scalar formula entry by
+    node-range table.  The path loss keeps its scalar formula entry by
     entry: np.power rounds differently from Python's ** on some inputs."""
     p, beta, alpha = params.p_uav, params.beta_u, params.alpha_u
-    rows = node_range.tolist()
-    out = [[0.0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j in range(i, len(row)):
-            out[i][j] = out[j][i] = p * _gain(row[j], beta, alpha)
-    return np.array(out)
+    return np.array([[p * _gain(d, beta, alpha) for d in row]
+                     for row in node_range.tolist()])
 
 
 def link_rate(snr: float, params: ChannelParams) -> float:

@@ -132,12 +132,14 @@ def reward(report: StepReport, weights: RewardWeights) -> tuple[np.ndarray, Rewa
 def critic_q(critic: nn.Mlp, obs: np.ndarray, acts: np.ndarray) -> list:
     """Q of each candidate joint action acts[r], shape (R, N, 2), under the
     (N, obs_dim) observations.  Critic input layout: all observations,
-    then all raw actions.  One row-wise forward, each value equal to a
-    single-vector forward bit for bit."""
+    then all raw actions.  One forward of the (R, 1, K) stack of inputs
+    (gemv per row), each value equal to a single-vector forward bit for
+    bit."""
     r = len(acts)
     x = np.concatenate([np.broadcast_to(obs.ravel(), (r, obs.size)),
                         acts.reshape(r, -1)], axis=1)
-    return critic.forward_rows(x)[:, 0].tolist()
+    y, _ = critic.forward(x[:, None, :])
+    return y[:, 0, 0].tolist()
 
 
 def arbitrate(a_actor, a_bo, q_actor: float, q_bo: float, epsilon: float = 0.0,

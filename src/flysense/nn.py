@@ -5,13 +5,13 @@ tanh or identity output, Adam, Polyak target updates, and a JSON
 checkpoint format that round-trips parameters bit-exactly.  Inputs may
 be single vectors or batches (rows).
 
-Row-wise forwards: ``Mlp.forward_rows`` and ``MlpStack.forward`` feed
-each row of an (R, fan_in) input through as an (R, 1, fan_in) stack of
-one-row inputs.  numpy's matmul then runs one matrix-vector product
-(gemv) per row, exactly as ``forward`` does for a single vector, so
-every output row equals the single-vector forward bit for bit.  A 2-D
-(R, fan_in) batch goes through one matrix-matrix product (gemm), whose
-sums round differently on most rows.
+Row-wise forwards: ``Mlp.forward`` on an (R, 1, fan_in) stack of
+one-row inputs, and ``MlpStack.forward`` (which makes that stack from
+an (R, fan_in) input), run one matrix-vector product (gemv) per row,
+exactly as ``forward`` does for a single vector, so every output row
+equals the single-vector forward bit for bit.  A 2-D (R, fan_in) batch
+goes through one matrix-matrix product (gemm), whose sums round
+differently on most rows.
 
 Parameter layout: every net keeps all of its parameters in one flat
 vector, ``params``.  Layer l occupies one contiguous run of it, its
@@ -45,18 +45,18 @@ def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
     return ws, bs
 
 
-def _forward_rows(ws, bs, out_act: str, x) -> np.ndarray:
-    """(R, fan_out) outputs of the R rows of x, each run as a one-row
-    input (gemv per row, see the module docstring).  ws and bs are one
-    net's layers, or (R, ...) stacks with one net per row."""
-    a = np.asarray(x, dtype=float)[:, None, :]
+def _layers(ws, bs, out_act: str, a: np.ndarray) -> list:
+    """Activations [a, h_1, ..., y] of input a through the layers ws, bs:
+    tanh hidden layers, out_act at the last."""
+    acts = [a]
     last = len(ws) - 1
     for l, (w, b) in enumerate(zip(ws, bs)):
         a = a @ w
         a += b
         if l < last or out_act == "tanh":
             np.tanh(a, out=a)
-    return a[:, 0, :]
+        acts.append(a)
+    return acts
 
 
 def _n_params(dims) -> int:
@@ -105,22 +105,9 @@ class Mlp:
         """Returns (y, cache); feed the cache to backward unchanged."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        a = np.atleast_2d(x)
-        acts = [a]
-        last = self.n_layers - 1
-        for l, (w, b) in enumerate(zip(self.ws, self.bs)):
-            a = a @ w
-            a += b
-            if l < last or self.out_act == "tanh":
-                np.tanh(a, out=a)
-            acts.append(a)
+        acts = _layers(self.ws, self.bs, self.out_act, np.atleast_2d(x))
         y = acts[-1][0] if single else acts[-1]
         return y, (acts, single)
-
-    def forward_rows(self, x) -> np.ndarray:
-        """(R, fan_out) outputs of the R rows of x; row r equals
-        forward(x[r])[0] bit for bit.  No cache: not for backward."""
-        return _forward_rows(self.ws, self.bs, self.out_act, x)
 
     def backward(self, cache, dy, params: bool = True, inputs: bool = True):
         """Gradients of sum(y * dy) w.r.t. the parameters and the input.
@@ -191,7 +178,8 @@ class MlpStack:
         self.bs = [b[:, None, :] for b in bs]
 
     def forward(self, x) -> np.ndarray:
-        return _forward_rows(self.ws, self.bs, self.out_act, x)
+        a = np.asarray(x, dtype=float)[:, None, :]
+        return _layers(self.ws, self.bs, self.out_act, a)[-1][:, 0, :]
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:

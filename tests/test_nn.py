@@ -130,13 +130,14 @@ class TestRowForwards:
             assert np.array_equal(MlpStack(nets).forward(x), want)
 
     @pytest.mark.parametrize("dims", CRITIC_SHAPES)
-    def test_forward_rows_equal_single_vector_forwards(self, dims):
+    def test_one_row_stack_forward_equals_single_vector_forwards(self, dims):
         rng = np.random.default_rng(dims[0])
         for trial in range(200):
             net = _net(dims, seed=trial)
             x = rng.uniform(-1.5, 1.5, (2 + trial % 3, dims[0]))
             want = np.array([net.forward(row)[0] for row in x])
-            assert np.array_equal(net.forward_rows(x), want)
+            y, _ = net.forward(x[:, None, :])
+            assert np.array_equal(y[:, 0, :], want)
 
     def test_stack_is_a_frozen_copy(self):
         nets = [_net([3, 4, 2], out_act="tanh", seed=k) for k in range(2)]
