@@ -33,15 +33,20 @@ class ChannelParams:
     separate noise term.
     """
 
-    n_channels: int = 3
-    bandwidth: float = 1e6        # Hz per sub-channel
-    noise: float = 1e-12          # W  (-90 dBm)
-    alpha_u: float = 2.0
-    alpha_s: float = 2.0
-    beta_u: float = 1.4248291449703749e-4
-    beta_s: float = 1.4248291449703749e8
-    p_uav: float = 0.19952623149688797   # W (23 dBm), per sub-channel
-    q_gu: float = 0.19952623149688797    # W (23 dBm)
+    n_channels: int = field(default=3, metadata={"min": 1})
+    # Rates take log2 of power ratios and the coverage radius a root of
+    # one: a zero or negative quantity crashes them or moves no bits.
+    bandwidth: float = field(default=1e6, metadata={"gt": 0.0})  # Hz per sub-channel
+    noise: float = field(default=1e-12,  # W (-90 dBm)
+                         metadata={"gt": 0.0, "alias_dbm": "noise_dbm"})
+    alpha_u: float = field(default=2.0, metadata={"gt": 0.0})
+    alpha_s: float = field(default=2.0, metadata={"gt": 0.0})
+    beta_u: float = field(default=1.4248291449703749e-4, metadata={"gt": 0.0})
+    beta_s: float = field(default=1.4248291449703749e8, metadata={"gt": 0.0})
+    p_uav: float = field(default=0.19952623149688797,  # W (23 dBm), per sub-channel
+                         metadata={"gt": 0.0, "alias_dbm": "p_uav_dbm"})
+    q_gu: float = field(default=0.19952623149688797,   # W (23 dBm)
+                        metadata={"gt": 0.0, "alias_dbm": "q_gu_dbm"})
     carrier: float = 2e9          # Hz, informational
 
 

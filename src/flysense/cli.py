@@ -13,11 +13,10 @@ Exit codes: 0 success, 1 bad configuration, 2 self-check failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import harness
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, config_to_dict, load_config, parse_config
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -58,8 +57,8 @@ def _load(args) -> RunConfig:
     if args.command == "compare" and args.eval_episodes is not None and args.eval_episodes < 1:
         raise ConfigError(f"--eval-episodes: must be at least 1, got {args.eval_episodes}")
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.seed is not None:  # parsed, so the seed meets its declared bound
+        cfg = parse_config(dict(config_to_dict(cfg), seed=args.seed))
     return cfg
 
 

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class GpConfig:
-    length_scale: float = 0.3    # same units as sample positions
-    signal_var: float = 1.0
-    noise_jitter: float = 1e-6   # relative to signal_var, added to the diagonal
+    # A bound broken here would crash a proposal or give NaN posteriors.
+    length_scale: float = field(default=0.3, metadata={"gt": 0.0})  # units of sample positions
+    signal_var: float = field(default=1.0, metadata={"gt": 0.0})
+    noise_jitter: float = field(default=1e-6, metadata={"min": 0.0})  # relative to signal_var
     prior_mean: float = 0.0
-    window: int = 50             # samples kept
-    n_dir: int = 16              # candidate headings
-    n_rad: int = 4               # candidate radii per heading
+    window: int = field(default=50, metadata={"min": 1})  # samples kept
+    n_dir: int = field(default=16, metadata={"min": 1})   # candidate headings
+    n_rad: int = field(default=4, metadata={"min": 1})    # candidate radii per heading
 
 
 class SampleHistory:
@@ -34,7 +35,6 @@ class SampleHistory:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
         self._items: deque = deque(maxlen=capacity)
 
     def add(self, position, value: float) -> None:

@@ -21,8 +21,6 @@ from .marl import Trainer, TrainResult
 def format_cell(value) -> str:
     """Stable scalar formatting: floats via repr (shortest round-trip),
     everything else via str."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(float(value))  # plain repr even for numpy scalars
     return str(value)
@@ -75,24 +73,19 @@ class CsvSink:
         return False
 
 
-def _json_dump(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _mean(values) -> float:
+    """Sum in the given order over the count; every eval mean goes
+    through here so the summaries keep their bytes."""
+    values = list(values)
+    return sum(values) / len(values)
 
 
-def _checkpoint_nets(agents) -> dict:
-    nets = {}
-    for i, a in enumerate(agents, start=1):
-        nets[f"actor_{i}"] = a.actor
-        nets[f"critic_{i}"] = a.critic
-        nets[f"target_actor_{i}"] = a.target_actor
-        nets[f"target_critic_{i}"] = a.target_critic
-    return nets
+_NET_ROLES = ("actor", "critic", "target_actor", "target_critic")
 
 
 def save_agents(path: str, agents) -> None:
-    nn.save_checkpoint(path, _checkpoint_nets(agents))
+    nn.save_checkpoint(path, {f"{role}_{i}": getattr(a, role)
+                              for i, a in enumerate(agents, start=1) for role in _NET_ROLES})
 
 
 def load_agents_into(path: str, agents) -> None:
@@ -100,13 +93,10 @@ def load_agents_into(path: str, agents) -> None:
     (optimizer state starts fresh)."""
     nets = nn.load_checkpoint(path)
     for i, a in enumerate(agents, start=1):
-        try:
-            a.actor = nets[f"actor_{i}"]
-            a.critic = nets[f"critic_{i}"]
-            a.target_actor = nets[f"target_actor_{i}"]
-            a.target_critic = nets[f"target_critic_{i}"]
-        except KeyError as exc:
-            raise ValueError(f"checkpoint {path} lacks networks for agent {i}") from exc
+        for role in _NET_ROLES:
+            if f"{role}_{i}" not in nets:
+                raise ValueError(f"checkpoint {path} lacks networks for agent {i}")
+            setattr(a, role, nets[f"{role}_{i}"])
 
 
 def _stats_row(stats) -> dict:
@@ -160,15 +150,22 @@ def write_trajectory(path: str, trainer: Trainer, horizon: int | None = None) ->
         trainer.evaluate(1, horizon=horizon, slot_cb=on_slot)
 
 
-def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict:
-    """Full training run: metrics/episodes CSVs, network checkpoint, one
-    replayable trajectory, and summary.json.  Returns the summary."""
+def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, TrainResult]:
+    """Save the config, train into metrics/episodes CSVs and save the
+    trained agents, all under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
     trainer = Trainer(cfg)
     with CsvSink(out_dir) as sink:
-        result: TrainResult = trainer.run(episodes=episodes, sink=sink)
+        result = trainer.run(episodes=episodes, sink=sink)
     save_agents(os.path.join(out_dir, "checkpoint.json"), result.agents)
+    return trainer, result
+
+
+def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict:
+    """Full training run: metrics/episodes CSVs, network checkpoint, one
+    replayable trajectory, and summary.json.  Returns the summary."""
+    trainer, result = _train(cfg, out_dir, episodes)
     write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
     eval_stats = trainer.evaluate(trainer.train_cfg.eval_episodes)
     eval_rows = [_stats_row(s) for s in eval_stats]
@@ -178,13 +175,13 @@ def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict
         "final_smoothed": result.final_smoothed,
         "eval": {
             "episodes": len(eval_rows),
-            "reward_mean": sum(r["reward_mean"] for r in eval_rows) / len(eval_rows),
-            "sensed_bits_mean": sum(r["sensed_bits"] for r in eval_rows) / len(eval_rows),
-            "delivered_bits_mean": sum(r["delivered_bits"] for r in eval_rows) / len(eval_rows),
+            "reward_mean": _mean(r["reward_mean"] for r in eval_rows),
+            "sensed_bits_mean": _mean(r["sensed_bits"] for r in eval_rows),
+            "delivered_bits_mean": _mean(r["delivered_bits"] for r in eval_rows),
             "rows": eval_rows,
         },
     }
-    _json_dump(os.path.join(out_dir, "summary.json"), summary)
+    nn.write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
@@ -199,10 +196,10 @@ def run_eval(cfg: RunConfig, out_dir: str, checkpoint: str,
     summary = {
         "checkpoint": os.path.basename(checkpoint),
         "episodes": len(rows),
-        "reward_mean": sum(r["reward_mean"] for r in rows) / len(rows),
+        "reward_mean": _mean(r["reward_mean"] for r in rows),
         "rows": rows,
     }
-    _json_dump(os.path.join(out_dir, "eval.json"), summary)
+    nn.write_json(os.path.join(out_dir, "eval.json"), summary)
     return summary
 
 
@@ -210,22 +207,18 @@ POLICY_KINDS = ("eda_nf", "dynamic_nf", "buffer_threshold", "non_cooperative")
 
 
 def _aggregate(stats_list, horizon: int) -> dict:
-    n = len(stats_list)
-    completed = sum(1 for s in stats_list if s.completion_slot is not None)
-    comp = [s.completion_slot if s.completion_slot is not None else horizon
-            for s in stats_list]
-    out = {
-        "episodes": n,
-        "completed": completed,
-        "completion_slot_mean": sum(comp) / n,
-        "max_buffer_mean": sum(s.max_buffer for s in stats_list) / n,
-        "reward_mean": sum(float(s.rewards.mean()) for s in stats_list) / n,
-        "sensed_mean": sum(s.sensed for s in stats_list) / n,
-        "delivered_mean": sum(s.delivered for s in stats_list) / n,
-        "energy_mean": sum(s.energy for s in stats_list) / n,
-        "remaining_final_mean": sum(s.remaining_final for s in stats_list) / n,
+    return {
+        "episodes": len(stats_list),
+        "completed": sum(1 for s in stats_list if s.completion_slot is not None),
+        "completion_slot_mean": _mean(horizon if s.completion_slot is None
+                                      else s.completion_slot for s in stats_list),
+        "max_buffer_mean": _mean(s.max_buffer for s in stats_list),
+        "reward_mean": _mean(float(s.rewards.mean()) for s in stats_list),
+        "sensed_mean": _mean(s.sensed for s in stats_list),
+        "delivered_mean": _mean(s.delivered for s in stats_list),
+        "energy_mean": _mean(s.energy for s in stats_list),
+        "remaining_final_mean": _mean(s.remaining_final for s in stats_list),
     }
-    return out
 
 
 def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
@@ -234,12 +227,7 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
     """Train once under the configured policy, then sweep the frozen
     actors across formation policies and demand scales on identical
     worlds.  Writes comparison.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.json"))
-    trainer = Trainer(cfg)
-    with CsvSink(out_dir) as sink:
-        result = trainer.run(episodes=episodes, sink=sink)
-    save_agents(os.path.join(out_dir, "checkpoint.json"), result.agents)
+    trainer, result = _train(cfg, out_dir, episodes)
     n_eval = cfg.training.eval_episodes if eval_episodes is None else eval_episodes
     horizon = cfg.training.completion_cap
     rows = []
@@ -248,15 +236,13 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
         for scale in demand_scales:
             stats = trainer.evaluate(n_eval, policy=policy, demand_scale=scale,
                                      horizon=horizon)
-            row = {"policy": kind, "demand_scale": scale}
-            row.update(_aggregate(stats, horizon))
-            rows.append(row)
+            rows.append({"policy": kind, "demand_scale": scale, **_aggregate(stats, horizon)})
     payload = {
         "train_episodes": result.episodes_run,
         "eval_horizon": horizon,
         "rows": rows,
     }
-    _json_dump(os.path.join(out_dir, "comparison.json"), payload)
+    nn.write_json(os.path.join(out_dir, "comparison.json"), payload)
     return payload
 
 

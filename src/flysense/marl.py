@@ -286,9 +286,10 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
 
 @dataclass
 class TrainingConfig:
+    # A zero count or size would crash mid-run or train nothing.
     episodes: int = 20000
-    horizon: int = 60
-    batch_size: int = 256
+    horizon: int = field(default=60, metadata={"min": 1})
+    batch_size: int = field(default=256, metadata={"min": 1})
     replay_capacity: int = 100000
     warmup: int | None = None          # None -> batch_size
     actor_lr: float = 1e-3
@@ -298,16 +299,16 @@ class TrainingConfig:
     noise_scale: float = 0.1
     epsilon: float = 0.1               # arbitration override probability
     bo_enabled: bool = True
-    bo_stride: int = 1
-    update_stride: int = 1
-    hidden: tuple = (64, 64)
+    bo_stride: int = field(default=1, metadata={"min": 1})
+    update_stride: int = field(default=1, metadata={"min": 1})
+    hidden: tuple[int, ...] = field(default=(64, 64), metadata={"min": 1})  # layer widths
     lam: float = 0.5                   # buffer weight in cost/objective
     weights: RewardWeights = field(default_factory=RewardWeights)
     early_stop_enabled: bool = True
     early_stop_min_episodes: int = 300
     early_stop_patience: int = 300
     early_stop_rel_tol: float = 0.01
-    eval_episodes: int = 5
+    eval_episodes: int = field(default=5, metadata={"min": 1})
     metrics_episode_stride: int = 1    # 0 disables per-slot rows
     completion_cap: int = 600          # horizon for drain-everything rollouts
 

@@ -25,6 +25,7 @@ operation.  Gradients from ``backward`` use the same layout.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -224,11 +225,25 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     target.params += tau * online.params
 
 
+def write_json(path, payload, compact: bool = False) -> None:
+    """Write payload as JSON, compact or else indented with sorted keys and
+    a final newline, to a temp file renamed over path: a write that fails
+    leaves no partial file and any earlier one intact."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=None if compact else 2, sort_keys=not compact)
+            fh.write("" if compact else "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, nets: dict) -> None:
     """Write named networks to a JSON file; floats survive bit-exactly."""
     payload = {"version": 1, "nets": {name: net.to_dict() for name, net in nets.items()}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload, compact=True)
 
 
 def load_checkpoint(path) -> dict:

@@ -54,50 +54,35 @@ def mc_expected_improvement(mu: float, sigma: float, f_star: float,
     return float(np.maximum(draws - f_star, 0.0).mean())
 
 
+def _central_diff(arr: np.ndarray, objective, h: float) -> np.ndarray:
+    """Central-difference gradient of objective() in every entry of arr,
+    perturbing arr in place one entry at a time."""
+    grad = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        keep = arr[idx]
+        arr[idx] = keep + h
+        plus = objective()
+        arr[idx] = keep - h
+        minus = objective()
+        arr[idx] = keep
+        grad[idx] = (plus - minus) / (2 * h)
+    return grad
+
+
 def finite_diff_param_grads(net: nn.Mlp, x: np.ndarray, dy: np.ndarray,
                             h: float = 1e-5) -> list:
     """Central-difference gradients of sum(y * dy) for every parameter."""
     def objective() -> float:
-        y, _ = net.forward(x)
-        return float(np.sum(y * dy))
+        return float(np.sum(net.forward(x)[0] * dy))
 
-    grads = []
-    for w, b in zip(net.ws, net.bs):
-        gw = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            keep = w[idx]
-            w[idx] = keep + h
-            plus = objective()
-            w[idx] = keep - h
-            minus = objective()
-            w[idx] = keep
-            gw[idx] = (plus - minus) / (2 * h)
-        gb = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            keep = b[idx]
-            b[idx] = keep + h
-            plus = objective()
-            b[idx] = keep - h
-            minus = objective()
-            b[idx] = keep
-            gb[idx] = (plus - minus) / (2 * h)
-        grads.append((gw, gb))
-    return grads
+    return [(_central_diff(w, objective, h), _central_diff(b, objective, h))
+            for w, b in zip(net.ws, net.bs)]
 
 
 def finite_diff_input_grad(net: nn.Mlp, x: np.ndarray, dy: np.ndarray,
                            h: float = 1e-5) -> np.ndarray:
     x = np.asarray(x, dtype=float).copy()
-    gx = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        keep = x[idx]
-        x[idx] = keep + h
-        plus = float(np.sum(net.forward(x)[0] * dy))
-        x[idx] = keep - h
-        minus = float(np.sum(net.forward(x)[0] * dy))
-        x[idx] = keep
-        gx[idx] = (plus - minus) / (2 * h)
-    return gx
+    return _central_diff(x, lambda: float(np.sum(net.forward(x)[0] * dy)), h)
 
 
 def alloc_ok_literal(phi: np.ndarray, n_uavs: int, n_channels: int) -> bool:
@@ -230,9 +215,7 @@ def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
     for n in range(1, max_uavs + 1):
         for k in range(1, max_channels + 1):
             slots = _link_slots(n, k)
-            txs = np.array([s[0] for s in slots])
-            rxs = np.array([s[1] for s in slots])
-            chs = np.array([s[2] for s in slots])
+            txs, rxs, chs = np.array(slots).T
             for pattern in range(2 ** len(slots)):
                 bits = (pattern >> np.arange(len(slots))) & 1
                 phi = np.zeros((n + 1, n + 1, k), dtype=np.int8)

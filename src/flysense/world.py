@@ -70,7 +70,7 @@ class EnergyModel:
     c1: float = 9.26e-4
     c2: float = 2250.0
     hover_w: float = 170.0
-    v_floor: float = 1.0
+    v_floor: float = field(default=1.0, metadata={"gt": 0.0})
 
 
 @dataclass
@@ -81,18 +81,19 @@ class Scenario:
     field; they are converted to meters when the world is built.
     """
 
-    half_width_km: float = 1.0
-    n_uavs: int = 3
-    n_gus: int = 8
-    gu_xy: list | None = None        # explicit scaled coords, else sampled
-    gu_seed: int | None = None       # layout stream; None -> derived from run seed
-    demand_bits: float = 1e7         # per-GU request (10 Mbit)
-    buffer_capacity_bits: float = 2e7
+    # A bound broken here would crash mid-run or simulate nothing.
+    half_width_km: float = field(default=1.0, metadata={"gt": 0.0})
+    n_uavs: int = field(default=3, metadata={"min": 1})
+    n_gus: int = field(default=8, metadata={"min": 1})
+    gu_xy: tuple[tuple[float, float], ...] | None = None  # explicit scaled coords, else sampled
+    gu_seed: int | None = field(default=None, metadata={"min": 0})  # None: from the run seed
+    demand_bits: float = field(default=1e7, metadata={"min": 0.0})  # per-GU request (10 Mbit)
+    buffer_capacity_bits: float = field(default=2e7, metadata={"gt": 0.0})
     uav_alt_m: float = 100.0
     bs_height_m: float = 25.0
-    bs_xy: tuple = (1.0, 1.0)        # scaled; upper-right corner
-    uav_xy: list | None = None       # explicit scaled starts, else sampled
-    v_max_mps: float = 20.0
+    bs_xy: tuple[float, float] = (1.0, 1.0)  # scaled; upper-right corner
+    uav_xy: tuple[tuple[float, float], ...] | None = None  # explicit scaled starts, else sampled
+    v_max_mps: float = field(default=20.0, metadata={"gt": 0.0})
     coverage_snr_min_db: float = 0.0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     energy: EnergyModel = field(default_factory=EnergyModel)
@@ -139,10 +140,6 @@ class WorldState:
     @property
     def n_uavs(self) -> int:
         return len(self.uavs)
-
-    def positions(self) -> np.ndarray:
-        """(N+1, 3) node positions, base station in row 0 (read-only)."""
-        return self.nodes
 
 
 OUT_OF_COVERAGE = -1.0  # sensing-table entry of a user outside a UAV's radius

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import math
 import pathlib
 import random
+import types
+import typing
 from collections import Counter
 
 import pytest
@@ -114,6 +117,11 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("training", {"horizon": 0}, "training.horizon"),                      # zero-slot episodes
     ("channel", {"bandwidth": 0.0}, "channel.bandwidth"),                  # no bit ever moves
     ("gp", {"length_scale": 0.0}, "gp.length_scale"),                      # NaN posteriors
+    ("channel", {"noise_dbm": 1e300}, "channel.noise_dbm"),                # OverflowError
+    ("channel", {"p_uav_dbm": 1e300}, "channel.p_uav_dbm"),
+    ("channel", {"q_gu_dbm": 1e300}, "channel.q_gu_dbm"),
+    ("channel", {"noise_dbm": float("inf")}, "channel.noise_dbm"),         # infinite watts
+    ("scenario", {"demand_bits": 10 ** 400}, "scenario.demand_bits"),      # OverflowError
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -126,6 +134,15 @@ def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, se
     code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config_seed,argv", [(-1, []), (11, ["--seed", "-1"])])
+def test_negative_seed_exit_1_before_running(tmp_path, capsys, config_seed, argv):
+    cfg = write_tiny_config(tmp_path, seed=config_seed)
+    code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")] + argv)
+    assert code == 1
+    assert "seed: must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -159,38 +176,61 @@ def test_oracle_check_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
-# Fields whose default is None, with the type a config may give them.
-_NONE_DEFAULT_KINDS = {"warmup": int, "gu_seed": int, "min_rate": float}
 # Integer sizes and counts get no very large value: a huge horizon or
 # network is a valid request for a long or large run, not a bad config.
-_BOUNDARY_VALUES = {int: (0, -1, 1), float: (0.0, -1.0, 1.0, 1e-300, 1e300),
-                    "widths": ([0], [-1], [1])}
+_BOUNDARY_VALUES = {int: (0, -1, 1), float: (0.0, -1.0, 1.0, 1e-300, 1e300)}
+
+
+def _bound_values(kind, meta) -> tuple:
+    """Both sides of a field's declared bound: the last value it accepts
+    and the first it rejects."""
+    def step(v, up: bool):
+        if kind is int:
+            return v + 1 if up else v - 1
+        return math.nextafter(v, math.inf if up else -math.inf)
+
+    out = ()
+    if "min" in meta:
+        out += (meta["min"], step(meta["min"], up=False))
+    if "gt" in meta:
+        out += (step(meta["gt"], up=True), meta["gt"])
+    return out
 
 
 def _numeric_fields() -> list:
-    """(section, ..., key) path and value kind of every numeric config field."""
-    fields = [(("training", "hidden"), "widths")]
+    """(key, ..., key) path and boundary values of every numeric config
+    field, tuple of integers and dBm alias, read from the config schema:
+    the type hints and the bounds in the field metadata."""
+    fields = []
 
-    def walk(obj, path):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if dataclasses.is_dataclass(value):
-                walk(value, path + (f.name,))
-            elif f.name in _NONE_DEFAULT_KINDS:
-                fields.append((path + (f.name,), _NONE_DEFAULT_KINDS[f.name]))
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                fields.append((path + (f.name,), type(value)))
+    def walk(cls, path):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            if isinstance(hint, types.UnionType):  # X | None
+                hint = typing.get_args(hint)[0]
+            if dataclasses.is_dataclass(hint):
+                walk(hint, path + (f.name,))
+                continue
+            widths = typing.get_args(hint) == (int, ...)
+            kind = int if widths else hint
+            if kind not in (int, float):
+                continue
+            values = tuple(dict.fromkeys(_BOUNDARY_VALUES[kind]
+                                         + _bound_values(kind, f.metadata)))
+            fields.append((path + (f.name,), [[v] for v in values] if widths else values))
+            if "alias_dbm" in f.metadata:
+                fields.append((path + (f.metadata["alias_dbm"],), _BOUNDARY_VALUES[float]))
 
-    for section in ("scenario", "channel", "formation", "gp", "training"):
-        walk(getattr(RunConfig(), section), (section,))
+    walk(RunConfig, ())
     return fields
 
 
 def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
     """Seeded fuzz over configs/tiny.json: each case sets one or two numeric
-    fields to a boundary value.  A config must either be rejected with
-    exit 1 before anything is written, or run (exit 0); it must never
-    crash mid-run (exit 3)."""
+    fields to a boundary value, both sides of its declared bound among
+    them.  A config must either be rejected with exit 1 before anything
+    is written, or run (exit 0); it must never crash mid-run (exit 3)."""
     rng = random.Random(20261018)
     fields = _numeric_fields()
     base = json.loads(TINY.read_text())
@@ -199,8 +239,8 @@ def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
     for case in range(400):
         cfg = json.loads(json.dumps(base))
         overrides = {}
-        for path, kind in rng.sample(fields, rng.choice((1, 2))):
-            value = rng.choice(_BOUNDARY_VALUES[kind])
+        for path, values in rng.sample(fields, rng.choice((1, 2))):
+            value = rng.choice(values)
             section = cfg
             for key in path[:-1]:
                 section = section.setdefault(key, {})

@@ -1,6 +1,7 @@
 """Config parsing: defaults, strict keys, unit aliases, round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from flysense.config import (
     load_config,
     parse_config,
     save_config,
-    watts_to_dbm,
 )
 
 
@@ -25,7 +25,7 @@ class TestUnits:
 
     def test_inverse(self):
         for w in (1e-12, 0.2, 1.0, 40.0):
-            assert dbm_to_watts(watts_to_dbm(w)) == pytest.approx(w, rel=1e-12)
+            assert dbm_to_watts(10.0 * math.log10(1000.0 * w)) == pytest.approx(w, rel=1e-12)
 
 
 class TestParse:
@@ -44,6 +44,9 @@ class TestParse:
     def test_invalid_json_raises(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(p))
+        p.write_text('{"seed": ' + "1" * 5000 + "}")  # past the int digit limit
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(p))
 
@@ -96,6 +99,12 @@ class TestParse:
             parse_config({"scenario": {"bs_xy": [1.0]}})
         with pytest.raises(ConfigError, match=r"gu_xy\[1\]"):
             parse_config({"scenario": {"gu_xy": [[0.0, 0.0], [1.0]]}})
+
+    def test_declared_bounds_reject_nan(self):
+        for section, key in (("scenario", "demand_bits"), ("gp", "signal_var"),
+                             ("channel", "bandwidth")):
+            with pytest.raises(ConfigError, match=rf"{section}\.{key}: must .*, got nan"):
+                parse_config({section: {key: math.nan}})
 
     def test_invalid_protocol_timing_reported_with_path(self):
         with pytest.raises(ConfigError, match="scenario.protocol"):

@@ -131,6 +131,41 @@ class TestRunTrain:
             assert col in header
 
 
+class TestAtomicArtifacts:
+    """config.json, checkpoint.json and summary.json go through a temp
+    file renamed over the target, so a write that fails partway leaves no
+    truncated artifact."""
+
+    @staticmethod
+    def fail_partway(monkeypatch, name):
+        real_dump = json.dump
+
+        def dump(obj, fh, **kw):
+            if fh.name.endswith(f"{name}.tmp"):
+                fh.write('{"cut": ')
+                raise OSError("disk full")
+            real_dump(obj, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", dump)
+
+    @pytest.mark.parametrize("name", ["config.json", "checkpoint.json", "summary.json"])
+    def test_failed_write_keeps_earlier_file_and_leaves_no_partial(self, tmp_path,
+                                                                   monkeypatch, name):
+        out = tmp_path / "run"
+        harness.run_train(tiny_cfg(), str(out))
+        before = (out / name).read_bytes()
+        files = sorted(p.name for p in out.iterdir())
+        fresh = tmp_path / "fresh"
+        self.fail_partway(monkeypatch, name)
+        for out_dir in (out, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                harness.run_train(tiny_cfg(), str(out_dir))
+        assert (out / name).read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == files
+        assert not (fresh / name).exists()
+        assert not any(p.name.endswith(".tmp") for p in fresh.iterdir())
+
+
 class TestRunEval:
     def test_matches_training_eval(self, tmp_path):
         out = str(tmp_path / "train")

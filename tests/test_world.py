@@ -191,7 +191,7 @@ class TestNodeTables:
         floored = 0
         for w, _ in self.worlds():
             nodes = [w.bs_pos, *(u.pos for u in w.uavs)]
-            assert np.array_equal(w.positions(), np.array(nodes, dtype=float))
+            assert np.array_equal(w.nodes, np.array(nodes, dtype=float))
             for a, pa in enumerate(nodes):
                 for b, pb in enumerate(nodes):
                     assert w.node_range[a, b] == distance(pa, pb)
