@@ -47,7 +47,6 @@ class ChannelParams:
                          metadata={"gt": 0.0, "alias_dbm": "p_uav_dbm"})
     q_gu: float = field(default=0.19952623149688797,   # W (23 dBm)
                         metadata={"gt": 0.0, "alias_dbm": "q_gu_dbm"})
-    carrier: float = 2e9          # Hz, informational
 
 
 class FormationMatrix:
@@ -73,9 +72,6 @@ class FormationMatrix:
             if not np.isin(phi, (0, 1)).all():
                 raise FormationError("phi entries must be 0 or 1")
         self.phi = phi
-
-    def copy(self) -> "FormationMatrix":
-        return FormationMatrix(self.n_uavs, self.n_channels, self.phi.copy())
 
     def set_link(self, tx: int, rx: int, ch: int) -> None:
         if tx == BS or tx == rx:
@@ -235,7 +231,6 @@ def g2u_snr(d: float, params: ChannelParams) -> float:
 class OffloadReport:
     """Bits moved during one offloading sub-slot, indexed by 0-based UAV."""
 
-    link_bits: list  # (tx_node, rx_node, bits) with node ids, ascending
     outgoing: np.ndarray
     incoming: np.ndarray
     to_bs: np.ndarray
@@ -274,7 +269,6 @@ def offload(
     outgoing = np.zeros(n)
     incoming = np.zeros(n)
     to_bs = np.zeros(n)
-    link_bits = []
     linked = fm.phi.any(axis=2).tolist()
     for tx in range(1, n + 1):
         if not linked[tx][BS]:
@@ -287,7 +281,6 @@ def offload(
         accept[tx - 1] += amount
         outgoing[tx - 1] += amount
         to_bs[tx - 1] += amount
-        link_bits.append((tx, BS, amount))
     for tx in range(1, n + 1):
         for rx in range(1, n + 1):
             if rx == tx or not linked[tx][rx]:
@@ -300,5 +293,4 @@ def offload(
             outgoing[tx - 1] += amount
             incoming[rx - 1] += amount
             accept[rx - 1] -= amount
-            link_bits.append((tx, rx, amount))
-    return OffloadReport(link_bits, outgoing, incoming, to_bs)
+    return OffloadReport(outgoing, incoming, to_bs)

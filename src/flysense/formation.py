@@ -3,19 +3,18 @@
 Every policy maps per-UAV status (drain-time balance, running cost,
 positions) to a formation matrix that passes the sub-channel constraint
 by construction.  The main policy pairs overloaded UAVs with cheap
-relays; three simpler baselines and an exhaustive-search oracle are used
-for comparison.  The three relay planners start all-direct and place
-every relay through the same interference-ranked step (_relay_pair).
+relays; three simpler baselines are used for comparison.  The three
+relay planners start all-direct and place every relay through the same
+interference-ranked step (_relay_pair).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, world
+from . import channel
 from .channel import BS, ChannelParams, FormationMatrix
 
 RATIO_CAP = 1e9  # drain-time stand-in (seconds) when a UAV has no BS rate
@@ -237,57 +236,3 @@ def baseline_dynamic_nf(
             free.discard(j)
     return fm
 
-
-def _feasible_matrices(n_uavs: int, n_channels: int):
-    """Depth-first enumeration of every allocation satisfying the
-    per-node sub-channel constraint, in lexicographic link order."""
-    links = [
-        (tx, rx, ch)
-        for tx in range(1, n_uavs + 1)
-        for rx in range(n_uavs + 1)
-        if rx != tx
-        for ch in range(n_channels)
-    ]
-    fm = FormationMatrix(n_uavs, n_channels)
-
-    def rec(idx):
-        if idx == len(links):
-            yield fm.copy()
-            return
-        yield from rec(idx + 1)
-        tx, rx, ch = links[idx]
-        if fm.channel_fits(tx, rx, ch):
-            fm.set_link(tx, rx, ch)
-            yield from rec(idx + 1)
-            fm.clear_link(tx, rx, ch)
-
-    yield from rec(0)
-
-
-def brute_force_formation(w: "world.WorldState", lam) -> tuple[FormationMatrix, float]:
-    """Exhaustive search over every feasible allocation, scoring each by
-    the slot objective after simulating one offloading sub-slot on the
-    current buffers.  Ties keep the first (lexicographically smallest)
-    matrix.  Refuses anything bigger than 3 UAVs x 2 sub-channels."""
-    n = len(w.uavs)
-    k = w.chan.n_channels
-    if n > 3 or k > 2:
-        raise ValueError(f"exhaustive search capped at 3 UAVs x 2 channels, got {n}x{k}")
-    lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
-    buffers = np.array([u.buffer for u in w.uavs])
-    cap = w.scenario.buffer_capacity_bits
-    free = cap - buffers
-    backlog = sum(g.remaining for g in w.gus)
-    best = None
-    best_cost = math.inf
-    for fm in _feasible_matrices(n, k):
-        res = channel.offload(buffers, free, w.link_power, fm, w.chan, w.scenario.protocol.t_o)
-        new_buf = [
-            world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)
-            for i in range(n)
-        ]
-        total = float(np.dot(lam_arr, new_buf)) + backlog
-        if total < best_cost:
-            best_cost = total
-            best = fm
-    return best, best_cost

@@ -16,11 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Relative to signal_var, the least jitter a retried factorization adds.
+JITTER_FLOOR = float(np.finfo(float).eps)
+# Below this signal_var the jitter floor is no normal float, so no retry
+# can factor a window that holds one position twice.
+MIN_SIGNAL_VAR = float(np.finfo(float).tiny) / JITTER_FLOOR
+
+
 @dataclass(frozen=True)
 class GpConfig:
     # A bound broken here would crash a proposal or give NaN posteriors.
     length_scale: float = field(default=0.3, metadata={"gt": 0.0})  # units of sample positions
-    signal_var: float = field(default=1.0, metadata={"gt": 0.0})
+    signal_var: float = field(default=1.0, metadata={"min": MIN_SIGNAL_VAR})
     noise_jitter: float = field(default=1e-6, metadata={"min": 0.0})  # relative to signal_var
     prior_mean: float = 0.0
     window: int = field(default=50, metadata={"min": 1})  # samples kept
@@ -83,7 +90,9 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
 
 def _factor(history: SampleHistory, cfg: GpConfig):
     """Cholesky of the windowed kernel matrix, escalating the jitter by
-    decades (up to six) if the factorization fails."""
+    decades (up to six) if the factorization fails.  The retries start
+    from at least JITTER_FLOOR * signal_var, so a zero or negligible
+    noise_jitter still escalates."""
     x = history.positions()
     gram = _kernel_matrix(x, x, cfg)
     jitter = cfg.noise_jitter * cfg.signal_var
@@ -92,7 +101,7 @@ def _factor(history: SampleHistory, cfg: GpConfig):
             chol = np.linalg.cholesky(gram + jitter * np.eye(len(x)))
             return x, chol
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            jitter = max(jitter, JITTER_FLOOR * cfg.signal_var) * 10.0
     raise np.linalg.LinAlgError("kernel matrix not positive definite even after jitter escalation")
 
 

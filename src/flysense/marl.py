@@ -435,7 +435,6 @@ def actor_policy(agents: list):
 @dataclass
 class TrainResult:
     agents: list
-    episode_rows: list
     episodes_run: int
     early_stopped: bool
     final_smoothed: float
@@ -560,13 +559,14 @@ class Trainer:
     def run(self, episodes: int | None = None, sink=None) -> TrainResult:
         tc = self.train_cfg
         budget = tc.episodes if episodes is None else episodes
-        rows = []
         ema = None
         best = -math.inf
         best_ep = 0
         stopped = False
+        episodes_run = 0
         for ep in range(budget):
             stats = self.train_episode(ep, sink)
+            episodes_run += 1
             mean_r = float(stats.rewards.mean())
             ema = mean_r if ema is None else 0.95 * ema + 0.05 * mean_r
             row = {
@@ -582,7 +582,6 @@ class Trainer:
             }
             for i in range(self.scenario.n_uavs):
                 row[f"reward_uav{i + 1}"] = float(stats.rewards[i])
-            rows.append(row)
             if sink is not None:
                 sink.episode_row(row)
             tol = tc.early_stop_rel_tol * max(1.0, abs(best)) if best > -math.inf else 0.0
@@ -594,7 +593,7 @@ class Trainer:
                 stopped = True
                 break
         return TrainResult(
-            agents=self.agents, episode_rows=rows, episodes_run=len(rows),
+            agents=self.agents, episodes_run=episodes_run,
             early_stopped=stopped, final_smoothed=ema if ema is not None else 0.0,
         )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, formation, gp, nn, world
+from . import channel, gp, nn, world
 from .channel import BS, ChannelParams, FormationMatrix
 
 
@@ -100,13 +100,6 @@ def alloc_ok_literal(phi: np.ndarray, n_uavs: int, n_channels: int) -> bool:
             if incoming + outgoing > 1:
                 return False
     return True
-
-
-def _link_slots(n_uavs: int, n_channels: int) -> list:
-    return [(tx, rx, ch)
-            for tx in range(1, n_uavs + 1)
-            for rx in range(n_uavs + 1) if rx != tx
-            for ch in range(n_channels)]
 
 
 def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int) -> set:
@@ -214,7 +207,8 @@ def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
     total = 0
     for n in range(1, max_uavs + 1):
         for k in range(1, max_channels + 1):
-            slots = _link_slots(n, k)
+            slots = [(tx, rx, ch) for tx in range(1, n + 1)
+                     for rx in range(n + 1) if rx != tx for ch in range(k)]
             txs, rxs, chs = np.array(slots).T
             for pattern in range(2 ** len(slots)):
                 bits = (pattern >> np.arange(len(slots))) & 1
@@ -230,63 +224,43 @@ def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
                        mismatches == 0, detail=f"{total} matrices")
 
 
-def _independent_best_formation(w, lam) -> list:
-    """Exhaustive scoring via the constructive enumerator and a plain
-    re-statement of the offload service rule: links into the BS are served
-    before UAV-to-UAV links; each bit a UAV drains to the BS frees that
-    much of its buffer for relayed-in bits; a UAV with an empty buffer is
-    a silent transmitter; nobody ships more than it held at the start.
-    Returns (cost, enumeration key, matrix key) rows, best first."""
+def _restated_offload(w, fm: FormationMatrix) -> np.ndarray:
+    """Post-slot buffers after one offloading sub-slot on w's buffers
+    under fm, by a plain re-statement of the offload service rule: links
+    into the BS are served before UAV-to-UAV links; each bit a UAV drains
+    to the BS frees that much of its buffer for relayed-in bits; a UAV
+    with an empty buffer is a silent transmitter; nobody ships more than
+    it held at the start."""
     n = len(w.uavs)
-    k = w.chan.n_channels
-    lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     cap = w.scenario.buffer_capacity_bits
-    backlog = sum(g.remaining for g in w.gus)
     start = np.array([u.buffer for u in w.uavs], dtype=float)
     talking = np.concatenate([[False], start > 0.0])  # node mask, BS silent
     # BS-bound links first, then U2U links, each in ascending (tx, rx)
     order = sorted(((tx, rx) for tx in range(1, n + 1) for rx in range(n + 1) if rx != tx),
                    key=lambda link: (link[1] != BS, link))
-    keys = enumerate_valid_allocs_constructive(n, k)
-    shape = (n + 1, n + 1, k)
-    scored = []
-    for key in keys:
-        phi = np.frombuffer(key, dtype=np.int8).reshape(shape)
-        fm = FormationMatrix(n, k, phi.copy())
-        left = start.copy()
-        room = np.maximum(cap - start, 0.0)
-        new_buf = start.copy()
-        for tx, rx in order:
-            if not phi[tx, rx].any():
-                continue
-            cap_bits = (channel.u2u_rate(fm, w.link_power, tx, rx, w.chan, talking)
-                        * w.scenario.protocol.t_o)
-            amt = min(cap_bits, left[tx - 1])
-            if rx == BS:
-                room[tx - 1] += amt
-            else:
-                amt = min(amt, room[rx - 1])
-                room[rx - 1] -= amt
-                new_buf[rx - 1] += amt
-            left[tx - 1] -= amt
-            new_buf[tx - 1] -= amt
-        total = float(np.dot(lam_arr, np.minimum(new_buf, cap))) + backlog
-        scored.append((total, _matrix_sort_key(key, shape), key))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return scored
-
-
-def _matrix_sort_key(key: bytes, shape) -> tuple:
-    """Enumeration order used by the exhaustive search: lexicographic over
-    the (tx, rx, ch) link slots."""
-    phi = np.frombuffer(key, dtype=np.int8).reshape(shape)
-    slots = _link_slots(shape[0] - 1, shape[2])
-    return tuple(int(phi[tx, rx, ch]) for tx, rx, ch in slots)
+    left = start.copy()
+    room = np.maximum(cap - start, 0.0)
+    new_buf = start.copy()
+    for tx, rx in order:
+        if not fm.phi[tx, rx].any():
+            continue
+        cap_bits = (channel.u2u_rate(fm, w.link_power, tx, rx, w.chan, talking)
+                    * w.scenario.protocol.t_o)
+        amt = min(cap_bits, left[tx - 1])
+        if rx == BS:
+            room[tx - 1] += amt
+        else:
+            amt = min(amt, room[rx - 1])
+            room[rx - 1] -= amt
+            new_buf[rx - 1] += amt
+        left[tx - 1] -= amt
+        new_buf[tx - 1] -= amt
+    return np.minimum(new_buf, cap)
 
 
 def _random_small_world(rng: np.random.Generator):
-    """1-3 UAVs with random buffers on 1-2 sub-channels, and per-UAV
-    buffer weights."""
+    """1-3 UAVs with random buffers on 1-2 sub-channels; one UAV's
+    buffer is empty, so it holds allocations but transmits nothing."""
     n = int(rng.integers(1, 4))
     k = int(rng.integers(1, 3))
     scen = world.Scenario(n_uavs=n, n_gus=2, gu_seed=int(rng.integers(1 << 30)))
@@ -294,16 +268,16 @@ def _random_small_world(rng: np.random.Generator):
                          np.random.default_rng(int(rng.integers(1 << 30))))
     for u in w.uavs:
         u.buffer = float(rng.uniform(0, scen.buffer_capacity_bits))
-    return w, rng.uniform(0.05, 1.0, size=n)
+    w.uavs[int(rng.integers(n))].buffer = 0.0
+    return w
 
 
 def _relay_world(rng: np.random.Generator, sender: int):
     """Two UAVs on 2 sub-channels, on the diagonal of a wide field that
     runs away from the base-station corner.  The sender (0-based index)
-    sits far out with a heavy buffer weight; the receiver sits 1.45-1.9x
-    nearer the base station, full, with a light weight.  At this low SNR
-    two short hops beat one long one, so the optimum relays through a
-    receiver that can only take what it drains in the same sub-slot."""
+    sits far out; the receiver sits 1.45-1.9x nearer the base station,
+    full.  At this low SNR two short hops beat one long one, and the
+    receiver can only take what it drains in the same sub-slot."""
     far = float(rng.uniform(1.4, 2.0))  # scaled offset from the BS corner
     near = far / float(rng.uniform(1.45, 1.9))
     xy = [(1.0 - far, 1.0 - far), (1.0 - near, 1.0 - near)]
@@ -313,42 +287,38 @@ def _relay_world(rng: np.random.Generator, sender: int):
                           half_width_km=float(rng.uniform(4.0, 8.0)), uav_xy=tuple(xy))
     w = world.make_world(scen, ChannelParams(n_channels=2),
                          np.random.default_rng(int(rng.integers(1 << 30))))
-    receiver = 1 - sender
     w.uavs[sender].buffer = float(rng.uniform(0, scen.buffer_capacity_bits))
-    w.uavs[receiver].buffer = scen.buffer_capacity_bits
-    lam = np.empty(2)
-    lam[sender] = rng.uniform(0.5, 1.0)
-    lam[receiver] = rng.uniform(0.0, 0.2)
-    return w, lam
+    w.uavs[1 - sender].buffer = scen.buffer_capacity_bits
+    return w
 
 
-def check_brute_force(rng: np.random.Generator, brute_fn=None) -> CheckResult:
-    """brute_force_formation against the independent enumerator on random
-    small worlds and on relay worlds (see _relay_world), each relay
-    direction three times.  Costs must agree to 1e-9 relative; the chosen
-    matrix must agree whenever the optimum is not a near-tie.
-
-    Every world draws its own per-UAV buffer weights.  With one weight for
-    every UAV a UAV-to-UAV transfer moves bits between equally weighted
-    buffers, so the objective can never value a relay, and a wrong
-    service rule on relay links would go unseen."""
-    brute_fn = brute_fn or formation.brute_force_formation
+def check_offload(rng: np.random.Generator, offload_fn=None) -> CheckResult:
+    """channel.offload, followed by world.uav_buffer_step, against the
+    restated service rule (_restated_offload) on every allocation of the
+    constructive enumerator, in random small worlds and in relay worlds
+    (see _relay_world), each relay direction three times.  Post-slot
+    buffers must agree to 1e-9 of the buffer capacity."""
+    offload_fn = offload_fn or channel.offload
     worlds = itertools.chain((_random_small_world(rng) for _ in range(6)),
                              (_relay_world(rng, t % 2) for t in range(6)))
     worst = 0.0
-    mismatched = 0
-    for w, lam in worlds:
-        fm, cost = brute_fn(w, lam)
-        scored = _independent_best_formation(w, lam)
-        ref_cost, _, ref_key = scored[0]
-        scale = max(abs(ref_cost), 1.0)
-        worst = max(worst, abs(cost - ref_cost) / scale)
-        runner_up_gap = (scored[1][0] - ref_cost) / scale if len(scored) > 1 else 1.0
-        if fm.key() != ref_key and runner_up_gap > 1e-9:
-            mismatched += 1
-    ok = worst <= 1e-9 and mismatched == 0
-    return CheckResult("brute_force_vs_enumeration", worst, 1e-9, ok,
-                       detail=f"{mismatched} matrix mismatches")
+    allocs = 0
+    for w in worlds:
+        n, k = len(w.uavs), w.chan.n_channels
+        cap = w.scenario.buffer_capacity_bits
+        buffers = np.array([u.buffer for u in w.uavs])
+        for key in enumerate_valid_allocs_constructive(n, k):
+            phi = np.frombuffer(key, dtype=np.int8).reshape(n + 1, n + 1, k)
+            fm = FormationMatrix(n, k, phi.copy())
+            res = offload_fn(buffers, cap - buffers, w.link_power, fm, w.chan,
+                             w.scenario.protocol.t_o)
+            got = [world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)
+                   for i in range(n)]
+            gap = np.abs(np.subtract(got, _restated_offload(w, fm))).max()
+            worst = max(worst, float(gap) / cap)
+            allocs += 1
+    return CheckResult("offload_vs_restated_rule", worst, 1e-9, worst <= 1e-9,
+                       detail=f"{allocs} allocations")
 
 
 def run_all(seed: int = 0, **overrides) -> list:
@@ -359,5 +329,5 @@ def run_all(seed: int = 0, **overrides) -> list:
         check_expected_improvement(rng, ei_fn=overrides.get("ei_fn")),
         check_mlp_gradients(rng),
         check_alloc_validator(validate_fn=overrides.get("validate_fn")),
-        check_brute_force(rng, brute_fn=overrides.get("brute_fn")),
+        check_offload(rng, offload_fn=overrides.get("offload_fn")),
     ]

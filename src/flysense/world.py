@@ -124,7 +124,6 @@ class WorldState:
     uavs: list
     gus: list
     formation: FormationMatrix
-    rng: np.random.Generator
     scenario: Scenario
     chan: ChannelParams
     bs_pos: Position
@@ -207,7 +206,6 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         uavs=uavs,
         gus=gus,
         formation=fm,
-        rng=rng,
         scenario=scenario,
         chan=params,
         bs_pos=bs,
@@ -303,8 +301,7 @@ class StepReport:
     delivered_bs: np.ndarray  # bits delivered to the base station
     relayed_out: np.ndarray   # bits sent to other UAVs
     energy: np.ndarray        # propulsion J (enters the objective)
-    violations_per_uav: np.ndarray
-    violations: int           # pairs closer than d_min after flying
+    violations_per_uav: np.ndarray  # other UAVs closer than d_min after flying
 
 
 def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState, StepReport]:
@@ -349,7 +346,6 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
 
     close = w.node_range[1:, 1:] < w.scenario.protocol.d_min
     np.fill_diagonal(close, False)
-    viol_per_uav = close.sum(axis=1)
 
     w.last_energy = energy
     w.t += 1
@@ -358,8 +354,7 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         delivered_bs=res.to_bs,
         relayed_out=res.outgoing - res.to_bs,
         energy=energy,
-        violations_per_uav=viol_per_uav,
-        violations=int(viol_per_uav.sum()) // 2,
+        violations_per_uav=close.sum(axis=1),
     )
     return w, report
 

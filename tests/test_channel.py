@@ -296,7 +296,9 @@ class TestOffload:
             # a receiver may accept beyond its pre-slot spare capacity only
             # by as much as it delivered to the BS this sub-slot
             assert np.all(rep.incoming <= free + rep.to_bs + 1e-9)
+            # no UAV sends more than its links carry in the sub-slot
             active = np.concatenate([[False], buffers > 0.0])
-            for tx, rx, bits in rep.link_bits:
-                cap = u2u_rate(fm, power, tx, rx, P, active) * 0.4
-                assert bits <= cap + 1e-6
+            for tx in range(1, n + 1):
+                cap = sum(u2u_rate(fm, power, tx, rx, P, active) * 0.4
+                          for rx in range(n + 1) if rx != tx and fm.has_link(tx, rx))
+                assert rep.outgoing[tx - 1] <= cap + 1e-6

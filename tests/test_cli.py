@@ -122,6 +122,8 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("channel", {"q_gu_dbm": 1e300}, "channel.q_gu_dbm"),
     ("channel", {"noise_dbm": float("inf")}, "channel.noise_dbm"),         # infinite watts
     ("scenario", {"demand_bits": 10 ** 400}, "scenario.demand_bits"),      # OverflowError
+    ("gp", {"signal_var": 5e-324}, "gp.signal_var"),                       # jitter underflows
+    ("gp", {"signal_var": 1e-320}, "gp.signal_var"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):

@@ -1,5 +1,5 @@
-"""Relay-formation policies: balance math, pairing rules, baselines, and
-the exhaustive search."""
+"""Relay-formation policies: balance math, pairing rules and baselines,
+and the exhaustive offload check."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from flysense.formation import (
     baseline_buffer,
     baseline_dynamic_nf,
     baseline_noncoop,
-    brute_force_formation,
     cost,
     eda_nf,
     load_balance,
 )
-from flysense.oracles import check_brute_force
-from flysense.world import Scenario, make_world
+from flysense.oracles import check_offload
 
 P = ChannelParams()
 
@@ -249,34 +247,33 @@ def _transmitter_order_offload(buffers, free_space, power, fm, params, t_o):
                 incoming[rx - 1] += bits
             left[tx - 1] -= bits
             outgoing[tx - 1] += bits
-    return channel.OffloadReport([], outgoing, incoming, to_bs)
+    return channel.OffloadReport(outgoing, incoming, to_bs)
+
+
+def _loud_silent_offload(buffers, free_space, power, fm, params, t_o):
+    """Planted mutation of channel.offload: it ignores its active mask, so
+    a UAV with an empty buffer still interferes on its allocated links."""
+    real = channel.u2u_rate
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(channel, "u2u_rate", lambda fm, power, tx, rx, params, active=None:
+                  real(fm, power, tx, rx, params))
+        return channel.offload(buffers, free_space, power, fm, params, t_o)
 
 
 class TestBruteForce:
+    """check_offload: channel.offload on every allocation of small worlds
+    against the restated service rule."""
+
     def test_matches_independent_enumeration(self):
-        res = check_brute_force(np.random.default_rng(2))
+        res = check_offload(np.random.default_rng(2))
         assert res.ok, res.detail
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_oracle_flags_transmitter_order_service(self, monkeypatch, seed):
-        def mutated_brute(w, lam):
-            with monkeypatch.context() as m:
-                m.setattr(channel, "offload", _transmitter_order_offload)
-                return brute_force_formation(w, lam)
+    def test_oracle_flags_transmitter_order_service(self, seed):
+        res = check_offload(np.random.default_rng(seed), offload_fn=_transmitter_order_offload)
+        assert not res.ok
 
-        assert not check_brute_force(np.random.default_rng(seed), brute_fn=mutated_brute).ok
-
-    def test_returns_feasible_matrix(self):
-        scen = Scenario(n_uavs=2, n_gus=2, gu_seed=4)
-        w = make_world(scen, ChannelParams(n_channels=2), np.random.default_rng(8))
-        w.uavs[0].buffer = 1.5e7
-        w.uavs[1].buffer = 5e6
-        fm, best = brute_force_formation(w, lam=0.5)
-        assert validate_alloc(fm) == []
-        assert np.isfinite(best)
-
-    def test_refuses_large_search_spaces(self):
-        scen = Scenario(n_uavs=4, n_gus=2, gu_seed=4)
-        w = make_world(scen, ChannelParams(n_channels=2), np.random.default_rng(8))
-        with pytest.raises(ValueError):
-            brute_force_formation(w, lam=0.5)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_oracle_flags_interference_from_silent_uavs(self, seed):
+        res = check_offload(np.random.default_rng(seed), offload_fn=_loud_silent_offload)
+        assert not res.ok

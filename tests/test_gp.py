@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flysense.gp import (
+    MIN_SIGNAL_VAR,
     GpConfig,
     Posterior,
     SampleHistory,
@@ -171,6 +172,20 @@ class TestProposePoint:
         cur = np.array([0.0, 0.0])
         got = propose_point(h, cur, reach=0.2, cfg=self.cfg())
         assert got[0] > cur[0]
+
+    @pytest.mark.parametrize("noise_jitter,signal_var",
+                             [(0.0, 1.0), (1e-30, 1.0), (0.0, MIN_SIGNAL_VAR)])
+    def test_repeated_position_factors_without_jitter(self, noise_jitter, signal_var):
+        # One position twice makes the kernel matrix singular; the retries
+        # escalate from a floor relative to signal_var, not from the
+        # configured jitter.
+        cfg = GpConfig(noise_jitter=noise_jitter, signal_var=signal_var)
+        h = SampleHistory(10)
+        for p, v in (((0.1, 0.2), 1.0), ((0.1, 0.2), 2.0), ((0.3, 0.2), 0.5)):
+            h.add(p, v)
+        got = propose_point(h, (0.1, 0.2), 0.1, cfg)
+        assert np.isfinite(got).all()
+        assert posterior(h, (0.1, 0.2), cfg).mean == pytest.approx(1.5, abs=1e-2)
 
     def test_candidates_respect_reach_and_bounds(self):
         rng = np.random.default_rng(9)

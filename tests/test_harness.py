@@ -91,9 +91,8 @@ class TestRunTrain:
         s2 = harness.run_train(tiny_cfg(), out2)
         for name in ("config.json", "metrics.csv", "episodes.csv",
                      "checkpoint.json", "trajectory.jsonl", "summary.json"):
-            b1 = open(f"{out1}/{name}", "rb").read()
-            b2 = open(f"{out2}/{name}", "rb").read()
-            assert b1 == b2, f"{name} differs between identical runs"
+            with open(f"{out1}/{name}", "rb") as f1, open(f"{out2}/{name}", "rb") as f2:
+                assert f1.read() == f2.read(), f"{name} differs between identical runs"
         assert s1 == s2
         assert s1["episodes_run"] == 3
         assert s1["eval"]["episodes"] == 2
@@ -107,7 +106,8 @@ class TestRunTrain:
     def test_trajectory_replayable(self, tmp_path):
         out = str(tmp_path / "run")
         harness.run_train(tiny_cfg(), out)
-        lines = [json.loads(l) for l in open(f"{out}/trajectory.jsonl")]
+        with open(f"{out}/trajectory.jsonl") as fh:
+            lines = [json.loads(l) for l in fh]
         header, slots = lines[0], lines[1:]
         assert header["type"] == "header"
         assert header["n_uavs"] == 2
@@ -173,7 +173,8 @@ class TestRunEval:
         out2 = str(tmp_path / "eval")
         res = harness.run_eval(tiny_cfg(), out2, f"{out}/checkpoint.json")
         assert res["reward_mean"] == pytest.approx(summary["eval"]["reward_mean"])
-        assert json.load(open(f"{out2}/eval.json")) == res
+        with open(f"{out2}/eval.json") as fh:
+            assert json.load(fh) == res
 
 
 class TestRunCompare:
@@ -191,7 +192,8 @@ class TestRunCompare:
             assert 0 <= row["completed"] <= 2
             assert row["completion_slot_mean"] <= 20
             assert row["remaining_final_mean"] >= 0
-        saved = json.load(open(f"{out}/comparison.json"))
+        with open(f"{out}/comparison.json") as fh:
+            saved = json.load(fh)
         assert saved == payload
 
     def test_same_worlds_across_policies(self, tmp_path):

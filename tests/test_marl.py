@@ -55,7 +55,7 @@ def zero_report(n):
     z = np.zeros(n)
     return StepReport(
         sensed=z.copy(), delivered_bs=z.copy(), relayed_out=z.copy(),
-        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int), violations=0,
+        energy=z.copy(), violations_per_uav=np.zeros(n, dtype=int),
     )
 
 
@@ -596,24 +596,42 @@ def tiny_run_config(seed=11, **training_overrides):
     return RunConfig(seed=seed, scenario=scenario, training=training)
 
 
+class RowSink:
+    """Keeps the episode rows a training run hands its sink."""
+
+    def __init__(self):
+        self.rows = []
+
+    def slot_row(self, row):
+        pass
+
+    def episode_row(self, row):
+        self.rows.append(row)
+
+
+def run_with_rows(cfg):
+    sink = RowSink()
+    return Trainer(cfg).run(sink=sink), sink.rows
+
+
 class TestTrainer:
     def test_same_seed_same_rows(self):
-        r1 = Trainer(tiny_run_config()).run()
-        r2 = Trainer(tiny_run_config()).run()
-        assert r1.episode_rows == r2.episode_rows
+        r1, rows1 = run_with_rows(tiny_run_config())
+        r2, rows2 = run_with_rows(tiny_run_config())
+        assert rows1 == rows2
         for a, b in zip(r1.agents, r2.agents):
             for wa, wb in zip(a.actor.ws, b.actor.ws):
                 np.testing.assert_array_equal(wa, wb)
 
     def test_different_seeds_differ(self):
-        r1 = Trainer(tiny_run_config(seed=11)).run()
-        r2 = Trainer(tiny_run_config(seed=12)).run()
-        assert r1.episode_rows != r2.episode_rows
+        _, rows1 = run_with_rows(tiny_run_config(seed=11))
+        _, rows2 = run_with_rows(tiny_run_config(seed=12))
+        assert rows1 != rows2
 
     def test_row_schema(self):
-        res = Trainer(tiny_run_config()).run()
-        assert res.episodes_run == 4
-        row = res.episode_rows[0]
+        res, rows = run_with_rows(tiny_run_config())
+        assert res.episodes_run == len(rows) == 4
+        row = rows[0]
         for key in ("episode", "reward_mean", "reward_smoothed", "sensed_bits",
                     "delivered_bits", "energy_j", "slots", "completion_slot",
                     "bo_frac", "reward_uav1", "reward_uav2"):
@@ -664,8 +682,8 @@ class TestTrainer:
         assert res.episodes_run < 60
 
     def test_bo_disabled_runs(self):
-        res = Trainer(tiny_run_config(bo_enabled=False, episodes=2)).run()
-        assert all(row["bo_frac"] == 0.0 for row in res.episode_rows)
+        _, rows = run_with_rows(tiny_run_config(bo_enabled=False, episodes=2))
+        assert all(row["bo_frac"] == 0.0 for row in rows)
 
     @pytest.mark.parametrize("bo", [False, True])
     def test_gp_samples_kept_only_for_the_proposer(self, bo):
@@ -685,11 +703,7 @@ class TestTrainer:
         monkeypatch.setattr(marl, "build_cost_report",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
 
-        class Sink:
-            def slot_row(self, row):
-                pass
-
-        stats = tr.train_episode(0, Sink() if log else None)
+        stats = tr.train_episode(0, RowSink() if log else None)
         # plus one for the starting world's formation
         start = 1 if kind == "eda_nf" else 0
         assert len(calls) == start + per_slot * stats.slots

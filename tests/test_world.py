@@ -342,7 +342,6 @@ class TestStep:
         scen = Scenario(n_uavs=2, n_gus=1, gu_seed=3, uav_xy=((0.0, 0.0), (0.001, 0.0)))
         w = make_world(scen, P, np.random.default_rng(0))
         w2, rep = step(w, [((1.0, 0.0), 0.0), ((1.0, 0.0), 0.0)], w.formation)
-        assert rep.violations == 1
         assert rep.violations_per_uav.tolist() == [1, 1]
 
 
