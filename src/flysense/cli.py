@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    # compare --episodes 0 (no training) stays valid.
-    if args.command == "eval" and args.episodes is not None and args.episodes < 1:
-        raise ConfigError(f"--episodes: must be at least 1, got {args.episodes}")
+    least = 0 if args.command == "compare" else 1  # compare --episodes 0: no training
+    if args.episodes is not None and args.episodes < least:
+        raise ConfigError(f"--episodes: must be at least {least}, got {args.episodes}")
     if args.command == "compare" and args.eval_episodes is not None and args.eval_episodes < 1:
         raise ConfigError(f"--eval-episodes: must be at least 1, got {args.eval_episodes}")
     cfg = load_config(args.config) if args.config else RunConfig()

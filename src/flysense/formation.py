@@ -33,25 +33,26 @@ class CostReport:
 
 @dataclass
 class FormationPolicy:
-    kind: str = "eda_nf"             # eda_nf | non_cooperative | buffer_threshold | dynamic_nf
+    kind: str = "eda_nf"             # one of KINDS
     balance_threshold: float = 1.0   # drain-time imbalance (seconds) before seeking a relay
     buffer_threshold_bits: float = 1e7
     pair_range_m: float = 1000.0     # one-hop neighborhood; UAVs share one altitude
     min_rate: float | None = None    # None -> require u2u >= seeker's own BS rate
     cost_margin: float = 1e6         # dynamic_nf: required cost advantage
 
-    KINDS = ("eda_nf", "non_cooperative", "buffer_threshold", "dynamic_nf")
+    # In the order of a policy comparison: the main policy, then the baselines.
+    KINDS = ("eda_nf", "dynamic_nf", "buffer_threshold", "non_cooperative")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown formation kind {self.kind!r}")
 
 
-def load_balance(buffers, u2b_rates, ratio_cap: float = RATIO_CAP) -> np.ndarray:
+def load_balance(buffers, u2b_rates) -> np.ndarray:
     """Drain-time imbalance of each UAV against the average of the others.
 
     The drain time is buffer over BS-link rate; a zero rate is replaced by
-    ratio_cap so a cut-off UAV surfaces as maximally overloaded.  The
+    RATIO_CAP so a cut-off UAV surfaces as maximally overloaded.  The
     entries always sum to zero.
     """
     buffers = np.asarray(buffers, dtype=float)
@@ -59,7 +60,7 @@ def load_balance(buffers, u2b_rates, ratio_cap: float = RATIO_CAP) -> np.ndarray
     n = buffers.size
     if n < 2:
         raise ValueError("need at least two UAVs to balance")
-    ratios = np.where(rates > 0.0, buffers / np.where(rates > 0.0, rates, 1.0), ratio_cap)
+    ratios = np.where(rates > 0.0, buffers / np.where(rates > 0.0, rates, 1.0), RATIO_CAP)
     total = ratios.sum()
     others_mean = (total - ratios) / (n - 1)
     return ratios - others_mean

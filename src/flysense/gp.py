@@ -178,23 +178,19 @@ def candidate_offsets(reach: float, cfg: GpConfig) -> np.ndarray:
 def propose_point(
     history: SampleHistory,
     current,
-    reach: float,
+    offsets: np.ndarray,
     cfg: GpConfig,
     bounds: tuple | None = None,
-    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Waypoint with the highest expected improvement among reachable
     candidates.
 
-    Candidates are the current point plus a polar grid of n_dir headings
-    by n_rad radii out to reach, clipped to bounds when given.  A caller
-    proposing repeatedly with one reach may pass that grid precomputed
-    as offsets = candidate_offsets(reach, cfg).  Ties keep the earliest
-    candidate, so an uninformative posterior proposes staying put.
+    Candidates are the current point plus the moves in offsets, the grid
+    candidate_offsets(reach, cfg) built once by the caller, clipped to
+    bounds when given.  Ties keep the earliest candidate, so an
+    uninformative posterior proposes staying put.
     """
     current = np.asarray(current, dtype=float).reshape(-1)[:2]
-    if offsets is None:
-        offsets = candidate_offsets(reach, cfg)
     cands = np.empty((len(offsets) + 1, 2))
     cands[0] = current
     np.add(current, offsets, out=cands[1:])

@@ -15,6 +15,7 @@ import os
 
 from . import nn, oracles
 from .config import RunConfig, save_config
+from .formation import FormationPolicy
 from .marl import Trainer, TrainResult
 
 
@@ -111,10 +112,12 @@ def _stats_row(stats) -> dict:
     }
 
 
-def write_trajectory(path: str, trainer: Trainer, horizon: int | None = None) -> None:
-    """One deterministic greedy rollout as JSON lines: a header with the
-    scenario layout followed by one line per slot, enough to replay or
-    plot the flight."""
+def write_trajectory(path: str, trainer: Trainer) -> list:
+    """The greedy evaluation of a training run: eval_episodes
+    deterministic rollouts, the first of them written to path as JSON
+    lines, a header with the scenario layout followed by one line per
+    slot, enough to replay or plot the flight.  Returns the stats of
+    every episode."""
     scen = trainer.scenario
     with open(path, "w", encoding="utf-8") as fh:
         def emit(obj):
@@ -130,7 +133,13 @@ def write_trajectory(path: str, trainer: Trainer, horizon: int | None = None) ->
             "buffer_capacity_bits": scen.buffer_capacity_bits,
         }
 
+        episode = -1
+
         def on_slot(w, slot, acts, report):
+            nonlocal episode
+            episode += slot == 0  # every rollout starts at slot 0
+            if episode > 0:
+                return
             if slot == 0:
                 header["gu_xy"] = [[g.pos.x, g.pos.y] for g in w.gus]
                 emit(header)
@@ -147,7 +156,7 @@ def write_trajectory(path: str, trainer: Trainer, horizon: int | None = None) ->
                 "delivered_bs": list(map(float, report.delivered_bs)),
             })
 
-        trainer.evaluate(1, horizon=horizon, slot_cb=on_slot)
+        return trainer.evaluate(trainer.train_cfg.eval_episodes, slot_cb=on_slot)
 
 
 def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, TrainResult]:
@@ -166,8 +175,7 @@ def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict
     """Full training run: metrics/episodes CSVs, network checkpoint, one
     replayable trajectory, and summary.json.  Returns the summary."""
     trainer, result = _train(cfg, out_dir, episodes)
-    write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
-    eval_stats = trainer.evaluate(trainer.train_cfg.eval_episodes)
+    eval_stats = write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
     eval_rows = [_stats_row(s) for s in eval_stats]
     summary = {
         "episodes_run": result.episodes_run,
@@ -203,9 +211,6 @@ def run_eval(cfg: RunConfig, out_dir: str, checkpoint: str,
     return summary
 
 
-POLICY_KINDS = ("eda_nf", "dynamic_nf", "buffer_threshold", "non_cooperative")
-
-
 def _aggregate(stats_list, horizon: int) -> dict:
     return {
         "episodes": len(stats_list),
@@ -222,7 +227,7 @@ def _aggregate(stats_list, horizon: int) -> dict:
 
 
 def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
-                policies=POLICY_KINDS, demand_scales=(1.0, 2.0, 3.0),
+                policies=FormationPolicy.KINDS, demand_scales=(1.0, 2.0, 3.0),
                 eval_episodes: int | None = None) -> dict:
     """Train once under the configured policy, then sweep the frozen
     actors across formation policies and demand scales on identical

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, formation, gp, nn, world
 from .channel import BS
-from .formation import CostReport, FormationPolicy, RATIO_CAP
+from .formation import CostReport, FormationPolicy
 from .world import Position, StepReport, WorldState
 
 DATA_UNIT = 1e6    # bits per reward unit (Mbit)
@@ -287,7 +287,7 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
 @dataclass
 class TrainingConfig:
     # A zero count or size would crash mid-run or train nothing.
-    episodes: int = 20000
+    episodes: int = field(default=20000, metadata={"min": 1})
     horizon: int = field(default=60, metadata={"min": 1})
     batch_size: int = field(default=256, metadata={"min": 1})
     replay_capacity: int = 100000
@@ -299,8 +299,6 @@ class TrainingConfig:
     noise_scale: float = 0.1
     epsilon: float = 0.1               # arbitration override probability
     bo_enabled: bool = True
-    bo_stride: int = field(default=1, metadata={"min": 1})
-    update_stride: int = field(default=1, metadata={"min": 1})
     hidden: tuple[int, ...] = field(default=(64, 64), metadata={"min": 1})  # layer widths
     lam: float = 0.5                   # buffer weight in cost/objective
     weights: RewardWeights = field(default_factory=RewardWeights)
@@ -309,15 +307,15 @@ class TrainingConfig:
     early_stop_patience: int = 300
     early_stop_rel_tol: float = 0.01
     eval_episodes: int = field(default=5, metadata={"min": 1})
-    metrics_episode_stride: int = 1    # 0 disables per-slot rows
-    completion_cap: int = 600          # horizon for drain-everything rollouts
+    metrics_episode_stride: int = field(default=1, metadata={"min": 0})  # 0: no per-slot rows
+    completion_cap: int = field(default=600, metadata={"min": 1})  # drain-everything horizon
 
     @property
     def warmup_size(self) -> int:
         return self.batch_size if self.warmup is None else self.warmup
 
 
-def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -> CostReport:
+def build_cost_report(w: WorldState, lam: float) -> CostReport:
     """Status snapshot for the formation policies: drain-time balance from
     current buffers against each UAV's would-be direct BS rate, cost from
     last slot's energy, own buffer, and covered ground demand, and the
@@ -326,7 +324,7 @@ def build_cost_report(w: WorldState, lam: float, ratio_cap: float = RATIO_CAP) -
     n = w.n_uavs
     buffers = np.array([u.buffer for u in w.uavs])
     rates = np.array([channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(n)])
-    balance = formation.load_balance(buffers, rates, ratio_cap) if n >= 2 else np.zeros(1)
+    balance = formation.load_balance(buffers, rates) if n >= 2 else np.zeros(1)
     costs = np.zeros(n)
     spare = np.zeros(n)
     sub_slots = w.scenario.protocol.t_s / w.scenario.protocol.t_o
@@ -350,7 +348,7 @@ def expected_transmitters(w: WorldState) -> np.ndarray:
     return act
 
 
-def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, lam: float):
+def make_formation_fn(policy: FormationPolicy, lam: float):
     """Returns fn(world, report=None) -> FormationMatrix implementing the
     configured policy on the live state.  A cost report the caller
     already built for this state may be passed in; otherwise the policies
@@ -368,7 +366,7 @@ def make_formation_fn(policy: FormationPolicy, params: channel.ChannelParams, la
             report = build_cost_report(w, lam)
         if policy.kind == "dynamic_nf":
             return formation.baseline_dynamic_nf(report, *tables, policy, k, active)
-        return formation.eda_nf(report, *tables, policy, k, params, active)
+        return formation.eda_nf(report, *tables, policy, k, w.chan, active)
     return fn
 
 
@@ -409,7 +407,7 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
     for slot in range(horizon):
         obs = observe(w)
         acts = np.asarray(act_fn(w, obs), dtype=float)
-        decoded = [decode_action(a, u.v_max) for a, u in zip(acts.tolist(), w.uavs)]
+        decoded = [decode_action(a, w.scenario.v_max_mps) for a in acts.tolist()]
         w, report = world.step(w, decoded, w.formation)
         stats.add_slot(w, report, reward(report, weights)[0])
         if slot_cb is not None:
@@ -467,10 +465,9 @@ class Trainer:
         self.replay = ReplayBuffer(tc.replay_capacity, n, self.obs_dim,
                                    np.random.default_rng(replay_ss))
         self.histories = [gp.SampleHistory(cfg.gp.window) for _ in range(n)]
-        self.formation_fn = make_formation_fn(cfg.formation, cfg.channel, tc.lam)
-        hw = scenario.half_width_m
-        self.reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / hw
-        self.gp_offsets = gp.candidate_offsets(self.reach_scaled, cfg.gp)
+        self.formation_fn = make_formation_fn(cfg.formation, tc.lam)
+        reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / scenario.half_width_m
+        self.gp_offsets = gp.candidate_offsets(reach_scaled, cfg.gp)
         self.gp_bounds = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
     def _new_world(self, rng=None, demand_scale: float = 1.0,
@@ -488,10 +485,9 @@ class Trainer:
         hw = self.scenario.half_width_m
         u = w.uavs[i]
         cur = np.array([u.pos.x / hw, u.pos.y / hw])
-        prop = gp.propose_point(self.histories[i], cur, self.reach_scaled,
-                                self.cfg.gp, bounds=self.gp_bounds,
-                                offsets=self.gp_offsets)
-        return bo_to_action(u.pos, prop * hw, u.v_max, w.scenario.protocol.t_f)
+        prop = gp.propose_point(self.histories[i], cur, self.gp_offsets, self.cfg.gp,
+                                bounds=self.gp_bounds)
+        return bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
 
     def train_episode(self, ep: int, sink=None) -> EpisodeStats:
         tc = self.train_cfg
@@ -507,7 +503,7 @@ class Trainer:
             actors = nn.MlpStack(a.actor for a in self.agents)  # they learn
             a_actor = act(actors, obs, tc.noise_scale, self.noise_rng)
             a_exec = a_actor.copy()
-            if tc.bo_enabled and slot % tc.bo_stride == 0:
+            if tc.bo_enabled:
                 for i in range(n):
                     a_bo = self._bo_action(i, w)
                     trials = np.stack([a_actor, a_actor])
@@ -517,7 +513,7 @@ class Trainer:
                                                tc.epsilon, self.arb_rng)
                     if src == "bo":
                         bo_hits += 1
-            decoded = [decode_action(a, u.v_max) for a, u in zip(a_exec.tolist(), w.uavs)]
+            decoded = [decode_action(a, w.scenario.v_max_mps) for a in a_exec.tolist()]
             w, report = world.step(w, decoded, w.formation)
             rews, parts = reward(report, tc.weights)
             obs2 = observe(w)
@@ -528,7 +524,7 @@ class Trainer:
                     u = w.uavs[i]
                     self.histories[i].add((u.pos.x / hw, u.pos.y / hw),
                                           report.sensed[i] / DATA_UNIT)
-            if len(self.replay) >= tc.warmup_size and slot % tc.update_stride == 0:
+            if len(self.replay) >= tc.warmup_size:
                 batch = self.replay.sample(tc.batch_size)
                 next_acts = [None] * n
                 for i in range(n):
@@ -538,9 +534,9 @@ class Trainer:
                 cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
-                    links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(u.id))
+                    links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(i + 1))
                     sink.slot_row({
-                        "episode": ep, "slot": slot, "uav_id": u.id,
+                        "episode": ep, "slot": slot, "uav_id": i + 1,
                         "x": u.pos.x, "y": u.pos.y, "buffer_bits": u.buffer,
                         "energy_j": u.energy_used, "reward_total": rews[i],
                         "reward_e": parts.energy[i], "reward_d": parts.data[i],
@@ -604,7 +600,7 @@ class Trainer:
         no noise, no GP arbitration.  World seeds depend only on (run
         seed, episode), so different policies see identical scenarios."""
         fn = (self.formation_fn if policy is None
-              else make_formation_fn(policy, self.chan, self.train_cfg.lam))
+              else make_formation_fn(policy, self.train_cfg.lam))
         horizon = self.train_cfg.horizon if horizon is None else horizon
         act = actor_policy(self.agents) if act_fn is None else act_fn
         out = []

@@ -80,12 +80,11 @@ class Mlp:
     +-1/sqrt(fan_in) from the supplied generator.
     """
 
-    def __init__(self, dims, out_act: str = "identity", rng: np.random.Generator | None = None):
+    def __init__(self, dims, out_act: str = "identity", *, rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
         if out_act not in _ACTIVATIONS:
             raise ValueError(f"unknown output activation {out_act!r}")
-        rng = rng or np.random.default_rng()
         self.dims = [int(d) for d in dims]
         self.out_act = out_act
         self._bind(np.empty(_n_params(self.dims)))

@@ -29,7 +29,6 @@ class Position(NamedTuple):
 
 @dataclass
 class GroundUser:
-    id: int
     pos: Position
     remaining: float   # bits still waiting for pickup
     demand: float      # bits requested at the start of the run
@@ -37,18 +36,20 @@ class GroundUser:
 
 @dataclass
 class UavState:
-    id: int            # node id, 1-based (node 0 is the base station)
+    """UAV i of WorldState.uavs is node i + 1 (node 0 is the base station)."""
+
     pos: Position
     buffer: float = 0.0
     energy_used: float = 0.0
-    v_max: float = 20.0
+
+
+SLOT_S = 1.0  # slot length, seconds
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Slot timing plus the minimum UAV separation."""
 
-    slot_len: float = 1.0
     t_f: float = 0.3
     t_s: float = 0.3
     t_o: float = 0.4
@@ -58,8 +59,8 @@ class ProtocolConfig:
         for name in ("t_f", "t_s", "t_o"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if abs(self.t_f + self.t_s + self.t_o - self.slot_len) > 1e-9:
-            raise ValueError("sub-slot durations must sum to slot_len")
+        if abs(self.t_f + self.t_s + self.t_o - SLOT_S) > 1e-9:
+            raise ValueError(f"sub-slot durations must sum to the {SLOT_S:g} s slot")
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,8 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
     else:
         gu_xy = layout_rng.uniform(-1.0, 1.0, size=(scenario.n_gus, 2))
     gus = [
-        GroundUser(m, Position(x * hw, y * hw, 0.0), scenario.demand_bits, scenario.demand_bits)
-        for m, (x, y) in enumerate(gu_xy)
+        GroundUser(Position(x * hw, y * hw, 0.0), scenario.demand_bits, scenario.demand_bits)
+        for x, y in gu_xy
     ]
 
     if scenario.uav_xy is not None:
@@ -195,8 +196,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
     else:
         uav_xy = rng.uniform(-1.0, 1.0, size=(scenario.n_uavs, 2))
     uavs = [
-        UavState(i + 1, Position(x * hw, y * hw, scenario.uav_alt_m), 0.0, 0.0, scenario.v_max_mps)
-        for i, (x, y) in enumerate(uav_xy)
+        UavState(Position(x * hw, y * hw, scenario.uav_alt_m)) for x, y in uav_xy
     ]
 
     bs = Position(scenario.bs_xy[0] * hw, scenario.bs_xy[1] * hw, scenario.bs_height_m)
@@ -219,11 +219,12 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
     return w
 
 
-def move_uav(u: UavState, direction, speed: float, proto: ProtocolConfig, half_width_m: float) -> Position:
+def move_uav(u: UavState, direction, speed: float, scenario: Scenario) -> Position:
     """Position after flying for the fly sub-slot.
 
     direction must be a unit 2-vector in the horizontal plane; speed is
-    clamped to the UAV's limit and the result is clamped to the field.
+    clamped to the fleet's limit (scenario.v_max_mps) and the result is
+    clamped to the field.
     Altitude never changes.
     """
     if len(direction) != 2:
@@ -233,9 +234,10 @@ def move_uav(u: UavState, direction, speed: float, proto: ProtocolConfig, half_w
         raise ValueError(f"direction must be a unit 2-vector, got {direction!r}")
     if speed < 0:
         raise ValueError("speed must be non-negative")
-    step_m = min(float(speed), u.v_max) * proto.t_f
-    x = min(max(u.pos.x + dx * step_m, -half_width_m), half_width_m)
-    y = min(max(u.pos.y + dy * step_m, -half_width_m), half_width_m)
+    step_m = min(float(speed), scenario.v_max_mps) * scenario.protocol.t_f
+    hw = scenario.half_width_m
+    x = min(max(u.pos.x + dx * step_m, -hw), hw)
+    y = min(max(u.pos.y + dy * step_m, -hw), hw)
     return Position(x, y, u.pos.z)
 
 
@@ -243,13 +245,13 @@ def select_gu(w: WorldState, i: int, exclude=()) -> int | None:
     """Ground user UAV i (0-based) will serve: the strongest received
     signal (equal transmit powers, so the smallest slant range) among
     users with data left inside its coverage radius.  Ties break to the
-    lowest id; returns None when nobody qualifies."""
+    lowest index; returns None when nobody qualifies."""
     best_id = None
     best_snr = OUT_OF_COVERAGE
-    for g, snr in zip(w.gus, w.sensing_snr[i].tolist()):
-        if snr > best_snr and g.remaining > 0.0 and g.id not in exclude:
+    for m, (g, snr) in enumerate(zip(w.gus, w.sensing_snr[i].tolist())):
+        if snr > best_snr and g.remaining > 0.0 and m not in exclude:
             best_snr = snr
-            best_id = g.id
+            best_id = m
     return best_id
 
 
@@ -319,8 +321,8 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
 
     speeds = np.zeros(n)
     for i, (u, (direction, speed)) in enumerate(zip(w.uavs, actions)):
-        u.pos = move_uav(u, direction, speed, w.scenario.protocol, w.scenario.half_width_m)
-        speeds[i] = min(max(float(speed), 0.0), u.v_max)
+        u.pos = move_uav(u, direction, speed, w.scenario)
+        speeds[i] = min(max(float(speed), 0.0), w.scenario.v_max_mps)
     place(w)
 
     sensed = np.zeros(n)

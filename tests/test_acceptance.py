@@ -71,7 +71,7 @@ def _policy_formation(rng, w):
         buffer_threshold_bits=float(rng.uniform(1e6, 1.5e7)),
         pair_range_m=float(rng.uniform(300.0, 3000.0)),
     )
-    return marl.make_formation_fn(policy, w.chan, lam=0.5)(w)
+    return marl.make_formation_fn(policy, lam=0.5)(w)
 
 
 def test_criterion_2_simulator_invariants():
@@ -93,9 +93,9 @@ def test_criterion_2_simulator_invariants():
             else:
                 fm = _policy_formation(rng, w)
             actions = []
-            for u in w.uavs:
+            for _ in w.uavs:
                 ang = rng.uniform(-math.pi, math.pi)
-                speed = float(rng.uniform(0, u.v_max))
+                speed = float(rng.uniform(0, scenario.v_max_mps))
                 actions.append((np.array([math.cos(ang), math.sin(ang)]), speed))
             before_buf = np.array([u.buffer for u in w.uavs])
             before_rem = np.array([g.remaining for g in w.gus])
@@ -119,7 +119,7 @@ def test_criterion_2_simulator_invariants():
             # speed bound
             for u, prev in zip(w.uavs, before_pos):
                 moved = math.hypot(u.pos.x - prev.x, u.pos.y - prev.y)
-                assert moved <= u.v_max * w.scenario.protocol.t_f + 1e-9
+                assert moved <= scenario.v_max_mps * scenario.protocol.t_f + 1e-9
             slots += 1
             if slots == 1000:
                 break

@@ -78,8 +78,10 @@ def test_bad_config_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override,path", [
-    ({"update_stride": 0}, "training.update_stride"),
-    ({"bo_stride": 0}, "training.bo_stride"),
+    # Not settings, so unknown keys: the GP proposes and the learner
+    # updates in every slot.
+    ({"update_stride": 1}, "training.update_stride"),
+    ({"bo_stride": 1}, "training.bo_stride"),
     ({"batch_size": 0, "warmup": 16}, "training.batch_size"),
     ({"replay_capacity": 4}, "training.replay_capacity"),      # below batch 8 and warm-up 16
     ({"replay_capacity": 12}, "training.replay_capacity"),     # holds a batch, not the warm-up
@@ -124,6 +126,12 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("scenario", {"demand_bits": 10 ** 400}, "scenario.demand_bits"),      # OverflowError
     ("gp", {"signal_var": 5e-324}, "gp.signal_var"),                       # jitter underflows
     ("gp", {"signal_var": 1e-320}, "gp.signal_var"),
+    ("training", {"episodes": 0}, "training.episodes"),                    # trains nothing
+    ("training", {"episodes": -1}, "training.episodes"),
+    ("training", {"completion_cap": 0}, "training.completion_cap"),        # zero-slot cells
+    ("training", {"metrics_episode_stride": -1}, "training.metrics_episode_stride"),
+    ("scenario", {"protocol": {"slot_len": 1.0}}, "scenario.protocol.slot_len"),  # unknown
+    ("scenario", {"protocol": {"t_f": 0.5}}, "scenario.protocol"),         # sums to 1.2 s
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -151,6 +159,9 @@ def test_negative_seed_exit_1_before_running(tmp_path, capsys, config_seed, argv
 @pytest.mark.parametrize("argv,flag", [
     (["eval", "--episodes", "0", "--checkpoint", "checkpoint.json"], "--episodes"),
     (["compare", "--episodes", "0", "--eval-episodes", "0"], "--eval-episodes"),
+    (["train", "--episodes", "0"], "--episodes"),
+    (["train", "--episodes", "-1"], "--episodes"),
+    (["compare", "--episodes", "-2"], "--episodes"),  # compare --episodes 0 stays valid
 ])
 def test_evaluation_count_below_one_exit_1_before_running(tmp_path, capsys, argv, flag):
     cfg = write_tiny_config(tmp_path)

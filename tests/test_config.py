@@ -59,6 +59,14 @@ class TestParse:
             parse_config({"scenario": {"n_uav": 3}})
         with pytest.raises(ConfigError, match=r"training\.weights\.gamma"):
             parse_config({"training": {"weights": {"gamma": 2.0}}})
+        # Not settings: the slot is one second, and the GP proposes and the
+        # learner updates in every slot.
+        for data, path in (({"training": {"bo_stride": 1}}, r"training\.bo_stride"),
+                           ({"training": {"update_stride": 1}}, r"training\.update_stride"),
+                           ({"scenario": {"protocol": {"slot_len": 1.0}}},
+                            r"scenario\.protocol\.slot_len")):
+            with pytest.raises(ConfigError, match=rf"^unknown key {path}$"):
+                parse_config(data)
 
     def test_sections_apply(self):
         cfg = parse_config({
@@ -107,7 +115,8 @@ class TestParse:
                 parse_config({section: {key: math.nan}})
 
     def test_invalid_protocol_timing_reported_with_path(self):
-        with pytest.raises(ConfigError, match="scenario.protocol"):
+        with pytest.raises(ConfigError, match="scenario.protocol: sub-slot durations must "
+                                              "sum to the 1 s slot"):
             parse_config({"scenario": {"protocol": {"t_f": 0.5}}})
 
     def test_optional_fields(self):

@@ -161,7 +161,8 @@ class TestProposePoint:
 
     def test_empty_history_stays_put(self):
         cur = np.array([0.1, -0.2])
-        got = propose_point(SampleHistory(10), cur, reach=0.2, cfg=self.cfg())
+        got = propose_point(SampleHistory(10), cur, candidate_offsets(0.2, self.cfg()),
+                            self.cfg())
         np.testing.assert_allclose(got, cur)
 
     def test_moves_toward_better_samples(self):
@@ -170,7 +171,7 @@ class TestProposePoint:
         for x in np.linspace(-0.5, 0.5, 8):
             h.add((x, 0.0), x + 0.5)
         cur = np.array([0.0, 0.0])
-        got = propose_point(h, cur, reach=0.2, cfg=self.cfg())
+        got = propose_point(h, cur, candidate_offsets(0.2, self.cfg()), self.cfg())
         assert got[0] > cur[0]
 
     @pytest.mark.parametrize("noise_jitter,signal_var",
@@ -183,7 +184,7 @@ class TestProposePoint:
         h = SampleHistory(10)
         for p, v in (((0.1, 0.2), 1.0), ((0.1, 0.2), 2.0), ((0.3, 0.2), 0.5)):
             h.add(p, v)
-        got = propose_point(h, (0.1, 0.2), 0.1, cfg)
+        got = propose_point(h, (0.1, 0.2), candidate_offsets(0.1, cfg), cfg)
         assert np.isfinite(got).all()
         assert posterior(h, (0.1, 0.2), cfg).mean == pytest.approx(1.5, abs=1e-2)
 
@@ -196,7 +197,8 @@ class TestProposePoint:
         for _ in range(20):
             cur = rng.uniform(-1, 1, 2)
             reach = float(rng.uniform(0.05, 0.5))
-            got = propose_point(h, cur, reach, self.cfg(), bounds=bounds)
+            got = propose_point(h, cur, candidate_offsets(reach, self.cfg()), self.cfg(),
+                                bounds=bounds)
             clipped_dist = np.linalg.norm(np.clip(got, *bounds) - got)
             assert clipped_dist == 0.0
             assert np.linalg.norm(got - cur) <= reach * math.sqrt(2.0) + 1e-9
@@ -205,7 +207,7 @@ class TestProposePoint:
         cur = np.array([0.3, -0.4])
         for prior_mean in (0.0, 0.5):
             cfg = GpConfig(signal_var=0.0, prior_mean=prior_mean)
-            got = propose_point(SampleHistory(10), cur, 0.2, cfg)
+            got = propose_point(SampleHistory(10), cur, candidate_offsets(0.2, cfg), cfg)
             assert np.array_equal(got, cur)
             assert np.array_equal(got, _reference_propose(SampleHistory(10), cur, 0.2, cfg))
 
@@ -222,9 +224,7 @@ class TestProposePoint:
             reach = float(rng.uniform(0.01, 0.5))
             box = bounds if trial % 2 else None
             want = _reference_propose(h, cur, reach, cfg, box)
-            assert np.array_equal(propose_point(h, cur, reach, cfg, bounds=box), want)
-            got = propose_point(h, cur, reach, cfg, bounds=box,
-                                offsets=candidate_offsets(reach, cfg))
+            got = propose_point(h, cur, candidate_offsets(reach, cfg), cfg, bounds=box)
             assert np.array_equal(got, want)
 
 

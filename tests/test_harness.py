@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from flysense import harness, oracles
+from flysense import harness, marl, oracles
 from flysense.config import RunConfig, parse_config
 from flysense.harness import CsvSink, format_cell, load_agents_into, save_agents
 from flysense.marl import Trainer, build_agents
@@ -120,6 +120,21 @@ class TestRunTrain:
         # demand only shrinks over the rollout
         rem = [sum(l["gu_remaining"]) for l in slots]
         assert all(a >= b - 1e-9 for a, b in zip(rem, rem[1:]))
+
+    def test_trajectory_is_episode_0_of_the_one_evaluation(self, tmp_path, monkeypatch):
+        rollouts = []
+        real = marl.rollout
+        monkeypatch.setattr(marl, "rollout",
+                            lambda *a, **k: rollouts.append(1) or real(*a, **k))
+        out = str(tmp_path / "run")
+        summary = harness.run_train(tiny_cfg(), out)
+        assert len(rollouts) == summary["eval"]["episodes"] == 2
+        with open(f"{out}/trajectory.jsonl") as fh:
+            header, *slots = [json.loads(l) for l in fh]
+        assert header["type"] == "header"
+        first = summary["eval"]["rows"][0]
+        assert [l["type"] for l in slots] == ["slot"] * first["slots"]
+        assert sum(sum(l["sensed"]) for l in slots) == pytest.approx(first["sensed_bits"])
 
     def test_metrics_columns(self, tmp_path):
         out = str(tmp_path / "run")

@@ -4,8 +4,10 @@ arbitration, replay, and the actor-critic updates."""
 import dataclasses
 import importlib
 import inspect
+import json
 import math
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -119,7 +121,7 @@ def _reference_observe(w, i):
     obs[1] = u.pos.y / hw
     obs[2] = u.buffer / w.scenario.buffer_capacity_bits
     obs[3] = min(w.last_energy[i] / w.max_slot_energy, 1.0)
-    obs[4:4 + n + 1] = w.formation.phi[u.id].any(axis=1)
+    obs[4:4 + n + 1] = w.formation.phi[i + 1].any(axis=1)
     base = 4 + n + 1
     gid = world.select_gu(w, i)
     if gid is not None:
@@ -746,6 +748,40 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+_TRACED_RUN = """
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from flysense import config, harness
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+cfg = config.load_config({config!r})
+harness.run_train(cfg, {out!r} + "/train", episodes=2)
+harness.run_compare(cfg, {out!r} + "/compare", episodes=0, eval_episodes=1,
+                    policies=("eda_nf", "non_cooperative"), demand_scales=(1.0,))
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_benchmark_runs_train_and_compare(tmp_path):
+    """bench/tracing.py reads entity fields as well as names, so a field
+    change can break a traced benchmark run that the name check above
+    passes.  Tracer.install patches the modules for the whole process,
+    hence the subprocess."""
+    script = _TRACED_RUN.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "bench"),
+                                config=os.path.join(ROOT, "configs", "tiny.json"),
+                                out=str(tmp_path))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout)
+    assert summary["rollouts"] > 0
+    for name in ("world.step", "marl.rollout", "formation.eda_nf",
+                 "formation.baseline_noncoop"):
+        assert summary["spans"][name]["calls"] > 0, name
 
 
 def test_sensing_table_built_once_per_world_and_slot(monkeypatch):

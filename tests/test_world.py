@@ -21,6 +21,7 @@ from flysense.world import (
     EnergyModel,
     GroundUser,
     Position,
+    SLOT_S,
     ProtocolConfig,
     Scenario,
     UavState,
@@ -39,6 +40,7 @@ from flysense.world import (
 
 P = ChannelParams()
 PROTO = ProtocolConfig()
+SCEN = Scenario()  # 1 km half-width, 20 m/s speed limit
 ENERGY = EnergyModel()
 
 
@@ -49,7 +51,7 @@ def test_distance_is_euclidean_meters():
 
 
 def test_protocol_sub_slots_partition_the_second():
-    assert PROTO.t_f + PROTO.t_s + PROTO.t_o == pytest.approx(PROTO.slot_len)
+    assert PROTO.t_f + PROTO.t_s + PROTO.t_o == pytest.approx(SLOT_S)
     with pytest.raises(ValueError):
         ProtocolConfig(t_f=0.5, t_s=0.3, t_o=0.4)
 
@@ -65,26 +67,26 @@ def test_coverage_radius_closed_form():
 
 class TestMoveUav:
     def u(self):
-        return UavState(1, Position(0.0, 0.0, 100.0), 0.0, 0.0, 20.0)
+        return UavState(Position(0.0, 0.0, 100.0))
 
     def test_straight_flight_covers_speed_times_subslot(self):
-        pos = move_uav(self.u(), (1.0, 0.0), 20.0, PROTO, 1000.0)
+        pos = move_uav(self.u(), (1.0, 0.0), 20.0, SCEN)
         assert pos.x == pytest.approx(6.0) and pos.y == 0.0 and pos.z == 100.0
 
     def test_speed_clamped_to_uav_limit(self):
-        pos = move_uav(self.u(), (1.0, 0.0), 300.0, PROTO, 1000.0)
+        pos = move_uav(self.u(), (1.0, 0.0), 300.0, SCEN)
         assert pos.x == pytest.approx(6.0)
 
     def test_clamped_to_field(self):
-        u = UavState(1, Position(999.0, 0.0, 100.0), 0.0, 0.0, 20.0)
-        pos = move_uav(u, (1.0, 0.0), 20.0, PROTO, 1000.0)
+        u = UavState(Position(999.0, 0.0, 100.0))
+        pos = move_uav(u, (1.0, 0.0), 20.0, SCEN)
         assert pos.x == 1000.0
 
     def test_rejects_non_unit_direction_and_negative_speed(self):
         with pytest.raises(ValueError):
-            move_uav(self.u(), (1.0, 1.0), 5.0, PROTO, 1000.0)
+            move_uav(self.u(), (1.0, 1.0), 5.0, SCEN)
         with pytest.raises(ValueError):
-            move_uav(self.u(), (1.0, 0.0), -1.0, PROTO, 1000.0)
+            move_uav(self.u(), (1.0, 0.0), -1.0, SCEN)
 
 
 def _placed_world(uav_xy, gu_xy, demand_bits=1e6, **scenario):
@@ -241,7 +243,7 @@ def test_sense_rate_budget_and_caps():
 
 
 def test_queue_and_buffer_steps():
-    g = GroundUser(0, Position(0.0, 0.0, 0.0), 5.0, 10.0)
+    g = GroundUser(Position(0.0, 0.0, 0.0), 5.0, 10.0)
     assert gu_queue_step(g, 2.0).remaining == 3.0
     assert gu_queue_step(g, 9.0).remaining == 0.0
     assert uav_buffer_step(5.0, 2.0, 1.0, 100.0) == 4.0
@@ -330,7 +332,7 @@ class TestStep:
                 for i, u in enumerate(w.uavs):
                     assert -1e-9 <= u.buffer <= cap + 1e-9
                     dx = math.hypot(u.pos.x - before_pos[i][0], u.pos.y - before_pos[i][1])
-                    assert dx <= u.v_max * w.scenario.protocol.t_f + 1e-9
+                    assert dx <= w.scenario.v_max_mps * w.scenario.protocol.t_f + 1e-9
                 for g, rb in zip(w.gus, before_rem):
                     assert g.remaining <= rb + 1e-9
                 delta = sum(u.buffer for u in w.uavs) - before_buf
