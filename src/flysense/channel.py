@@ -72,47 +72,45 @@ class FormationMatrix:
             if not np.isin(phi, (0, 1)).all():
                 raise FormationError("phi entries must be 0 or 1")
         self.phi = phi
+        self._rows_key = None
+
+    def rows(self) -> list:
+        """phi as nested lists [tx][rx][ch], rebuilt when phi's bytes change."""
+        key = self.phi.tobytes()
+        if key != self._rows_key:
+            self._rows, self._rows_key = self.phi.tolist(), key
+        return self._rows
 
     def set_link(self, tx: int, rx: int, ch: int) -> None:
         if tx == BS or tx == rx:
             raise ValueError(f"illegal link {tx}->{rx}")
         self.phi[tx, rx, ch] = 1
 
-    def clear_link(self, tx: int, rx: int, ch: int | None = None) -> None:
-        if ch is None:
-            self.phi[tx, rx, :] = 0
-        else:
-            self.phi[tx, rx, ch] = 0
+    def clear_link(self, tx: int, rx: int) -> None:
+        self.phi[tx, rx, :] = 0
 
     def has_link(self, tx: int, rx: int) -> bool:
-        return bool(self.phi[tx, rx].any())
+        return any(self.rows()[tx][rx])
 
     def links(self) -> list[tuple[int, int, int]]:
         """All (tx, rx, ch) assignments in ascending order."""
-        return [tuple(ix) for ix in np.argwhere(self.phi == 1)]
+        return [(tx, rx, ch) for tx, row in enumerate(self.rows())
+                for rx, chs in enumerate(row) for ch, on in enumerate(chs) if on]
 
     def out_links(self, tx: int) -> list[tuple[int, int]]:
         """(rx, ch) pairs carrying traffic away from node tx."""
-        return [(rx, ch) for rx, ch in np.argwhere(self.phi[tx] == 1)]
-
-    def usage(self, node: int, ch: int) -> int:
-        """Incoming plus outgoing assignments of node on one sub-channel."""
-        return sum(self.phi[:, node, ch].tolist()) + sum(self.phi[node, :, ch].tolist())
+        return [(rx, ch) for rx, chs in enumerate(self.rows()[tx])
+                for ch, on in enumerate(chs) if on]
 
     def channel_fits(self, tx: int, rx: int, ch: int) -> bool:
         """True if adding tx->rx on ch keeps both endpoints within the
-        one-use-per-node-per-channel limit."""
-        return self.usage(tx, ch) == 0 and self.usage(rx, ch) == 0
+        one-use-per-node-per-channel limit: neither sends or receives on ch."""
+        rows = self.rows()
+        return not any(rows[m][node][ch] or rows[node][m][ch]
+                       for node in (tx, rx) for m in range(len(rows)))
 
     def key(self) -> bytes:
         return self.phi.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormationMatrix)
-            and self.phi.shape == other.phi.shape
-            and (self.phi == other.phi).all()
-        )
 
 
 def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
@@ -124,31 +122,24 @@ def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
     allocation is feasible.
     """
     phi = fm.phi
-    use = phi.sum(axis=0) + phi.sum(axis=1)  # (node, ch): in + out
-    if use.max() <= 1:
+    use = np.add.reduce(phi, 0) + np.add.reduce(phi, 1)  # (node, ch): in + out
+    if np.maximum.reduce(use, None) <= 1:
         return []
     return [tuple(ix) for ix in np.argwhere(use > 1)]
 
 
-def distance(a, b) -> float:
-    """Separation (m) of two (x, y, z) points: np.linalg.norm's arithmetic
-    (a dot product, then a correctly rounded square root) without its
-    dispatch cost.  The scalar reference for ranges()."""
-    d = np.subtract(a, b, dtype=float)
-    return math.sqrt(d.dot(d))
-
-
 def ranges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) separations (m) of every row of a from every row
-    of b in one pass.  Entry [i, j] equals distance(a[i], b[j]) bit for
-    bit: vecdot over float64 rows is the same fused dot product as
+    of b in one pass.  Entry [i, j] equals np.linalg.norm(a[i] - b[j]) bit
+    for bit: vecdot over float64 rows is the same fused dot product as
     ndarray.dot, where (d * d).sum(-1) or einsum would round differently."""
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.vecdot(diff, diff))
 
 
 def _gain(d: float, beta: float, alpha: float) -> float:
-    return beta * max(d, _MIN_PATH_M) ** -alpha
+    # max(d, _MIN_PATH_M) without the builtin call, NaN included
+    return beta * (_MIN_PATH_M if _MIN_PATH_M > d else d) ** -alpha
 
 
 def link_power(node_range: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -174,7 +165,7 @@ def interference(
     active=None,
 ) -> float:
     """Aggregate co-channel power (W) hitting rx on sub-channel ch, read
-    from the link_power table.
+    from the link_power table or its tolist() copy.
 
     Sums over every other active transmitter on ch; the link under test
     (tx -> rx) itself is excluded.  active, when given, is a per-node
@@ -182,12 +173,12 @@ def interference(
     nodes radiate nothing even if they hold an allocation.
     """
     total = 0.0
-    for m, n in zip(*np.nonzero(fm.phi[:, :, ch])):
-        if m == tx or n == rx:
+    for m, row in enumerate(fm.rows()):
+        if m == tx or (active is not None and not active[m]):
             continue
-        if active is not None and not active[m]:
-            continue
-        total += power[m, rx]
+        for n, chs in enumerate(row):
+            if chs[ch] and n != rx:
+                total += power[m][rx]
     return total
 
 
@@ -202,13 +193,12 @@ def u2u_rate(
     """Achievable rate (bit/s) of the tx -> rx link under the current
     allocation, summed over its assigned sub-channels and degraded by
     co-channel interference from the active transmitters."""
-    signal = power[tx, rx]
+    signal = power[tx][rx]
     rate = 0.0
-    for ch in range(fm.n_channels):
-        if not fm.phi[tx, rx, ch]:
-            continue
-        sinr = signal / (params.noise + interference(fm, power, tx, rx, ch, active))
-        rate += link_rate(sinr, params)
+    for ch, on in enumerate(fm.rows()[tx][rx]):
+        if on:
+            sinr = signal / (params.noise + interference(fm, power, tx, rx, ch, active))
+            rate += link_rate(sinr, params)
     return rate
 
 
@@ -218,7 +208,7 @@ def point_rate(power: np.ndarray, tx: int, rx: int, params: ChannelParams) -> fl
 
     Used for what-if comparisons (relay guards, drain-time balance) where
     no allocation exists yet."""
-    return link_rate(power[tx, rx] / params.noise, params)
+    return link_rate(power[tx][rx] / params.noise, params)
 
 
 def g2u_snr(d: float, params: ChannelParams) -> float:
@@ -231,9 +221,9 @@ def g2u_snr(d: float, params: ChannelParams) -> float:
 class OffloadReport:
     """Bits moved during one offloading sub-slot, indexed by 0-based UAV."""
 
-    outgoing: np.ndarray
-    incoming: np.ndarray
-    to_bs: np.ndarray
+    outgoing: list
+    incoming: list
+    to_bs: list
 
 
 def offload(
@@ -262,16 +252,16 @@ def offload(
     mutates).
     """
     n = fm.n_uavs
-    remaining = np.asarray(buffers, dtype=float).copy()
-    accept = np.asarray(free_space, dtype=float).clip(min=0.0).copy()
-    active = np.zeros(n + 1, dtype=bool)
-    active[1:] = remaining > 0.0
-    outgoing = np.zeros(n)
-    incoming = np.zeros(n)
-    to_bs = np.zeros(n)
-    linked = fm.phi.any(axis=2).tolist()
+    power = power.tolist()
+    remaining = [float(b) for b in buffers]
+    accept = [max(float(f), 0.0) for f in free_space]
+    active = [False] + [b > 0.0 for b in remaining]
+    outgoing = [0.0] * n
+    incoming = [0.0] * n
+    to_bs = [0.0] * n
+    rows = fm.rows()
     for tx in range(1, n + 1):
-        if not linked[tx][BS]:
+        if not any(rows[tx][BS]):
             continue
         capacity = u2u_rate(fm, power, tx, BS, params, active) * t_o
         amount = min(capacity, remaining[tx - 1])
@@ -283,7 +273,7 @@ def offload(
         to_bs[tx - 1] += amount
     for tx in range(1, n + 1):
         for rx in range(1, n + 1):
-            if rx == tx or not linked[tx][rx]:
+            if rx == tx or not any(rows[tx][rx]):
                 continue
             capacity = u2u_rate(fm, power, tx, rx, params, active) * t_o
             amount = min(capacity, remaining[tx - 1], accept[rx - 1])

@@ -51,11 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    least = 0 if args.command == "compare" else 1  # compare --episodes 0: no training
-    if args.episodes is not None and args.episodes < least:
-        raise ConfigError(f"--episodes: must be at least {least}, got {args.episodes}")
-    if args.command == "compare" and args.eval_episodes is not None and args.eval_episodes < 1:
-        raise ConfigError(f"--eval-episodes: must be at least 1, got {args.eval_episodes}")
+    # compare --episodes 0: no training
+    harness.require_count("--episodes", args.episodes, 0 if args.command == "compare" else 1)
+    if args.command == "compare":
+        harness.require_count("--eval-episodes", args.eval_episodes, 1)
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:  # parsed, so the seed meets its declared bound
         cfg = parse_config(dict(config_to_dict(cfg), seed=args.seed))

@@ -55,15 +55,13 @@ def load_balance(buffers, u2b_rates) -> np.ndarray:
     RATIO_CAP so a cut-off UAV surfaces as maximally overloaded.  The
     entries always sum to zero.
     """
-    buffers = np.asarray(buffers, dtype=float)
-    rates = np.asarray(u2b_rates, dtype=float)
-    n = buffers.size
+    ratios = [float(b) / r if r > 0.0 else RATIO_CAP
+              for b, r in zip(buffers, map(float, u2b_rates))]
+    n = len(ratios)
     if n < 2:
         raise ValueError("need at least two UAVs to balance")
-    ratios = np.where(rates > 0.0, buffers / np.where(rates > 0.0, rates, 1.0), RATIO_CAP)
-    total = ratios.sum()
-    others_mean = (total - ratios) / (n - 1)
-    return ratios - others_mean
+    total = np.add.reduce(ratios)  # np.sum's order of additions
+    return np.array([x - (total - x) / (n - 1) for x in ratios])
 
 
 def cost(energy_j: float, buffer_bits: float, gu_backlog_bits: float, lam: float) -> float:
@@ -158,21 +156,22 @@ def eda_nf(
     exceed the pairing range, fall below the minimum link rate, or exceed
     the relay's spare backhaul are skipped.  node_range and power are
     the channel.ranges and channel.link_power node tables (base station
-    first).
+    first), as arrays or nested lists.
     """
-    n = report.balance.size
+    balance, cost = report.balance.tolist(), report.cost.tolist()
+    spare = report.spare_rate.tolist()
+    n = len(balance)
     fm = _all_direct(n, n_channels)
-    seekers = [i for i in range(n) if report.balance[i] > policy.balance_threshold]
-    relays = [i for i in range(n) if report.balance[i] <= policy.balance_threshold]
-    seekers.sort(key=lambda i: (-report.cost[i], i))
-    relays.sort(key=lambda i: (report.cost[i], i))
+    seekers = [i for i in range(n) if balance[i] > policy.balance_threshold]
+    relays = [i for i in range(n) if balance[i] <= policy.balance_threshold]
+    seekers.sort(key=lambda i: (-cost[i], i))
+    relays.sort(key=lambda i: (cost[i], i))
     for i in seekers:
         tx = i + 1
         # Lazy: the guards of later candidates run only if earlier ones fail.
         guarded = (j for j in relays
-                   if node_range[tx, j + 1] < policy.pair_range_m
-                   and _point_rates_ok(policy, params, power, tx, j + 1,
-                                       float(report.spare_rate[j])))
+                   if node_range[tx][j + 1] < policy.pair_range_m
+                   and _point_rates_ok(policy, params, power, tx, j + 1, spare[j]))
         j = _pair_first(fm, tx, guarded, power, active)
         if j is not None:
             relays.remove(j)
@@ -194,14 +193,14 @@ def baseline_buffer(
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
     nearest UAV that is still below it (within the pairing range)."""
-    buffers = np.asarray(buffers, dtype=float)
-    n = buffers.size
+    buffers = [float(b) for b in buffers]
+    n = len(buffers)
     fm = _all_direct(n, n_channels)
     for i in range(n):
         if buffers[i] <= policy.buffer_threshold_bits:
             continue
         tx = i + 1
-        gaps = {j: node_range[tx, j + 1]
+        gaps = {j: node_range[tx][j + 1]
                 for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits}
         order = sorted(gaps, key=lambda j: (gaps[j], j))
         _pair_first(fm, tx, [j for j in order if gaps[j] < policy.pair_range_m],
@@ -220,17 +219,18 @@ def baseline_dynamic_nf(
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
     cost undercuts its own by the configured margin.  Pairings are
     exclusive, most expensive UAV first."""
-    n = report.cost.size
+    cost = report.cost.tolist()
+    n = len(cost)
     fm = _all_direct(n, n_channels)
     free = set(range(n))
-    for i in sorted(range(n), key=lambda i: (-report.cost[i], i)):
+    for i in sorted(range(n), key=lambda i: (-cost[i], i)):
         if i not in free:
             continue
         tx = i + 1
         candidates = sorted((j for j in free if j != i
-                             and report.cost[j] < report.cost[i] - policy.cost_margin
-                             and node_range[tx, j + 1] < policy.pair_range_m),
-                            key=lambda j: (report.cost[j], j))
+                             and cost[j] < cost[i] - policy.cost_margin
+                             and node_range[tx][j + 1] < policy.pair_range_m),
+                            key=lambda j: (cost[j], j))
         j = _pair_first(fm, tx, candidates, power, active)
         if j is not None:
             free.discard(i)

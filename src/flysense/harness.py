@@ -8,13 +8,14 @@ runs with the same seed produce byte-identical artifacts.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 
 from . import nn, oracles
-from .config import RunConfig, save_config
+from .config import ConfigError, RunConfig, save_config
 from .formation import FormationPolicy
 from .marl import Trainer, TrainResult
 
@@ -29,24 +30,23 @@ def format_cell(value) -> str:
 
 class CsvSink:
     """Collects per-slot rows into metrics.csv and per-episode rows into
-    episodes.csv under one output directory.  Headers come from the first
-    row of each stream; later rows must use the same keys."""
+    episodes.csv, both nn.atomic_file, under one output directory.  Headers
+    come from the first row of each stream; later rows must use the same keys."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
-        self._files = {}
+        self._files = contextlib.ExitStack()
         self._writers = {}
         self._headers = {}
 
     def _write(self, stream: str, row: dict) -> None:
         if stream not in self._writers:
-            fh = open(os.path.join(self.out_dir, stream), "w",
-                      encoding="utf-8", newline="")
+            fh = self._files.enter_context(
+                nn.atomic_file(os.path.join(self.out_dir, stream), newline=""))
             writer = csv.writer(fh, lineterminator="\n")
             header = list(row.keys())
             writer.writerow(header)
-            self._files[stream] = fh
             self._writers[stream] = writer
             self._headers[stream] = header
         header = self._headers[stream]
@@ -61,17 +61,21 @@ class CsvSink:
         self._write("episodes.csv", row)
 
     def close(self) -> None:
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
+        self._files.close()
         self._writers.clear()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
-        return False
+        self._writers.clear()
+        return self._files.__exit__(*exc)
+
+
+def require_count(name: str, value: int | None, least: int) -> None:
+    """Reject a count override (None: the config's) before any write."""
+    if value is not None and value < least:
+        raise ConfigError(f"{name}: must be at least {least}, got {value}")
 
 
 def _mean(values) -> float:
@@ -119,7 +123,7 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
     slot, enough to replay or plot the flight.  Returns the stats of
     every episode."""
     scen = trainer.scenario
-    with open(path, "w", encoding="utf-8") as fh:
+    with nn.atomic_file(path) as fh:
         def emit(obj):
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -174,6 +178,7 @@ def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer,
 def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict:
     """Full training run: metrics/episodes CSVs, network checkpoint, one
     replayable trajectory, and summary.json.  Returns the summary."""
+    require_count("episodes", episodes, 1)
     trainer, result = _train(cfg, out_dir, episodes)
     eval_stats = write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
     eval_rows = [_stats_row(s) for s in eval_stats]
@@ -196,6 +201,7 @@ def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict
 def run_eval(cfg: RunConfig, out_dir: str, checkpoint: str,
              episodes: int | None = None) -> dict:
     """Frozen-policy evaluation of a saved checkpoint."""
+    require_count("episodes", episodes, 1)
     os.makedirs(out_dir, exist_ok=True)
     trainer = Trainer(cfg)
     load_agents_into(checkpoint, trainer.agents)
@@ -232,6 +238,8 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
     """Train once under the configured policy, then sweep the frozen
     actors across formation policies and demand scales on identical
     worlds.  Writes comparison.json."""
+    require_count("episodes", episodes, 0)
+    require_count("eval_episodes", eval_episodes, 1)
     trainer, result = _train(cfg, out_dir, episodes)
     n_eval = cfg.training.eval_episodes if eval_episodes is None else eval_episodes
     horizon = cfg.training.completion_cap

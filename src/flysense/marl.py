@@ -36,39 +36,41 @@ def observation_dim(n_uavs: int) -> int:
 def observe(w: WorldState) -> np.ndarray:
     """(N, obs_dim) local observations, row i for UAV i; every component
     lies in [-1, 1].  Row i reads only UAV i's own state and its stored
-    target (w.targets).  The columns that are one IEEE operation per
-    entry are computed for the whole fleet; log2, hypot and the divisions
-    after them stay scalar, per UAV."""
-    n = w.n_uavs
-    obs = np.zeros((n, observation_dim(n)))
-    obs[:, :2] = w.nodes[1:, :2] / w.scenario.half_width_m
-    obs[:, 2] = np.array([u.buffer for u in w.uavs]) / w.scenario.buffer_capacity_bits
-    obs[:, 3] = np.minimum(w.last_energy / w.max_slot_energy, 1.0)
-    obs[:, 4:5 + n] = w.formation.phi[1:].any(axis=2)
-    base = 5 + n
-    for i, gid in enumerate(w.targets):
+    target (w.targets).  Rows are built from Python floats and become
+    one array at the end."""
+    hw, cap = w.scenario.half_width_m, w.scenario.buffer_capacity_bits
+    chan = w.chan
+    links = w.formation.rows()
+    rows = []
+    for i, (u, e, gid) in enumerate(zip(w.uavs, w.last_energy.tolist(), w.targets)):
+        row = [u.pos.x / hw, u.pos.y / hw, u.buffer / cap, min(e / w.max_slot_energy, 1.0)]
+        row += [1.0 if any(chs) else 0.0 for chs in links[i + 1]]
+        rows.append(row)
         if gid is None:
+            row += (0.0, 0.0, 0.0, 0.0)
             continue
-        u, g = w.uavs[i], w.gus[gid]
+        g = w.gus[gid]
         overhead = max(u.pos.z, 1.0)
-        snr_max = w.chan.q_gu * w.chan.beta_s * overhead ** -w.chan.alpha_s
-        snr = float(w.sensing_snr[i, gid])
+        snr_max = chan.q_gu * chan.beta_s * overhead ** -chan.alpha_s
+        snr = w.snr_rows[i][gid]
         signal = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
         dx, dy = g.pos.x - u.pos.x, g.pos.y - u.pos.y
         norm = math.hypot(dx, dy)
         bearing = (dx / norm, dy / norm) if norm > 0.0 else (0.0, 0.0)
-        obs[i, base:base + 4] = (signal, *bearing, g.remaining / g.demand)
-    return obs
+        row += (signal, *bearing, g.remaining / g.demand)
+    return np.array(rows)
 
 
 def decode_action(raw, v_max: float):
-    """Raw (-1,1)^2 action to (unit heading, speed): the first component
-    is the heading angle over pi, the second maps linearly onto
+    """Raw (-1,1)^2 action to (unit heading (dx, dy), speed): the first
+    component is the heading angle over pi, the second maps linearly onto
     [0, v_max]."""
-    heading, throttle = (min(max(float(a), -1.0), 1.0) for a in raw)
+    heading, throttle = raw
+    heading = min(max(float(heading), -1.0), 1.0)
+    throttle = min(max(float(throttle), -1.0), 1.0)
     ang = math.pi * heading
     speed = v_max * (throttle + 1.0) / 2.0
-    return np.array([math.cos(ang), math.sin(ang)]), speed
+    return (math.cos(ang), math.sin(ang)), speed
 
 
 def act(actors: nn.MlpStack, obs: np.ndarray, noise_scale: float = 0.0,
@@ -114,19 +116,15 @@ class RewardParts:
 
 def reward(report: StepReport, weights: RewardWeights) -> tuple[np.ndarray, RewardParts]:
     """Every agent's reward total and its parts for one slot."""
-    parts = RewardParts(
-        energy=-report.energy / ENERGY_UNIT,
-        data=(report.delivered_bs + report.relayed_out) / DATA_UNIT,
-        sense=report.sensed / DATA_UNIT,
-        penalty=weights.mu * report.violations_per_uav,
-    )
-    total = (
-        weights.gamma_energy * parts.energy
-        + weights.gamma_data * parts.data
-        + weights.gamma_sense * parts.sense
-        - parts.penalty
-    )
-    return total, parts
+    energy = [-e / ENERGY_UNIT for e in report.energy.tolist()]
+    data = [(b + r) / DATA_UNIT
+            for b, r in zip(report.delivered_bs.tolist(), report.relayed_out.tolist())]
+    sense = [s / DATA_UNIT for s in report.sensed.tolist()]
+    penalty = [weights.mu * v for v in report.violations_per_uav.tolist()]
+    total = [weights.gamma_energy * e + weights.gamma_data * d + weights.gamma_sense * s - p
+             for e, d, s, p in zip(energy, data, sense, penalty)]
+    return np.array(total), RewardParts(np.array(energy), np.array(data),
+                                        np.array(sense), np.array(penalty))
 
 
 def critic_q(critic: nn.Mlp, obs: np.ndarray, acts: np.ndarray) -> list:
@@ -142,13 +140,14 @@ def critic_q(critic: nn.Mlp, obs: np.ndarray, acts: np.ndarray) -> list:
     return y[:, 0, 0].tolist()
 
 
-def arbitrate(a_actor, a_bo, q_actor: float, q_bo: float, epsilon: float = 0.0,
+def arbitrate(a_actor, propose, epsilon: float = 0.0,
               rng: np.random.Generator | None = None):
-    """Critic-refereed choice between the actor action and the GP
-    proposal; ties go to the actor.  With probability epsilon a uniform
-    random action overrides the comparison."""
+    """Critic-refereed choice between the actor action and the GP proposal,
+    propose() -> (a_bo, q_actor, q_bo); ties go to the actor.  First, with
+    probability epsilon, a uniform random action overrides: no proposal."""
     if epsilon > 0.0 and rng is not None and rng.random() < epsilon:
         return rng.uniform(-1.0, 1.0, ACT_DIM), "random"
+    a_bo, q_actor, q_bo = propose()
     if q_bo > q_actor:
         return np.asarray(a_bo, dtype=float), "bo"
     return np.asarray(a_actor, dtype=float), "actor"
@@ -322,20 +321,18 @@ def build_cost_report(w: WorldState, lam: float) -> CostReport:
     spare backhaul rate each UAV could lend a seeker (BS rate minus the
     sensing intake of its current target, scaled to the offload sub-slot)."""
     n = w.n_uavs
-    buffers = np.array([u.buffer for u in w.uavs])
-    rates = np.array([channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(n)])
+    buffers = [u.buffer for u in w.uavs]
+    rates = [channel.point_rate(w.power_rows, i + 1, BS, w.chan) for i in range(n)]
     balance = formation.load_balance(buffers, rates) if n >= 2 else np.zeros(1)
-    costs = np.zeros(n)
-    spare = np.zeros(n)
+    costs, spare = [], []
     sub_slots = w.scenario.protocol.t_s / w.scenario.protocol.t_o
-    covered = world.in_coverage(w).tolist()
-    for i in range(n):
-        backlog = sum(g.remaining for g, inside in zip(w.gus, covered[i]) if inside)
-        costs[i] = formation.cost(w.last_energy[i], buffers[i], backlog, lam)
-        gid = w.targets[i]
-        intake = 0.0 if gid is None else channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
-        spare[i] = max(0.0, rates[i] - intake * sub_slots)
-    return CostReport(balance=balance, cost=costs, spare_rate=spare)
+    for i, (e, gid) in enumerate(zip(w.last_energy.tolist(), w.targets)):
+        backlog = sum(g.remaining for g, snr in zip(w.gus, w.snr_rows[i])
+                      if snr > world.OUT_OF_COVERAGE)
+        costs.append(formation.cost(e, buffers[i], backlog, lam))
+        intake = 0.0 if gid is None else channel.link_rate(w.snr_rows[i][gid], w.chan)
+        spare.append(max(0.0, rates[i] - intake * sub_slots))
+    return CostReport(balance, np.array(costs), np.array(spare))
 
 
 def expected_transmitters(w: WorldState) -> np.ndarray:
@@ -343,9 +340,8 @@ def expected_transmitters(w: WorldState) -> np.ndarray:
     anyone holding buffered data or still able to sense an unfinished
     ground user (that is, with a stored target).  Lets the formation
     builders treat drained UAVs' allocations as quiet spectrum."""
-    act = np.zeros(w.n_uavs + 1, dtype=bool)
-    act[1:] = [u.buffer > 0.0 or gid is not None for u, gid in zip(w.uavs, w.targets)]
-    return act
+    return np.array([False] + [u.buffer > 0.0 or gid is not None
+                               for u, gid in zip(w.uavs, w.targets)])
 
 
 def make_formation_fn(policy: FormationPolicy, lam: float):
@@ -357,10 +353,10 @@ def make_formation_fn(policy: FormationPolicy, lam: float):
         k = w.chan.n_channels
         if policy.kind == "non_cooperative":
             return formation.baseline_noncoop(w.n_uavs, k)
-        tables = (w.node_range, w.link_power)
-        active = expected_transmitters(w)
+        tables = (w.range_rows, w.power_rows)
+        active = expected_transmitters(w).tolist()
         if policy.kind == "buffer_threshold":
-            buffers = np.array([u.buffer for u in w.uavs])
+            buffers = [u.buffer for u in w.uavs]
             return formation.baseline_buffer(buffers, *tables, policy, k, active)
         if report is None:
             report = build_cost_report(w, lam)
@@ -481,13 +477,17 @@ class Trainer:
         w.formation = (formation_fn or self.formation_fn)(w)
         return w
 
-    def _bo_action(self, i: int, w: WorldState) -> np.ndarray:
+    def _bo_scored(self, i: int, w: WorldState, obs: np.ndarray, a_actor: np.ndarray):
+        """UAV i's GP proposal a_bo and agent i's critic q_actor, q_bo."""
         hw = self.scenario.half_width_m
         u = w.uavs[i]
         cur = np.array([u.pos.x / hw, u.pos.y / hw])
         prop = gp.propose_point(self.histories[i], cur, self.gp_offsets, self.cfg.gp,
                                 bounds=self.gp_bounds)
-        return bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
+        a_bo = bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
+        trials = np.stack([a_actor, a_actor])
+        trials[1, i] = a_bo
+        return (a_bo, *critic_q(self.agents[i].critic, obs, trials))
 
     def train_episode(self, ep: int, sink=None) -> EpisodeStats:
         tc = self.train_cfg
@@ -505,12 +505,9 @@ class Trainer:
             a_exec = a_actor.copy()
             if tc.bo_enabled:
                 for i in range(n):
-                    a_bo = self._bo_action(i, w)
-                    trials = np.stack([a_actor, a_actor])
-                    trials[1, i] = a_bo
-                    q_a, q_b = critic_q(self.agents[i].critic, obs, trials)
-                    a_exec[i], src = arbitrate(a_actor[i], a_bo, q_a, q_b,
-                                               tc.epsilon, self.arb_rng)
+                    a_exec[i], src = arbitrate(
+                        a_actor[i], lambda i=i: self._bo_scored(i, w, obs, a_actor),
+                        tc.epsilon, self.arb_rng)
                     if src == "bo":
                         bo_hits += 1
             decoded = [decode_action(a, w.scenario.v_max_mps) for a in a_exec.tolist()]

@@ -24,6 +24,7 @@ operation.  Gradients from ``backward`` use the same layout.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -224,25 +225,35 @@ def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     target.params += tau * online.params
 
 
-def write_json(path, payload, compact: bool = False) -> None:
-    """Write payload as JSON, compact or else indented with sorted keys and
-    a final newline, to a temp file renamed over path: a write that fails
-    leaves no partial file and any earlier one intact."""
+@contextlib.contextmanager
+def atomic_file(path, newline: str | None = None):
+    """Text file for path: a temp file renamed over path on a clean exit
+    and removed on an exception, so no partial file is ever left."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=None if compact else 2, sort_keys=not compact)
-            fh.write("" if compact else "\n")
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def write_json(path, payload) -> None:
+    """payload as indented JSON with sorted keys, written atomically."""
+    with atomic_file(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_checkpoint(path, nets: dict) -> None:
-    """Write named networks to a JSON file; floats survive bit-exactly."""
-    payload = {"version": 1, "nets": {name: net.to_dict() for name, net in nets.items()}}
-    write_json(path, payload, compact=True)
+    """Write named networks to a JSON file atomically, floats bit-exact, with
+    json.dump's bytes from json.dumps (its C encoder) one net at a time."""
+    with atomic_file(path) as fh:
+        fh.write('{"version": 1, "nets": {')
+        for k, (name, net) in enumerate(nets.items()):
+            fh.write(f"{', ' if k else ''}{json.dumps(name)}: {json.dumps(net.to_dict())}")
+        fh.write("}}")
 
 
 def load_checkpoint(path) -> dict:

@@ -10,7 +10,7 @@ energy is joules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from .channel import ChannelParams, FormationMatrix, FormationError
 
 
 class Position(NamedTuple):
-    """A point in meters; a tuple, so channel.distance takes it as is."""
+    """A point in meters."""
 
     x: float
     y: float
@@ -115,11 +115,12 @@ def coverage_radius_m(scenario: Scenario, params: ChannelParams) -> float:
 class WorldState:
     """Single-writer simulation state; all mutation goes through step().
 
-    The geometry fields are built from the positions by place(), which
-    make_world and the fly phase of step() call: positions change nowhere
-    else, so every decision of a slot reads these tables.  targets holds
-    each UAV's select_gu(w, i) choice for the state make_world or step
-    left, so observations and the cost report rank no users again."""
+    place() builds the geometry fields from the positions in make_world
+    and in the fly phase of step(): positions change nowhere else, so every
+    decision of a slot reads these tables, inside the slot through their
+    tolist() copies.  targets holds each UAV's select_gu(w, i) choice for
+    the state make_world or step left, so observations and the cost
+    report rank no users again."""
 
     t: int
     uavs: list
@@ -135,6 +136,9 @@ class WorldState:
     node_range: np.ndarray = field(init=False)   # (N+1, N+1) channel.ranges
     link_power: np.ndarray = field(init=False)   # (N+1, N+1) channel.link_power
     sensing_snr: np.ndarray = field(init=False)  # (N, M) sensing_table
+    range_rows: list = field(init=False)         # node_range.tolist()
+    power_rows: list = field(init=False)         # link_power.tolist()
+    snr_rows: list = field(init=False)           # sensing_snr.tolist()
     targets: list = field(init=False)            # per UAV: user id or None
 
     @property
@@ -160,23 +164,16 @@ def place(w: WorldState) -> None:
     """Build the slot's geometry from the current positions: the node
     array, the node-range and received-power tables, and the sensing
     table."""
-    nodes = np.array([w.bs_pos, *(u.pos for u in w.uavs)], dtype=float)
+    nodes = np.array([c for p in (w.bs_pos, *(u.pos for u in w.uavs)) for c in p],
+                     dtype=float).reshape(-1, 3)
     nodes.flags.writeable = False
     w.nodes = nodes
     w.node_range = channel.ranges(nodes, nodes)
     w.link_power = channel.link_power(w.node_range, w.chan)
     w.sensing_snr = sensing_table(nodes[1:], w.gu_xyz, w.scenario, w.chan)
-
-
-def _rank_targets(w: WorldState) -> list:
-    """Every UAV's select_gu target without exclusions, on the current
-    state; make_world and step store it as w.targets."""
-    return [select_gu(w, i) for i in range(w.n_uavs)]
-
-
-def in_coverage(w: WorldState) -> np.ndarray:
-    """(N, M) mask of the ground users inside each UAV's coverage radius."""
-    return w.sensing_snr > OUT_OF_COVERAGE
+    w.range_rows = w.node_range.tolist()
+    w.power_rows = w.link_power.tolist()
+    w.snr_rows = w.sensing_snr.tolist()
 
 
 def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generator) -> WorldState:
@@ -215,7 +212,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
     w.gu_xyz = np.array([g.pos for g in gus], dtype=float)
     w.gu_xyz.flags.writeable = False
     place(w)
-    w.targets = _rank_targets(w)
+    w.targets = [select_gu(w, i) for i in range(w.n_uavs)]
     return w
 
 
@@ -248,8 +245,8 @@ def select_gu(w: WorldState, i: int, exclude=()) -> int | None:
     lowest index; returns None when nobody qualifies."""
     best_id = None
     best_snr = OUT_OF_COVERAGE
-    for m, (g, snr) in enumerate(zip(w.gus, w.sensing_snr[i].tolist())):
-        if snr > best_snr and g.remaining > 0.0 and m not in exclude:
+    for m, snr in enumerate(w.snr_rows[i]):
+        if snr > best_snr and m not in exclude and w.gus[m].remaining > 0.0:
             best_snr = snr
             best_id = m
     return best_id
@@ -259,14 +256,14 @@ def sense(w: WorldState, i: int, gid: int) -> float:
     """Bits UAV i collects from ground user gid during the sensing
     sub-slot: the link-rate budget capped by what the user still has and
     by the UAV's free buffer space."""
-    rate = channel.link_rate(float(w.sensing_snr[i, gid]), w.chan)
+    rate = channel.link_rate(w.snr_rows[i][gid], w.chan)
     free = max(w.scenario.buffer_capacity_bits - w.uavs[i].buffer, 0.0)
     return min(w.scenario.protocol.t_s * rate, w.gus[gid].remaining, free)
 
 
 def gu_queue_step(g: GroundUser, drained: float) -> GroundUser:
     """Queue after one slot; drained bits leave, nothing goes negative."""
-    return replace(g, remaining=max(g.remaining - drained, 0.0))
+    return GroundUser(g.pos, max(g.remaining - drained, 0.0), g.demand)
 
 
 def uav_buffer_step(buffer: float, outgoing: float, incoming: float, capacity: float) -> float:
@@ -317,15 +314,16 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     if len(actions) != n:
         raise ValueError(f"expected {n} actions, got {len(actions)}")
     w.formation = fm
-    cap = w.scenario.buffer_capacity_bits
+    scen = w.scenario
+    cap = scen.buffer_capacity_bits
 
-    speeds = np.zeros(n)
-    for i, (u, (direction, speed)) in enumerate(zip(w.uavs, actions)):
-        u.pos = move_uav(u, direction, speed, w.scenario)
-        speeds[i] = min(max(float(speed), 0.0), w.scenario.v_max_mps)
+    speeds = []
+    for u, (direction, speed) in zip(w.uavs, actions):
+        u.pos = move_uav(u, direction, speed, scen)
+        speeds.append(min(max(float(speed), 0.0), scen.v_max_mps))
     place(w)
 
-    sensed = np.zeros(n)
+    sensed = [0.0] * n
     claimed: set = set()
     for i in range(n):
         gid = select_gu(w, i, exclude=claimed)
@@ -334,30 +332,27 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         claimed.add(gid)  # no later UAV reads this user, so drain it now
         sensed[i] = sense(w, i, gid)
         w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
-    w.targets = _rank_targets(w)  # offload below leaves the users alone
+    w.targets = [select_gu(w, i) for i in range(n)]  # offload leaves the users alone
 
-    buffers = np.array([u.buffer for u in w.uavs])
-    free = cap - buffers - sensed
-    res = channel.offload(buffers, free, w.link_power, fm, w.chan, w.scenario.protocol.t_o)
+    buffers = [u.buffer for u in w.uavs]
+    free = [cap - b - s for b, s in zip(buffers, sensed)]
+    res = channel.offload(buffers, free, w.link_power, fm, w.chan, scen.protocol.t_o)
 
-    energy = np.zeros(n)
+    energy = []
     for i, u in enumerate(w.uavs):
         u.buffer = uav_buffer_step(u.buffer, res.outgoing[i], sensed[i] + res.incoming[i], cap)
-        energy[i] = propulsion_energy(speeds[i], w.scenario.protocol, w.scenario.energy)
+        energy.append(propulsion_energy(speeds[i], scen.protocol, scen.energy))
         u.energy_used += energy[i]
 
-    close = w.node_range[1:, 1:] < w.scenario.protocol.d_min
-    np.fill_diagonal(close, False)
+    d_min = scen.protocol.d_min
+    close = [sum([d < d_min for j, d in enumerate(row[1:]) if j != i])
+             for i, row in enumerate(w.range_rows[1:])]
 
-    w.last_energy = energy
+    w.last_energy = np.array(energy)
     w.t += 1
-    report = StepReport(
-        sensed=sensed,
-        delivered_bs=res.to_bs,
-        relayed_out=res.outgoing - res.to_bs,
-        energy=energy,
-        violations_per_uav=close.sum(axis=1),
-    )
+    report = StepReport(np.array(sensed), np.array(res.to_bs),
+                        np.array([o - b for o, b in zip(res.outgoing, res.to_bs)]),
+                        w.last_energy, np.array(close))
     return w, report
 
 

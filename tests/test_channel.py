@@ -14,7 +14,6 @@ from flysense.channel import (
     ChannelParams,
     FormationError,
     FormationMatrix,
-    distance,
     g2u_snr,
     interference,
     link_power,
@@ -27,6 +26,14 @@ from flysense.channel import (
 )
 
 P = ChannelParams()
+
+
+def distance(a, b) -> float:
+    """Separation (m) of two (x, y, z) points: np.linalg.norm's arithmetic
+    (a dot product, then a correctly rounded square root) without its
+    dispatch cost.  The scalar reference for channel.ranges."""
+    d = np.subtract(a, b, dtype=float)
+    return math.sqrt(d.dot(d))
 
 
 def power_table(positions):
@@ -227,7 +234,7 @@ class TestOffload:
         buffers = np.array([1500.0, 0.0])
         rep = offload(buffers, np.array([1e7, 1e7]), power, fm, P, t_o=0.4)
         np.testing.assert_allclose(rep.outgoing, [1500.0, 0.0])
-        np.testing.assert_allclose(rep.to_bs.sum(), 1500.0)
+        np.testing.assert_allclose(sum(rep.to_bs), 1500.0)
 
     def test_receiver_acceptance_capped_by_free_space(self):
         power = self.power()
@@ -290,7 +297,7 @@ class TestOffload:
             power = power_table(positions)
             rep = offload(buffers.copy(), free.copy(), power, fm, P, t_o=0.4)
             np.testing.assert_allclose(
-                rep.outgoing.sum(), rep.incoming.sum() + rep.to_bs.sum(), rtol=0, atol=1e-6
+                sum(rep.outgoing), sum(rep.incoming) + sum(rep.to_bs), rtol=0, atol=1e-6
             )
             assert np.all(rep.outgoing <= buffers + 1e-9)
             # a receiver may accept beyond its pre-slot spare capacity only

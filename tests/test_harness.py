@@ -1,6 +1,7 @@
 """Run drivers: CSV sinks, artifact layout, checkpoint restore, policy
 comparison payloads, and the self-check printer."""
 
+import builtins
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from flysense import harness, marl, oracles
-from flysense.config import RunConfig, parse_config
+from flysense.config import ConfigError, RunConfig, parse_config
 from flysense.harness import CsvSink, format_cell, load_agents_into, save_agents
 from flysense.marl import Trainer, build_agents
 
@@ -147,23 +148,45 @@ class TestRunTrain:
 
 
 class TestAtomicArtifacts:
-    """config.json, checkpoint.json and summary.json go through a temp
-    file renamed over the target, so a write that fails partway leaves no
-    truncated artifact."""
+    """Every run artifact goes through a temp file renamed over the
+    target, so a write that fails partway leaves no truncated artifact."""
 
-    @staticmethod
-    def fail_partway(monkeypatch, name):
-        real_dump = json.dump
+    class FailingFile:
+        """Passes the first write through; the second writes half its
+        text and raises, like a disk that fills up mid-file."""
 
-        def dump(obj, fh, **kw):
-            if fh.name.endswith(f"{name}.tmp"):
-                fh.write('{"cut": ')
+        def __init__(self, fh):
+            self._fh = fh
+            self._writes = 0
+
+        def write(self, text):
+            self._writes += 1
+            if self._writes > 1:
+                self._fh.write(text[:len(text) // 2])
                 raise OSError("disk full")
-            real_dump(obj, fh, **kw)
+            return self._fh.write(text)
 
-        monkeypatch.setattr(json, "dump", dump)
+        def __getattr__(self, attr):
+            return getattr(self._fh, attr)
 
-    @pytest.mark.parametrize("name", ["config.json", "checkpoint.json", "summary.json"])
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+    @classmethod
+    def fail_partway(cls, monkeypatch, name):
+        real_open = builtins.open
+
+        def fake_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return cls.FailingFile(fh) if str(file).endswith(f"{name}.tmp") else fh
+
+        monkeypatch.setattr(builtins, "open", fake_open)
+
+    @pytest.mark.parametrize("name", ["config.json", "checkpoint.json", "summary.json",
+                                      "metrics.csv", "episodes.csv", "trajectory.jsonl"])
     def test_failed_write_keeps_earlier_file_and_leaves_no_partial(self, tmp_path,
                                                                    monkeypatch, name):
         out = tmp_path / "run"
@@ -179,6 +202,27 @@ class TestAtomicArtifacts:
         assert sorted(p.name for p in out.iterdir()) == files
         assert not (fresh / name).exists()
         assert not any(p.name.endswith(".tmp") for p in fresh.iterdir())
+
+
+class TestCountOverrides:
+    @pytest.mark.parametrize("run", [
+        lambda out: harness.run_train(tiny_cfg(), out, episodes=0),
+        lambda out: harness.run_compare(tiny_cfg(), out, episodes=1, eval_episodes=0),
+        lambda out: harness.run_compare(tiny_cfg(), out, episodes=-1),
+        lambda out: harness.run_eval(tiny_cfg(), out, "checkpoint.json", episodes=0),
+    ], ids=["train-0", "compare-eval-0", "compare-negative", "eval-0"])
+    def test_rejected_before_anything_is_written(self, tmp_path, run):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="must be at least"):
+            run(str(out))
+        assert not out.exists()
+
+    def test_compare_without_training_stays_valid(self, tmp_path):
+        payload = harness.run_compare(tiny_cfg(), str(tmp_path / "cmp"), episodes=0,
+                                      policies=("eda_nf",), demand_scales=(1.0,),
+                                      eval_episodes=1)
+        assert payload["train_episodes"] == 0
+        assert payload["rows"][0]["episodes"] == 1
 
 
 class TestRunEval:

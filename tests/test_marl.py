@@ -192,7 +192,7 @@ def test_expected_transmitters_equal_the_coverage_rule():
     """A UAV is expected to send when it holds data or covers a user with
     data left; the stored target stands for the second half."""
     for w in _stepped_worlds(seed=23):
-        covered = world.in_coverage(w)
+        covered = w.sensing_snr > world.OUT_OF_COVERAGE
         want = [False] + [u.buffer > 0.0 or any(inside and g.remaining > 0.0
                                                 for g, inside in zip(w.gus, covered[i]))
                           for i, u in enumerate(w.uavs)]
@@ -282,7 +282,7 @@ class TestActionCodec:
                                cur.y + dist * math.sin(ang)])
             raw = bo_to_action(cur, target, 20.0, 0.3)
             heading, speed = decode_action(raw, 20.0)
-            landed = np.array([cur.x, cur.y]) + heading * speed * 0.3
+            landed = np.array([cur.x, cur.y]) + np.array(heading) * speed * 0.3
             np.testing.assert_allclose(landed, target, atol=1e-9)
 
     def test_bo_caps_speed(self):
@@ -348,27 +348,53 @@ class TestReward:
 
 class TestArbitrate:
     def test_critic_picks_higher_q(self):
-        a, src = arbitrate([0.1, 0.2], [0.9, -0.9], q_actor=1.0, q_bo=2.0)
+        a, src = arbitrate([0.1, 0.2], lambda: ([0.9, -0.9], 1.0, 2.0))
         assert src == "bo"
         np.testing.assert_allclose(a, [0.9, -0.9])
-        a, src = arbitrate([0.1, 0.2], [0.9, -0.9], q_actor=2.0, q_bo=1.0)
+        a, src = arbitrate([0.1, 0.2], lambda: ([0.9, -0.9], 2.0, 1.0))
         assert src == "actor"
         np.testing.assert_allclose(a, [0.1, 0.2])
 
     def test_tie_goes_to_actor(self):
-        _, src = arbitrate([0.0, 0.0], [1.0, 1.0], q_actor=3.0, q_bo=3.0)
+        _, src = arbitrate([0.0, 0.0], lambda: ([1.0, 1.0], 3.0, 3.0))
         assert src == "actor"
 
     def test_epsilon_override(self):
         rng = np.random.default_rng(0)
-        a, src = arbitrate([0.0, 0.0], [1.0, 1.0], 0.0, 100.0,
-                           epsilon=1.0, rng=rng)
+
+        def never():
+            raise AssertionError("an overridden decision proposes nothing")
+
+        a, src = arbitrate([0.0, 0.0], never, epsilon=1.0, rng=rng)
         assert src == "random"
         assert np.all(np.abs(a) <= 1.0)
         # epsilon 0 never overrides even with an rng supplied
-        _, src = arbitrate([0.0, 0.0], [1.0, 1.0], 0.0, 100.0,
+        _, src = arbitrate([0.0, 0.0], lambda: ([1.0, 1.0], 0.0, 100.0),
                            epsilon=0.0, rng=rng)
         assert src == "bo"
+
+
+def test_gp_proposes_once_per_compared_decision(monkeypatch):
+    """The epsilon override is drawn first: propose_point and critic_q run
+    once for each decision that compares the two actions, and never for a
+    decision the override settles."""
+    proposals, scored, sources = [], [], Counter()
+    real_propose, real_critic_q = gp.propose_point, marl.critic_q
+    real_arbitrate = marl.arbitrate
+    monkeypatch.setattr(gp, "propose_point",
+                        lambda *a, **k: proposals.append(1) or real_propose(*a, **k))
+    monkeypatch.setattr(marl, "critic_q", lambda *a, **k: scored.append(1) or real_critic_q(*a, **k))
+
+    def counted(*args, **kwargs):
+        action, src = real_arbitrate(*args, **kwargs)
+        sources[src] += 1
+        return action, src
+
+    monkeypatch.setattr(marl, "arbitrate", counted)
+    Trainer(tiny_run_config(epsilon=0.4)).run()
+    compared = sources["bo"] + sources["actor"]
+    assert sources["random"] > 0 and compared > 0
+    assert len(proposals) == len(scored) == compared
 
 
 class TestReplayBuffer:

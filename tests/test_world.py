@@ -11,7 +11,6 @@ from flysense.channel import (
     FormationError,
     FormationMatrix,
     _gain,
-    distance,
     g2u_snr,
     interference,
     point_rate,
@@ -37,6 +36,7 @@ from flysense.world import (
     step,
     uav_buffer_step,
 )
+from test_channel import distance
 
 P = ChannelParams()
 PROTO = ProtocolConfig()
@@ -167,7 +167,7 @@ def _scalar_u2u_rate(fm, positions, tx, rx, active):
 class TestNodeTables:
     """The slot's batched geometry equals the scalar formulas bit for bit.
     The ranges come from np.vecdot, which matches ndarray.dot (and so
-    channel.distance) only while numpy and the BLAS compute both as the
+    distance) only while numpy and the BLAS compute both as the
     same fused dot product; a change there fails here before any run
     artifact drifts."""
 
