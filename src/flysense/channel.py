@@ -50,7 +50,8 @@ class ChannelParams:
 
 
 class FormationMatrix:
-    """Binary allocation phi[tx, rx, ch] of sub-channels to directed links.
+    """Binary allocation of sub-channels to directed links, held as
+    nested lists rows[tx][rx][ch] of 0/1.
 
     Row 0 (base-station transmit) and the diagonal are structurally zero.
     """
@@ -58,58 +59,60 @@ class FormationMatrix:
     def __init__(self, n_uavs: int, n_channels: int, phi: np.ndarray | None = None):
         self.n_uavs = int(n_uavs)
         self.n_channels = int(n_channels)
-        shape = (n_uavs + 1, n_uavs + 1, n_channels)
+        nodes = range(self.n_uavs + 1)
         if phi is None:
-            phi = np.zeros(shape, dtype=np.int8)
-        else:
-            phi = np.asarray(phi, dtype=np.int8)
-            if phi.shape != shape:
-                raise FormationError(f"expected phi shape {shape}, got {phi.shape}")
-            if phi[BS].any():
-                raise FormationError("base station cannot transmit")
-            if np.einsum("iik->ik", phi).any():
-                raise FormationError("self links are not allowed")
-            if not np.isin(phi, (0, 1)).all():
-                raise FormationError("phi entries must be 0 or 1")
-        self.phi = phi
-        self._rows_key = None
+            self.rows = [[[0] * self.n_channels for _ in nodes] for _ in nodes]
+            return
+        phi = np.asarray(phi, dtype=np.int8)
+        shape = (len(nodes), len(nodes), self.n_channels)
+        if phi.shape != shape:
+            raise FormationError(f"expected phi shape {shape}, got {phi.shape}")
+        rows = phi.tolist()
+        if any(map(any, rows[BS])):
+            raise FormationError("base station cannot transmit")
+        if any(any(row[node]) for node, row in enumerate(rows)):
+            raise FormationError("self links are not allowed")
+        if any(on not in (0, 1) for row in rows for chs in row for on in chs):
+            raise FormationError("phi entries must be 0 or 1")
+        self.rows = rows
 
-    def rows(self) -> list:
-        """phi as nested lists [tx][rx][ch], rebuilt when phi's bytes change."""
-        key = self.phi.tobytes()
-        if key != self._rows_key:
-            self._rows, self._rows_key = self.phi.tolist(), key
-        return self._rows
+    @property
+    def phi(self) -> np.ndarray:
+        """A read-only int8 array copy of rows, shape (N+1, N+1, K)."""
+        phi = np.array(self.rows, dtype=np.int8)
+        phi.flags.writeable = False
+        return phi
 
     def set_link(self, tx: int, rx: int, ch: int) -> None:
         if tx == BS or tx == rx:
             raise ValueError(f"illegal link {tx}->{rx}")
-        self.phi[tx, rx, ch] = 1
+        self.rows[tx][rx][ch] = 1
 
     def clear_link(self, tx: int, rx: int) -> None:
-        self.phi[tx, rx, :] = 0
+        self.rows[tx][rx] = [0] * self.n_channels
 
     def has_link(self, tx: int, rx: int) -> bool:
-        return any(self.rows()[tx][rx])
+        return any(self.rows[tx][rx])
 
     def links(self) -> list[tuple[int, int, int]]:
         """All (tx, rx, ch) assignments in ascending order."""
-        return [(tx, rx, ch) for tx, row in enumerate(self.rows())
-                for rx, chs in enumerate(row) for ch, on in enumerate(chs) if on]
+        return [(tx, rx, ch) for tx, row in enumerate(self.rows)
+                for rx, chs in enumerate(row) if 1 in chs for ch, on in enumerate(chs) if on]
 
     def out_links(self, tx: int) -> list[tuple[int, int]]:
         """(rx, ch) pairs carrying traffic away from node tx."""
-        return [(rx, ch) for rx, chs in enumerate(self.rows()[tx])
+        return [(rx, ch) for rx, chs in enumerate(self.rows[tx])
                 for ch, on in enumerate(chs) if on]
 
     def channel_fits(self, tx: int, rx: int, ch: int) -> bool:
         """True if adding tx->rx on ch keeps both endpoints within the
         one-use-per-node-per-channel limit: neither sends or receives on ch."""
-        rows = self.rows()
+        rows = self.rows
         return not any(rows[m][node][ch] or rows[node][m][ch]
                        for node in (tx, rx) for m in range(len(rows)))
 
     def key(self) -> bytes:
+        """The int8 bytes of phi."""
         return self.phi.tobytes()
 
 
@@ -118,14 +121,14 @@ def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:
 
     Every node may use each sub-channel for at most one purpose, either
     receiving from one transmitter or transmitting to one receiver.
-    Returns the list of violating (node, channel) pairs; empty means the
-    allocation is feasible.
+    Returns the sorted list of violating (node, channel) pairs; empty
+    means the allocation is feasible.
     """
-    phi = fm.phi
-    use = np.add.reduce(phi, 0) + np.add.reduce(phi, 1)  # (node, ch): in + out
-    if np.maximum.reduce(use, None) <= 1:
-        return []
-    return [tuple(ix) for ix in np.argwhere(use > 1)]
+    use = {}
+    for tx, rx, ch in fm.links():
+        use[tx, ch] = use.get((tx, ch), 0) + 1
+        use[rx, ch] = use.get((rx, ch), 0) + 1
+    return sorted(key for key, count in use.items() if count > 1)
 
 
 def ranges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,13 +145,13 @@ def _gain(d: float, beta: float, alpha: float) -> float:
     return beta * (_MIN_PATH_M if _MIN_PATH_M > d else d) ** -alpha
 
 
-def link_power(node_range: np.ndarray, params: ChannelParams) -> np.ndarray:
+def link_power(node_range: list, params: ChannelParams) -> list:
     """Received power (W) p_uav * gain(d) of every node pair, from the
-    node-range table.  The path loss keeps its scalar formula entry by
-    entry: np.power rounds differently from Python's ** on some inputs."""
+    nested-list node-range table.  The path loss keeps its scalar formula
+    entry by entry: np.power rounds differently from Python's ** on some
+    inputs."""
     p, beta, alpha = params.p_uav, params.beta_u, params.alpha_u
-    return np.array([[p * _gain(d, beta, alpha) for d in row]
-                     for row in node_range.tolist()])
+    return [[p * _gain(d, beta, alpha) for d in row] for row in node_range]
 
 
 def link_rate(snr: float, params: ChannelParams) -> float:
@@ -158,14 +161,14 @@ def link_rate(snr: float, params: ChannelParams) -> float:
 
 def interference(
     fm: FormationMatrix,
-    power: np.ndarray,
+    power: list,
     tx: int,
     rx: int,
     ch: int,
     active=None,
 ) -> float:
     """Aggregate co-channel power (W) hitting rx on sub-channel ch, read
-    from the link_power table or its tolist() copy.
+    from the link_power table.
 
     Sums over every other active transmitter on ch; the link under test
     (tx -> rx) itself is excluded.  active, when given, is a per-node
@@ -173,7 +176,7 @@ def interference(
     nodes radiate nothing even if they hold an allocation.
     """
     total = 0.0
-    for m, row in enumerate(fm.rows()):
+    for m, row in enumerate(fm.rows):
         if m == tx or (active is not None and not active[m]):
             continue
         for n, chs in enumerate(row):
@@ -184,7 +187,7 @@ def interference(
 
 def u2u_rate(
     fm: FormationMatrix,
-    power: np.ndarray,
+    power: list,
     tx: int,
     rx: int,
     params: ChannelParams,
@@ -195,14 +198,14 @@ def u2u_rate(
     co-channel interference from the active transmitters."""
     signal = power[tx][rx]
     rate = 0.0
-    for ch, on in enumerate(fm.rows()[tx][rx]):
+    for ch, on in enumerate(fm.rows[tx][rx]):
         if on:
             sinr = signal / (params.noise + interference(fm, power, tx, rx, ch, active))
             rate += link_rate(sinr, params)
     return rate
 
 
-def point_rate(power: np.ndarray, tx: int, rx: int, params: ChannelParams) -> float:
+def point_rate(power: list, tx: int, rx: int, params: ChannelParams) -> float:
     """Interference-free single-channel rate (bit/s) of the tx -> rx node
     pair.
 
@@ -227,9 +230,9 @@ class OffloadReport:
 
 
 def offload(
-    buffers: np.ndarray,
-    free_space: np.ndarray,
-    power: np.ndarray,
+    buffers: list,
+    free_space: list,
+    power: list,
     fm: FormationMatrix,
     params: ChannelParams,
     t_o: float,
@@ -252,14 +255,13 @@ def offload(
     mutates).
     """
     n = fm.n_uavs
-    power = power.tolist()
-    remaining = [float(b) for b in buffers]
-    accept = [max(float(f), 0.0) for f in free_space]
+    remaining = list(buffers)
+    accept = [max(f, 0.0) for f in free_space]
     active = [False] + [b > 0.0 for b in remaining]
     outgoing = [0.0] * n
     incoming = [0.0] * n
     to_bs = [0.0] * n
-    rows = fm.rows()
+    rows = fm.rows
     for tx in range(1, n + 1):
         if not any(rows[tx][BS]):
             continue

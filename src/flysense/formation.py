@@ -22,13 +22,13 @@ RATIO_CAP = 1e9  # drain-time stand-in (seconds) when a UAV has no BS rate
 
 @dataclass
 class CostReport:
-    """Per-UAV status driving formation decisions."""
+    """Per-UAV status driving formation decisions, one list entry per UAV."""
 
-    balance: np.ndarray  # drain-time imbalance, sums to zero
-    cost: np.ndarray     # energy + weighted backlog
+    balance: list  # drain-time imbalance, sums to zero
+    cost: list     # energy + weighted backlog
     # BS-link rate left over after the UAV's own sensing intake (bit/s,
-    # offload-sub-slot equivalent); np.inf leaves a relay unconstrained.
-    spare_rate: np.ndarray
+    # offload-sub-slot equivalent); math.inf leaves a relay unconstrained.
+    spare_rate: list
 
 
 @dataclass
@@ -48,26 +48,25 @@ class FormationPolicy:
             raise ValueError(f"unknown formation kind {self.kind!r}")
 
 
-def load_balance(buffers, u2b_rates) -> np.ndarray:
+def load_balance(buffers: list, u2b_rates: list) -> list:
     """Drain-time imbalance of each UAV against the average of the others.
 
     The drain time is buffer over BS-link rate; a zero rate is replaced by
     RATIO_CAP so a cut-off UAV surfaces as maximally overloaded.  The
     entries always sum to zero.
     """
-    ratios = [float(b) / r if r > 0.0 else RATIO_CAP
-              for b, r in zip(buffers, map(float, u2b_rates))]
+    ratios = [b / r if r > 0.0 else RATIO_CAP for b, r in zip(buffers, u2b_rates)]
     n = len(ratios)
     if n < 2:
         raise ValueError("need at least two UAVs to balance")
-    total = np.add.reduce(ratios)  # np.sum's order of additions
-    return np.array([x - (total - x) / (n - 1) for x in ratios])
+    total = float(np.add.reduce(ratios))  # np.sum's order of additions
+    return [x - (total - x) / (n - 1) for x in ratios]
 
 
 def cost(energy_j: float, buffer_bits: float, gu_backlog_bits: float, lam: float) -> float:
     """Running cost of one UAV: slot energy plus weighted own backlog plus
     the outstanding demand of the ground users it covers."""
-    return float(energy_j) + float(lam) * float(buffer_bits) + float(gu_backlog_bits)
+    return energy_j + lam * buffer_bits + gu_backlog_bits
 
 
 def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
@@ -79,8 +78,8 @@ def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
     return fm
 
 
-def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: np.ndarray,
-                active: np.ndarray | None) -> bool:
+def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list,
+                active: list | None) -> bool:
     """Replace tx's direct BS link with a one-hop link to rx.
 
     The one-hop link goes on the fitting sub-channel with the least
@@ -139,12 +138,12 @@ def _point_rates_ok(policy, params, power, seeker, relay, spare_rate) -> bool:
 
 def eda_nf(
     report: CostReport,
-    node_range: np.ndarray,
-    power: np.ndarray,
+    node_range: list,
+    power: list,
     policy: FormationPolicy,
     n_channels: int,
     params: ChannelParams,
-    active: np.ndarray | None = None,
+    active: list | None = None,
 ) -> FormationMatrix:
     """Energy/delay-aware relay pairing.
 
@@ -155,11 +154,9 @@ def eda_nf(
     own BS link.  Pairings that would break the sub-channel constraint,
     exceed the pairing range, fall below the minimum link rate, or exceed
     the relay's spare backhaul are skipped.  node_range and power are
-    the channel.ranges and channel.link_power node tables (base station
-    first), as arrays or nested lists.
+    the world's node_range and link_power tables (base station first).
     """
-    balance, cost = report.balance.tolist(), report.cost.tolist()
-    spare = report.spare_rate.tolist()
+    balance, cost, spare = report.balance, report.cost, report.spare_rate
     n = len(balance)
     fm = _all_direct(n, n_channels)
     seekers = [i for i in range(n) if balance[i] > policy.balance_threshold]
@@ -184,16 +181,15 @@ def baseline_noncoop(n_uavs: int, n_channels: int) -> FormationMatrix:
 
 
 def baseline_buffer(
-    buffers: np.ndarray,
-    node_range: np.ndarray,
-    power: np.ndarray,
+    buffers: list,
+    node_range: list,
+    power: list,
     policy: FormationPolicy,
     n_channels: int,
-    active: np.ndarray | None = None,
+    active: list | None = None,
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
     nearest UAV that is still below it (within the pairing range)."""
-    buffers = [float(b) for b in buffers]
     n = len(buffers)
     fm = _all_direct(n, n_channels)
     for i in range(n):
@@ -209,17 +205,16 @@ def baseline_buffer(
 
 
 def baseline_dynamic_nf(
-    report: CostReport,
-    node_range: np.ndarray,
-    power: np.ndarray,
+    cost: list,
+    node_range: list,
+    power: list,
     policy: FormationPolicy,
     n_channels: int,
-    active: np.ndarray | None = None,
+    active: list | None = None,
 ) -> FormationMatrix:
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
-    cost undercuts its own by the configured margin.  Pairings are
-    exclusive, most expensive UAV first."""
-    cost = report.cost.tolist()
+    per-UAV cost (CostReport.cost) undercuts its own by the configured
+    margin.  Pairings are exclusive, most expensive UAV first."""
     n = len(cost)
     fm = _all_direct(n, n_channels)
     free = set(range(n))

@@ -93,15 +93,25 @@ def save_agents(path: str, agents) -> None:
                               for i, a in enumerate(agents, start=1) for role in _NET_ROLES})
 
 
+def _net_shape(net) -> str:
+    return "absent" if net is None else f"{net.dims} {net.out_act}"
+
+
 def load_agents_into(path: str, agents) -> None:
     """Restore networks saved by save_agents into an existing agent list
-    (optimizer state starts fresh)."""
+    (optimizer state starts fresh).  A net that only one side has, or
+    whose dims or output activation differ, raises ConfigError naming it."""
     nets = nn.load_checkpoint(path)
-    for i, a in enumerate(agents, start=1):
-        for role in _NET_ROLES:
-            if f"{role}_{i}" not in nets:
-                raise ValueError(f"checkpoint {path} lacks networks for agent {i}")
-            setattr(a, role, nets[f"{role}_{i}"])
+    slots = {f"{role}_{i}": (a, role)
+             for i, a in enumerate(agents, start=1) for role in _NET_ROLES}
+    for name in sorted(nets.keys() | slots.keys()):
+        got = _net_shape(nets.get(name))
+        want = _net_shape(getattr(*slots[name]) if name in slots else None)
+        if got != want:
+            raise ConfigError(f"checkpoint {path}: network {name} is {got},"
+                              f" the config builds {want}")
+    for name, (a, role) in slots.items():
+        setattr(a, role, nets[name])
 
 
 def _stats_row(stats) -> dict:
@@ -156,8 +166,8 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
                 "formation": [[int(tx), int(rx), int(ch)]
                               for tx, rx, ch in w.formation.links()],
                 "gu_remaining": [g.remaining for g in w.gus],
-                "sensed": list(map(float, report.sensed)),
-                "delivered_bs": list(map(float, report.delivered_bs)),
+                "sensed": report.sensed,
+                "delivered_bs": report.delivered_bs,
             })
 
         return trainer.evaluate(trainer.train_cfg.eval_episodes, slot_cb=on_slot)
@@ -202,9 +212,9 @@ def run_eval(cfg: RunConfig, out_dir: str, checkpoint: str,
              episodes: int | None = None) -> dict:
     """Frozen-policy evaluation of a saved checkpoint."""
     require_count("episodes", episodes, 1)
-    os.makedirs(out_dir, exist_ok=True)
     trainer = Trainer(cfg)
     load_agents_into(checkpoint, trainer.agents)
+    os.makedirs(out_dir, exist_ok=True)
     n_eval = cfg.training.eval_episodes if episodes is None else episodes
     rows = [_stats_row(s) for s in trainer.evaluate(n_eval)]
     summary = {

@@ -40,9 +40,9 @@ def observe(w: WorldState) -> np.ndarray:
     one array at the end."""
     hw, cap = w.scenario.half_width_m, w.scenario.buffer_capacity_bits
     chan = w.chan
-    links = w.formation.rows()
+    links = w.formation.rows
     rows = []
-    for i, (u, e, gid) in enumerate(zip(w.uavs, w.last_energy.tolist(), w.targets)):
+    for i, (u, e, gid) in enumerate(zip(w.uavs, w.last_energy, w.targets)):
         row = [u.pos.x / hw, u.pos.y / hw, u.buffer / cap, min(e / w.max_slot_energy, 1.0)]
         row += [1.0 if any(chs) else 0.0 for chs in links[i + 1]]
         rows.append(row)
@@ -52,7 +52,7 @@ def observe(w: WorldState) -> np.ndarray:
         g = w.gus[gid]
         overhead = max(u.pos.z, 1.0)
         snr_max = chan.q_gu * chan.beta_s * overhead ** -chan.alpha_s
-        snr = w.snr_rows[i][gid]
+        snr = w.sensing_snr[i][gid]
         signal = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
         dx, dy = g.pos.x - u.pos.x, g.pos.y - u.pos.y
         norm = math.hypot(dx, dy)
@@ -106,25 +106,23 @@ class RewardWeights:
 
 @dataclass
 class RewardParts:
-    """Per-agent reward terms of one slot, each an (N,) array."""
+    """Per-agent reward terms of one slot, one list entry per agent."""
 
-    energy: np.ndarray   # -spent kJ (already negative)
-    data: np.ndarray     # Mbit pushed toward the BS (direct or relayed)
-    sense: np.ndarray    # Mbit collected
-    penalty: np.ndarray  # separation penalty, subtracted
+    energy: list   # -spent kJ (already negative)
+    data: list     # Mbit pushed toward the BS (direct or relayed)
+    sense: list    # Mbit collected
+    penalty: list  # separation penalty, subtracted
 
 
 def reward(report: StepReport, weights: RewardWeights) -> tuple[np.ndarray, RewardParts]:
-    """Every agent's reward total and its parts for one slot."""
-    energy = [-e / ENERGY_UNIT for e in report.energy.tolist()]
-    data = [(b + r) / DATA_UNIT
-            for b, r in zip(report.delivered_bs.tolist(), report.relayed_out.tolist())]
-    sense = [s / DATA_UNIT for s in report.sensed.tolist()]
-    penalty = [weights.mu * v for v in report.violations_per_uav.tolist()]
+    """Every agent's reward total (an array, for replay) and its parts for one slot."""
+    energy = [-e / ENERGY_UNIT for e in report.energy]
+    data = [(b + r) / DATA_UNIT for b, r in zip(report.delivered_bs, report.relayed_out)]
+    sense = [s / DATA_UNIT for s in report.sensed]
+    penalty = [weights.mu * v for v in report.violations_per_uav]
     total = [weights.gamma_energy * e + weights.gamma_data * d + weights.gamma_sense * s - p
              for e, d, s, p in zip(energy, data, sense, penalty)]
-    return np.array(total), RewardParts(np.array(energy), np.array(data),
-                                        np.array(sense), np.array(penalty))
+    return np.array(total), RewardParts(energy, data, sense, penalty)
 
 
 def critic_q(critic: nn.Mlp, obs: np.ndarray, acts: np.ndarray) -> list:
@@ -314,54 +312,57 @@ class TrainingConfig:
         return self.batch_size if self.warmup is None else self.warmup
 
 
+def uav_costs(w: WorldState, lam: float) -> list:
+    """Each UAV's running cost (formation.cost) from last slot's energy,
+    its own buffer, and the remaining demand of the users it covers."""
+    return [formation.cost(e, u.buffer, sum(g.remaining for g, snr in zip(w.gus, snrs)
+                                            if snr > world.OUT_OF_COVERAGE), lam)
+            for u, e, snrs in zip(w.uavs, w.last_energy, w.sensing_snr)]
+
+
 def build_cost_report(w: WorldState, lam: float) -> CostReport:
     """Status snapshot for the formation policies: drain-time balance from
-    current buffers against each UAV's would-be direct BS rate, cost from
-    last slot's energy, own buffer, and covered ground demand, and the
-    spare backhaul rate each UAV could lend a seeker (BS rate minus the
-    sensing intake of its current target, scaled to the offload sub-slot)."""
+    current buffers against each UAV's would-be direct BS rate, the
+    uav_costs, and the spare backhaul rate each UAV could lend a seeker
+    (BS rate minus the sensing intake of its current target, scaled to the
+    offload sub-slot)."""
     n = w.n_uavs
-    buffers = [u.buffer for u in w.uavs]
-    rates = [channel.point_rate(w.power_rows, i + 1, BS, w.chan) for i in range(n)]
-    balance = formation.load_balance(buffers, rates) if n >= 2 else np.zeros(1)
-    costs, spare = [], []
+    rates = [channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(n)]
+    balance = formation.load_balance([u.buffer for u in w.uavs], rates) if n >= 2 else [0.0]
     sub_slots = w.scenario.protocol.t_s / w.scenario.protocol.t_o
-    for i, (e, gid) in enumerate(zip(w.last_energy.tolist(), w.targets)):
-        backlog = sum(g.remaining for g, snr in zip(w.gus, w.snr_rows[i])
-                      if snr > world.OUT_OF_COVERAGE)
-        costs.append(formation.cost(e, buffers[i], backlog, lam))
-        intake = 0.0 if gid is None else channel.link_rate(w.snr_rows[i][gid], w.chan)
-        spare.append(max(0.0, rates[i] - intake * sub_slots))
-    return CostReport(balance, np.array(costs), np.array(spare))
+    intake = [0.0 if gid is None else channel.link_rate(snrs[gid], w.chan)
+              for gid, snrs in zip(w.targets, w.sensing_snr)]
+    spare = [max(0.0, rate - bits * sub_slots) for rate, bits in zip(rates, intake)]
+    return CostReport(balance, uav_costs(w, lam), spare)
 
 
-def expected_transmitters(w: WorldState) -> np.ndarray:
+def expected_transmitters(w: WorldState) -> list:
     """Per-node mask of UAVs likely to send in the coming offload sub-slot:
     anyone holding buffered data or still able to sense an unfinished
     ground user (that is, with a stored target).  Lets the formation
     builders treat drained UAVs' allocations as quiet spectrum."""
-    return np.array([False] + [u.buffer > 0.0 or gid is not None
-                               for u, gid in zip(w.uavs, w.targets)])
+    return [False] + [u.buffer > 0.0 or gid is not None for u, gid in zip(w.uavs, w.targets)]
 
 
 def make_formation_fn(policy: FormationPolicy, lam: float):
     """Returns fn(world, report=None) -> FormationMatrix implementing the
     configured policy on the live state.  A cost report the caller
-    already built for this state may be passed in; otherwise the policies
-    that need one build it."""
+    already built for this state may be passed in; otherwise eda_nf builds
+    one and dynamic_nf computes only the uav_costs it reads."""
     def fn(w: WorldState, report: CostReport | None = None) -> channel.FormationMatrix:
         k = w.chan.n_channels
         if policy.kind == "non_cooperative":
             return formation.baseline_noncoop(w.n_uavs, k)
-        tables = (w.range_rows, w.power_rows)
-        active = expected_transmitters(w).tolist()
+        tables = (w.node_range, w.link_power)
+        active = expected_transmitters(w)
         if policy.kind == "buffer_threshold":
             buffers = [u.buffer for u in w.uavs]
             return formation.baseline_buffer(buffers, *tables, policy, k, active)
+        if policy.kind == "dynamic_nf":
+            costs = uav_costs(w, lam) if report is None else report.cost
+            return formation.baseline_dynamic_nf(costs, *tables, policy, k, active)
         if report is None:
             report = build_cost_report(w, lam)
-        if policy.kind == "dynamic_nf":
-            return formation.baseline_dynamic_nf(report, *tables, policy, k, active)
         return formation.eda_nf(report, *tables, policy, k, w.chan, active)
     return fn
 
@@ -382,9 +383,10 @@ class EpisodeStats:
     def add_slot(self, w: WorldState, report: StepReport, rews: np.ndarray) -> None:
         """Fold one stepped slot into the episode totals."""
         self.rewards += rews
-        self.sensed += report.sensed.sum()
-        self.delivered += report.delivered_bs.sum()
-        self.energy += report.energy.sum()
+        # np.add.reduce: the order of additions of ndarray.sum, not sum()'s
+        self.sensed += np.add.reduce(report.sensed)
+        self.delivered += np.add.reduce(report.delivered_bs)
+        self.energy += np.add.reduce(report.energy)
         self.max_buffer = max(self.max_buffer, max(u.buffer for u in w.uavs))
         self.slots += 1
 

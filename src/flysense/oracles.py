@@ -85,21 +85,22 @@ def finite_diff_input_grad(net: nn.Mlp, x: np.ndarray, dy: np.ndarray,
     return _central_diff(x, lambda: float(np.sum(net.forward(x)[0] * dy)), h)
 
 
-def alloc_ok_literal(phi: np.ndarray, n_uavs: int, n_channels: int) -> bool:
-    """The sub-channel constraint written as plain double sums."""
+def alloc_ok_literal(phi, n_uavs: int, n_channels: int):
+    """The sub-channel constraint written as plain double sums; entries of
+    phi[tx][rx][ch] may be arrays, one 0/1 per matrix, to score many."""
+    ok = True
     for node in range(n_uavs + 1):
         for ch in range(n_channels):
             incoming = 0
             for m in range(n_uavs + 1):
                 if m != node:
-                    incoming += int(phi[m][node][ch])
+                    incoming = incoming + phi[m][node][ch]
             outgoing = 0
             for j in range(n_uavs + 1):
                 if j != node:
-                    outgoing += int(phi[node][j][ch])
-            if incoming + outgoing > 1:
-                return False
-    return True
+                    outgoing = outgoing + phi[node][j][ch]
+            ok = ok & (incoming + outgoing <= 1)
+    return ok
 
 
 def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int) -> set:
@@ -201,7 +202,9 @@ def check_mlp_gradients(rng: np.random.Generator, n_seeds: int = 10,
 
 def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
                           max_channels: int = 2) -> CheckResult:
-    """validate_alloc against the literal constraint over every matrix."""
+    """validate_alloc against the literal constraint over every matrix:
+    bit s of a pattern switches link slot s on.  The literal sums score
+    all patterns at once; validate_fn sees one matrix counted up."""
     validate_fn = validate_fn or channel.validate_alloc
     mismatches = 0
     total = 0
@@ -209,16 +212,20 @@ def check_alloc_validator(validate_fn=None, max_uavs: int = 3,
         for k in range(1, max_channels + 1):
             slots = [(tx, rx, ch) for tx in range(1, n + 1)
                      for rx in range(n + 1) if rx != tx for ch in range(k)]
-            txs, rxs, chs = np.array(slots).T
-            for pattern in range(2 ** len(slots)):
-                bits = (pattern >> np.arange(len(slots))) & 1
-                phi = np.zeros((n + 1, n + 1, k), dtype=np.int8)
-                phi[txs, rxs, chs] = bits
-                fm = FormationMatrix(n, k, phi)
-                ok_fast = not validate_fn(fm)
-                ok_lit = alloc_ok_literal(phi, n, k)
+            patterns = np.arange(2 ** len(slots))
+            phi = [[[0] * k for _ in range(n + 1)] for _ in range(n + 1)]
+            for s, (tx, rx, ch) in enumerate(slots):
+                phi[tx][rx][ch] = ((patterns >> s) & 1).astype(np.int8)
+            ok_lit = alloc_ok_literal(phi, n, k).tolist()
+            fm = FormationMatrix(n, k)
+            for pattern, want in enumerate(ok_lit):
+                # pattern - 1 -> pattern: clear the low one bits, set the next
+                for s, (tx, rx, ch) in enumerate(slots if pattern else ()):
+                    fm.rows[tx][rx][ch] = pattern >> s & 1
+                    if fm.rows[tx][rx][ch]:
+                        break
                 total += 1
-                if ok_fast != ok_lit:
+                if (not validate_fn(fm)) != want:
                     mismatches += 1
     return CheckResult("alloc_validator_vs_literal", float(mismatches), 0.0,
                        mismatches == 0, detail=f"{total} matrices")
@@ -306,11 +313,10 @@ def check_offload(rng: np.random.Generator, offload_fn=None) -> CheckResult:
     for w in worlds:
         n, k = len(w.uavs), w.chan.n_channels
         cap = w.scenario.buffer_capacity_bits
-        buffers = np.array([u.buffer for u in w.uavs])
+        buffers = [u.buffer for u in w.uavs]
         for key in enumerate_valid_allocs_constructive(n, k):
-            phi = np.frombuffer(key, dtype=np.int8).reshape(n + 1, n + 1, k)
-            fm = FormationMatrix(n, k, phi.copy())
-            res = offload_fn(buffers, cap - buffers, w.link_power, fm, w.chan,
+            fm = FormationMatrix(n, k, np.frombuffer(key, dtype=np.int8).reshape(n + 1, n + 1, k))
+            res = offload_fn(buffers, [cap - b for b in buffers], w.link_power, fm, w.chan,
                              w.scenario.protocol.t_o)
             got = [world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)
                    for i in range(n)]

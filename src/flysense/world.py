@@ -115,10 +115,10 @@ def coverage_radius_m(scenario: Scenario, params: ChannelParams) -> float:
 class WorldState:
     """Single-writer simulation state; all mutation goes through step().
 
-    place() builds the geometry fields from the positions in make_world
-    and in the fly phase of step(): positions change nowhere else, so every
-    decision of a slot reads these tables, inside the slot through their
-    tolist() copies.  targets holds each UAV's select_gu(w, i) choice for
+    place() builds the geometry tables, nested lists of Python floats,
+    from the positions in make_world and in the fly phase of step():
+    positions change nowhere else, so every decision of a slot reads these
+    tables.  targets holds each UAV's select_gu(w, i) choice for
     the state make_world or step left, so observations and the cost
     report rank no users again."""
 
@@ -129,17 +129,13 @@ class WorldState:
     scenario: Scenario
     chan: ChannelParams
     bs_pos: Position
-    last_energy: np.ndarray  # per-UAV propulsion J spent in the previous slot
-    max_slot_energy: float   # most propulsion J one slot can burn
-    gu_xyz: np.ndarray = field(init=False)       # (M, 3) user positions; users never move
-    nodes: np.ndarray = field(init=False)        # (N+1, 3) positions, BS in row 0
-    node_range: np.ndarray = field(init=False)   # (N+1, N+1) channel.ranges
-    link_power: np.ndarray = field(init=False)   # (N+1, N+1) channel.link_power
-    sensing_snr: np.ndarray = field(init=False)  # (N, M) sensing_table
-    range_rows: list = field(init=False)         # node_range.tolist()
-    power_rows: list = field(init=False)         # link_power.tolist()
-    snr_rows: list = field(init=False)           # sensing_snr.tolist()
-    targets: list = field(init=False)            # per UAV: user id or None
+    last_energy: list       # per-UAV propulsion J spent in the previous slot
+    max_slot_energy: float  # most propulsion J one slot can burn
+    gu_xyz: np.ndarray = field(init=False)  # (M, 3) user positions; users never move
+    node_range: list = field(init=False)    # (N+1)x(N+1) channel.ranges, BS first
+    link_power: list = field(init=False)    # (N+1)x(N+1) channel.link_power
+    sensing_snr: list = field(init=False)   # NxM sensing_table
+    targets: list = field(init=False)       # per UAV: user id or None
 
     @property
     def n_uavs(self) -> int:
@@ -150,30 +146,23 @@ OUT_OF_COVERAGE = -1.0  # sensing-table entry of a user outside a UAV's radius
 
 
 def sensing_table(uav_xyz: np.ndarray, gu_xyz: np.ndarray, scenario: Scenario,
-                  params: ChannelParams) -> np.ndarray:
-    """(N, M) sensing SNR of every UAV-ground-user pair, OUT_OF_COVERAGE
+                  params: ChannelParams) -> list:
+    """NxM sensing SNR of every UAV-ground-user pair, OUT_OF_COVERAGE
     where the user lies outside the UAV's coverage radius.  The ranges
     come in one batch; the SNR keeps its scalar formula entry by entry."""
     radius = coverage_radius_m(scenario, params)
-    return np.array([[channel.g2u_snr(d, params) if d <= radius else OUT_OF_COVERAGE
-                      for d in row]
-                     for row in channel.ranges(uav_xyz, gu_xyz).tolist()])
+    return [[channel.g2u_snr(d, params) if d <= radius else OUT_OF_COVERAGE for d in row]
+            for row in channel.ranges(uav_xyz, gu_xyz).tolist()]
 
 
 def place(w: WorldState) -> None:
-    """Build the slot's geometry from the current positions: the node
-    array, the node-range and received-power tables, and the sensing
-    table."""
+    """Build the slot's geometry from the current positions: the
+    node-range and received-power tables, and the sensing table."""
     nodes = np.array([c for p in (w.bs_pos, *(u.pos for u in w.uavs)) for c in p],
                      dtype=float).reshape(-1, 3)
-    nodes.flags.writeable = False
-    w.nodes = nodes
-    w.node_range = channel.ranges(nodes, nodes)
+    w.node_range = channel.ranges(nodes, nodes).tolist()
     w.link_power = channel.link_power(w.node_range, w.chan)
     w.sensing_snr = sensing_table(nodes[1:], w.gu_xyz, w.scenario, w.chan)
-    w.range_rows = w.node_range.tolist()
-    w.power_rows = w.link_power.tolist()
-    w.snr_rows = w.sensing_snr.tolist()
 
 
 def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generator) -> WorldState:
@@ -206,7 +195,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         scenario=scenario,
         chan=params,
         bs_pos=bs,
-        last_energy=np.zeros(scenario.n_uavs),
+        last_energy=[0.0] * scenario.n_uavs,
         max_slot_energy=max_slot_energy(scenario),
     )
     w.gu_xyz = np.array([g.pos for g in gus], dtype=float)
@@ -245,7 +234,7 @@ def select_gu(w: WorldState, i: int, exclude=()) -> int | None:
     lowest index; returns None when nobody qualifies."""
     best_id = None
     best_snr = OUT_OF_COVERAGE
-    for m, snr in enumerate(w.snr_rows[i]):
+    for m, snr in enumerate(w.sensing_snr[i]):
         if snr > best_snr and m not in exclude and w.gus[m].remaining > 0.0:
             best_snr = snr
             best_id = m
@@ -256,7 +245,7 @@ def sense(w: WorldState, i: int, gid: int) -> float:
     """Bits UAV i collects from ground user gid during the sensing
     sub-slot: the link-rate budget capped by what the user still has and
     by the UAV's free buffer space."""
-    rate = channel.link_rate(w.snr_rows[i][gid], w.chan)
+    rate = channel.link_rate(w.sensing_snr[i][gid], w.chan)
     free = max(w.scenario.buffer_capacity_bits - w.uavs[i].buffer, 0.0)
     return min(w.scenario.protocol.t_s * rate, w.gus[gid].remaining, free)
 
@@ -294,13 +283,13 @@ def max_slot_energy(scenario: Scenario) -> float:
 
 @dataclass
 class StepReport:
-    """Everything that happened in one slot, indexed by 0-based UAV."""
+    """Everything that happened in one slot, one list entry per 0-based UAV."""
 
-    sensed: np.ndarray        # bits collected from ground users
-    delivered_bs: np.ndarray  # bits delivered to the base station
-    relayed_out: np.ndarray   # bits sent to other UAVs
-    energy: np.ndarray        # propulsion J (enters the objective)
-    violations_per_uav: np.ndarray  # other UAVs closer than d_min after flying
+    sensed: list        # bits collected from ground users
+    delivered_bs: list  # bits delivered to the base station
+    relayed_out: list   # bits sent to other UAVs
+    energy: list        # propulsion J (enters the objective)
+    violations_per_uav: list  # other UAVs closer than d_min after flying
 
 
 def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState, StepReport]:
@@ -338,22 +327,17 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     free = [cap - b - s for b, s in zip(buffers, sensed)]
     res = channel.offload(buffers, free, w.link_power, fm, w.chan, scen.protocol.t_o)
 
-    energy = []
+    w.last_energy = [propulsion_energy(v, scen.protocol, scen.energy) for v in speeds]
     for i, u in enumerate(w.uavs):
         u.buffer = uav_buffer_step(u.buffer, res.outgoing[i], sensed[i] + res.incoming[i], cap)
-        energy.append(propulsion_energy(speeds[i], scen.protocol, scen.energy))
-        u.energy_used += energy[i]
+        u.energy_used += w.last_energy[i]
 
     d_min = scen.protocol.d_min
     close = [sum([d < d_min for j, d in enumerate(row[1:]) if j != i])
-             for i, row in enumerate(w.range_rows[1:])]
-
-    w.last_energy = np.array(energy)
+             for i, row in enumerate(w.node_range[1:])]
     w.t += 1
-    report = StepReport(np.array(sensed), np.array(res.to_bs),
-                        np.array([o - b for o, b in zip(res.outgoing, res.to_bs)]),
-                        w.last_energy, np.array(close))
-    return w, report
+    return w, StepReport(sensed, res.to_bs, [o - b for o, b in zip(res.outgoing, res.to_bs)],
+                         w.last_energy, close)
 
 
 def objective_slot(w: WorldState, report: StepReport, lam) -> float:
@@ -362,4 +346,4 @@ def objective_slot(w: WorldState, report: StepReport, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     buffers = np.array([u.buffer for u in w.uavs])
     backlog = sum(g.remaining for g in w.gus)
-    return float(np.sum(report.energy + lam * buffers) + backlog)
+    return float(np.sum(np.add(report.energy, lam * buffers)) + backlog)

@@ -110,7 +110,7 @@ def test_criterion_2_simulator_invariants():
                 assert -1e-9 <= g.remaining <= prev + 1e-9
             # conservation: buffered delta = sensed - delivered to the BS
             lhs = sum(u.buffer for u in w.uavs) - before_buf.sum()
-            rhs = rep.sensed.sum() - rep.delivered_bs.sum()
+            rhs = np.sum(rep.sensed) - np.sum(rep.delivered_bs)
             assert lhs == pytest.approx(rhs, abs=1e-6)
             # no UAV ships more than it had buffered at the slot start
             for i in range(n_uavs):
@@ -144,7 +144,7 @@ def test_criterion_3_eda_nf_structure():
         positions[1:, :2] = rng.uniform(-1000, 1000, size=(n, 2))
         positions[1:, 2] = 100.0
         buffers = rng.uniform(0, 2e7, size=n)
-        node_range = channel.ranges(positions, positions)
+        node_range = channel.ranges(positions, positions).tolist()
         power = channel.link_power(node_range, params)
         rates = np.array([channel.point_rate(power, i + 1, BS, params) for i in range(n)])
         zero_rate = rng.random() < 0.1
@@ -173,7 +173,7 @@ def test_criterion_3_eda_nf_structure():
             assert d < policy.pair_range_m
         # 3. drain-time imbalances cancel whenever every rate is finite
         if not zero_rate:
-            assert abs(balance.sum()) < 1e-9
+            assert abs(np.sum(balance)) < 1e-9
     elapsed = time.time() - t0
     report("criterion 3 (relay pairing structure)", True,
            f"1000 random reports, all structural checks hold, {elapsed:.1f}s")

@@ -5,6 +5,7 @@ path-loss products) so an error in the library cannot hide in the test.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from flysense.channel import (
     u2u_rate,
     validate_alloc,
 )
+from flysense.oracles import check_alloc_validator
 
 P = ChannelParams()
 
@@ -39,7 +41,7 @@ def distance(a, b) -> float:
 def power_table(positions):
     """link_power of the node rows, as the world builds it each slot."""
     positions = np.asarray(positions, dtype=float)
-    return link_power(ranges(positions, positions), P)
+    return link_power(ranges(positions, positions).tolist(), P)
 
 
 def test_default_link_budget_constants():
@@ -71,6 +73,54 @@ class TestFormationMatrix:
         with pytest.raises(FormationError):
             FormationMatrix(2, 2, phi)
 
+    def test_rejects_wrong_shape_and_non_binary_entries(self):
+        for shape in ((3, 3, 3), (2, 3, 2), (3, 3)):
+            with pytest.raises(FormationError, match="shape"):
+                FormationMatrix(2, 2, np.zeros(shape, dtype=np.int8))
+        phi = np.zeros((3, 3, 2), dtype=np.int8)
+        phi[1, 0, 1] = 2
+        with pytest.raises(FormationError, match="0 or 1"):
+            FormationMatrix(2, 2, phi)
+
+    def test_set_then_clear_seen_by_every_query(self):
+        """Link 2->3 on sub-channel 0 beside 1->BS (channel 0) and 3->BS
+        (channel 1): every query sees it as soon as set_link returns and
+        stops seeing it as soon as clear_link does."""
+        power = power_table([(1000.0, 1000.0, 25.0), (0.0, 0.0, 100.0),
+                             (300.0, 0.0, 100.0), (0.0, 300.0, 100.0)])
+        fm = FormationMatrix(3, 2)
+        fm.set_link(1, BS, 0)
+        fm.set_link(3, BS, 1)
+
+        def seen():
+            return (fm.has_link(2, 3), fm.links(), fm.out_links(2), fm.channel_fits(2, 3, 0),
+                    u2u_rate(fm, power, 2, 3, P), interference(fm, power, 1, BS, 0))
+
+        without = (False, [(1, 0, 0), (3, 0, 1)], [], True, 0.0, 0.0)
+        assert seen() == without
+        fm.set_link(2, 3, 0)
+        sinr = power[2][3] / (P.noise + power[1][3])
+        assert seen() == (True, [(1, 0, 0), (2, 3, 0), (3, 0, 1)], [(3, 0)], False,
+                          P.bandwidth * math.log2(1.0 + sinr), power[2][BS])
+        fm.clear_link(2, 3)
+        assert seen() == without
+
+    def test_key_is_the_int8_bytes_of_phi(self):
+        """key(), which run traces use to tell starting worlds apart, is
+        the bytes of the int8 matrix; phi is a read-only copy."""
+        phi = np.zeros((4, 4, 3), dtype=np.int8)
+        for tx, rx, ch in ((1, 0, 0), (2, 1, 2), (3, 0, 1)):
+            phi[tx, rx, ch] = 1
+        built = FormationMatrix(3, 3)
+        for tx, rx, ch in ((1, 0, 0), (2, 1, 2), (3, 0, 1)):
+            built.set_link(tx, rx, ch)
+        for fm in (FormationMatrix(3, 3, phi), built):
+            assert fm.key() == phi.tobytes()
+            assert fm.phi.dtype == np.int8 and np.array_equal(fm.phi, phi)
+            with pytest.raises(ValueError):
+                fm.phi[1, 0, 0] = 0
+        assert FormationMatrix(3, 3).key() == bytes(phi.size)
+
     def test_channel_fits_counts_both_roles(self):
         fm = FormationMatrix(2, 1)
         fm.set_link(1, BS, 0)
@@ -86,6 +136,20 @@ def test_validate_alloc_flags_each_node_channel_overuse():
     phi[2, 1, 0] = 1  # node 1: tx on ch0 and rx on ch0 -> violation
     fm = FormationMatrix(3, 2, phi)
     assert validate_alloc(fm) == [(1, 0)]
+
+
+def _validate_ignoring_incoming(fm):
+    """Planted mutation of validate_alloc: it counts only the sending use
+    of each (node, channel), so two transmitters into one receiver on one
+    sub-channel pass."""
+    use = Counter((tx, ch) for tx, _, ch in fm.links())
+    return sorted(key for key, count in use.items() if count > 1)
+
+
+def test_alloc_oracle_flags_a_validator_ignoring_incoming_use():
+    res = check_alloc_validator(_validate_ignoring_incoming, max_uavs=2)
+    assert not res.ok and res.max_err > 0
+    assert check_alloc_validator(max_uavs=2).ok
 
 
 def test_validate_alloc_random_matches_literal_recount():

@@ -12,9 +12,11 @@ from collections import Counter
 import pytest
 
 from flysense import cli, harness, oracles
-from flysense.config import RunConfig
+from flysense.config import RunConfig, load_config
+from flysense.marl import Trainer
 
-TINY = pathlib.Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+TINY = CONFIGS / "tiny.json"
 
 
 def write_tiny_config(tmp_path, seed=11):
@@ -177,6 +179,34 @@ def test_missing_checkpoint_exit_3(tmp_path, capsys):
                      "--checkpoint", str(tmp_path / "nope.json")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _untrained_checkpoint(path, config):
+    """checkpoint.json of a Trainer built from config, before any training."""
+    harness.save_agents(str(path), Trainer(load_config(str(config))).agents)
+    return str(path)
+
+
+@pytest.mark.parametrize("saved, evaluated, hidden", [
+    ("desk", "tiny", None),    # 3 UAVs, 64x64 nets into 2 UAVs, 16x16 nets
+    ("tiny", "desk", None),
+    ("tiny", "tiny", [8, 8]),  # same fleet, narrower hidden layers
+])
+def test_eval_with_a_checkpoint_that_does_not_fit_exit_1_before_writing(
+        tmp_path, capsys, saved, evaluated, hidden):
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt.json", CONFIGS / f"{saved}.json")
+    cfg = json.loads((CONFIGS / f"{evaluated}.json").read_text())
+    if hidden is not None:
+        cfg["training"]["hidden"] = hidden
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+                     "--episodes", "1", "--checkpoint", ckpt])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "network actor_1 is [" in err
+    assert not out.exists()
 
 
 def test_oracle_check_exit_codes(monkeypatch, capsys):

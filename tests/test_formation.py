@@ -38,7 +38,7 @@ class TestLoadBalance:
             buffers = rng.uniform(0, 2e7, n)
             rates = rng.uniform(1e5, 1e7, n)
             b = load_balance(buffers, rates)
-            np.testing.assert_allclose(b.sum(), 0.0, atol=1e-6)
+            np.testing.assert_allclose(np.sum(b), 0.0, atol=1e-6)
 
     def test_zero_rate_uses_cap(self):
         b = load_balance([1.0, 1.0], [0.0, 1.0])
@@ -61,7 +61,7 @@ def _positions(*uav_xy, bs=(1000.0, 1000.0, 25.0)):
 
 def _tables(positions):
     """The (node_range, link_power) pair a world builds for the planners."""
-    node_range = channel.ranges(positions, positions)
+    node_range = channel.ranges(positions, positions).tolist()
     return node_range, channel.link_power(node_range, P)
 
 
@@ -214,10 +214,8 @@ class TestBaselines:
 
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
         pol = FormationPolicy(cost_margin=1.0)
-        report = CostReport(balance=np.zeros(3), cost=np.array([10.0, 5.0, 0.5]),
-                            spare_rate=np.full(3, np.inf))
         pos = _positions((0, 0), (100, 0), (200, 0))
-        fm = baseline_dynamic_nf(report, *_tables(pos), pol, 3)
+        fm = baseline_dynamic_nf([10.0, 5.0, 0.5], *_tables(pos), pol, 3)
         # most expensive first: 1 grabs 3; 2 cannot reuse 3
         assert fm.has_link(1, 3)
         assert not fm.has_link(2, 3) and fm.has_link(2, BS)

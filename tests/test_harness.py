@@ -81,7 +81,7 @@ class TestCheckpointHelpers:
         path = str(tmp_path / "ckpt.json")
         save_agents(path, agents)
         wider = build_agents(2, 6, (8,), 1e-3, 1e-3, rng)
-        with pytest.raises(ValueError, match="agent 2"):
+        with pytest.raises(ConfigError, match="network actor_2 is absent"):
             load_agents_into(path, wider)
 
 

@@ -126,7 +126,7 @@ def _reference_observe(w, i):
     gid = world.select_gu(w, i)
     if gid is not None:
         g = w.gus[gid]
-        snr = float(w.sensing_snr[i, gid])
+        snr = w.sensing_snr[i][gid]
         overhead = max(u.pos.z, 1.0)
         snr_max = w.chan.q_gu * w.chan.beta_s * overhead ** -w.chan.alpha_s
         obs[base] = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
@@ -192,11 +192,39 @@ def test_expected_transmitters_equal_the_coverage_rule():
     """A UAV is expected to send when it holds data or covers a user with
     data left; the stored target stands for the second half."""
     for w in _stepped_worlds(seed=23):
-        covered = w.sensing_snr > world.OUT_OF_COVERAGE
-        want = [False] + [u.buffer > 0.0 or any(inside and g.remaining > 0.0
-                                                for g, inside in zip(w.gus, covered[i]))
+        want = [False] + [u.buffer > 0.0 or any(snr > world.OUT_OF_COVERAGE and g.remaining > 0.0
+                                                for g, snr in zip(w.gus, w.sensing_snr[i]))
                           for i, u in enumerate(w.uavs)]
-        assert expected_transmitters(w).tolist() == want
+        assert expected_transmitters(w) == want
+
+
+def test_dynamic_nf_formation_computes_only_the_costs(monkeypatch):
+    """Under dynamic_nf the formation function builds no drain-time
+    balance and asks for no point rate: the planner reads only the per-UAV
+    costs.  Its links are those the planner makes from a full cost
+    report's costs."""
+    policy = FormationPolicy(kind="dynamic_nf")
+    fn = marl.make_formation_fn(policy, lam=0.5)
+    calls = Counter()
+    for module, name in ((formation, "load_balance"), (channel, "point_rate")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                            calls.update([name]) or real(*a, **k))
+    rng = np.random.default_rng(25)
+    relayed = 0
+    for w in _stepped_worlds(seed=24):
+        for u in w.uavs:
+            u.buffer = float(rng.uniform(0.0, w.scenario.buffer_capacity_bits))
+        links = fn(w).links()
+        assert not calls
+        costs = build_cost_report(w, lam=0.5).cost
+        assert calls["point_rate"] == w.n_uavs
+        calls.clear()
+        want = formation.baseline_dynamic_nf(costs, w.node_range, w.link_power, policy,
+                                             w.chan.n_channels, expected_transmitters(w))
+        assert links == want.links()
+        relayed += any(rx != channel.BS for _, rx, _ in links)
+    assert relayed > 0
 
 
 def test_observe_and_cost_report_rank_no_users(monkeypatch):
@@ -528,13 +556,12 @@ class TestCostReport:
         rates = [channel.point_rate(w.link_power, i + 1, 0, w.chan) for i in range(2)]
         drains = [1e6 / rates[0], 1e6 / rates[1]]
         assert rep.balance[0] == pytest.approx(drains[0] - drains[1])
-        assert rep.balance.sum() == pytest.approx(0.0)
+        assert np.sum(rep.balance) == pytest.approx(0.0)
 
     def test_single_uav_zero_balance(self):
         w = tiny_world(n_uavs=1, n_gus=1)
         rep = build_cost_report(w, lam=0.5)
-        assert rep.balance.shape == (1,)
-        assert rep.balance[0] == 0.0
+        assert rep.balance == [0.0]
 
     def test_cost_counts_covered_backlog(self):
         w = tiny_world(n_uavs=1, n_gus=2, uav_xy=[(0.0, 0.0)],

@@ -212,6 +212,22 @@ class TestBackward:
         res = check_mlp_gradients(np.random.default_rng(0))
         assert res.ok, res.detail
 
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_oracle_check_flags_a_scaled_weight_gradient(self, monkeypatch, layer):
+        """Planted mutation of Mlp.backward: one layer's weight gradient
+        comes out 1% too large."""
+        real = Mlp.backward
+
+        def scaled(self, cache, dy, params=True, inputs=True):
+            grads, dx = real(self, cache, dy, params=params, inputs=inputs)
+            if grads is not None:
+                dw = grads[layer][0]
+                dw *= 1.01
+            return grads, dx
+
+        monkeypatch.setattr(Mlp, "backward", scaled)
+        assert not check_mlp_gradients(np.random.default_rng(0)).ok
+
 
 class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):

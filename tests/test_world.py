@@ -127,12 +127,12 @@ class TestSensingTable:
             w = make_world(scen, P, np.random.default_rng(trial))
             radius = coverage_radius_m(scen, P)
             for t in range(3):
-                assert w.sensing_snr.shape == (n, m)
+                assert [len(row) for row in w.sensing_snr] == [m] * n
                 for i, u in enumerate(w.uavs):
                     for k, g in enumerate(w.gus):
                         d = distance(u.pos, g.pos)
                         want = g2u_snr(d, P) if d <= radius else -1.0
-                        assert w.sensing_snr[i, k] == want
+                        assert w.sensing_snr[i][k] == want
                         inside += d <= radius
                         outside += d > radius
                 acts = [((1.0, 0.0), float(rng.uniform(0, 20))) for _ in range(n)]
@@ -193,17 +193,18 @@ class TestNodeTables:
         floored = 0
         for w, _ in self.worlds():
             nodes = [w.bs_pos, *(u.pos for u in w.uavs)]
-            assert np.array_equal(w.nodes, np.array(nodes, dtype=float))
+            for table in (w.node_range, w.link_power):
+                assert [len(row) for row in table] == [len(nodes)] * len(nodes)
             for a, pa in enumerate(nodes):
                 for b, pb in enumerate(nodes):
-                    assert w.node_range[a, b] == distance(pa, pb)
-                    assert w.link_power[a, b] == _scalar_power(pa, pb)
+                    assert w.node_range[a][b] == distance(pa, pb)
+                    assert w.link_power[a][b] == _scalar_power(pa, pb)
                     floored += a != b and distance(pa, pb) < 1.0
             radius = coverage_radius_m(w.scenario, P)
             for i, u in enumerate(w.uavs):
                 for k, g in enumerate(w.gus):
                     d = distance(u.pos, g.pos)
-                    assert w.sensing_snr[i, k] == (g2u_snr(d, P) if d <= radius else -1.0)
+                    assert w.sensing_snr[i][k] == (g2u_snr(d, P) if d <= radius else -1.0)
         assert floored > 0
 
     def test_rates_from_the_power_table_equal_the_positions_formulas(self):
@@ -302,14 +303,14 @@ class TestStep:
         fm.set_link(1, BS, 0)
         fm.set_link(2, BS, 1)
         w, rep = step(w, [((1.0, 0.0), 0.0)] * 2, fm)
-        assert rep.delivered_bs.sum() == 0.0
+        assert np.sum(rep.delivered_bs) == 0.0
         drained = demand_before - sum(g.remaining for g in w.gus)
-        np.testing.assert_allclose(rep.sensed.sum(), drained, rtol=1e-12)
+        np.testing.assert_allclose(np.sum(rep.sensed), drained, rtol=1e-12)
         np.testing.assert_allclose(
             [u.buffer for u in w.uavs], rep.sensed, rtol=1e-12
         )
         w, rep2 = step(w, [((1.0, 0.0), 0.0)] * 2, fm)
-        assert rep2.delivered_bs.sum() > 0.0
+        assert np.sum(rep2.delivered_bs) > 0.0
 
     def test_conservation_and_bounds_random(self):
         """Random worlds and actions: buffers stay inside [0, capacity],
@@ -337,14 +338,14 @@ class TestStep:
                     assert g.remaining <= rb + 1e-9
                 delta = sum(u.buffer for u in w.uavs) - before_buf
                 np.testing.assert_allclose(
-                    delta, rep.sensed.sum() - rep.delivered_bs.sum(), rtol=0, atol=1e-6
+                    delta, np.sum(rep.sensed) - np.sum(rep.delivered_bs), rtol=0, atol=1e-6
                 )
 
     def test_proximity_violations_counted_per_pair(self):
         scen = Scenario(n_uavs=2, n_gus=1, gu_seed=3, uav_xy=((0.0, 0.0), (0.001, 0.0)))
         w = make_world(scen, P, np.random.default_rng(0))
         w2, rep = step(w, [((1.0, 0.0), 0.0), ((1.0, 0.0), 0.0)], w.formation)
-        assert rep.violations_per_uav.tolist() == [1, 1]
+        assert rep.violations_per_uav == [1, 1]
 
 
 def test_objective_slot_weighs_energy_buffers_and_backlog():
