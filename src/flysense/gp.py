@@ -10,7 +10,6 @@ unit-agnostic: positions and length scale just have to share units.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,30 +35,33 @@ class GpConfig:
 
 
 class SampleHistory:
-    """Sliding window of planar samples; appending past capacity evicts
-    the oldest.  Values are non-negative data amounts."""
+    """Sliding window of planar samples in arrival order, which the Gram
+    matrix and so the proposals follow; appending past capacity evicts
+    the oldest.  Values are non-negative data amounts.  add replaces the
+    (m, 2) positions and (m,) values arrays, never writes into them."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._items: deque = deque(maxlen=capacity)
+        self._capacity = capacity
+        self._positions = np.zeros((0, 2))
+        self._values = np.zeros(0)
 
     def add(self, position, value: float) -> None:
         if value < 0:
             raise ValueError("sample values must be non-negative")
         p = np.asarray(position, dtype=float).reshape(-1)[:2]
-        self._items.append((p.copy(), float(value)))
+        self._positions = np.concatenate([self._positions, p[None]])[-self._capacity:]
+        self._values = np.append(self._values, float(value))[-self._capacity:]
 
     def positions(self) -> np.ndarray:
-        if not self._items:
-            return np.zeros((0, 2))
-        return np.array([p for p, _ in self._items])
+        return self._positions
 
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self._items])
+        return self._values
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._values)
 
 
 def kernel(p, q, cfg: GpConfig) -> float:

@@ -60,10 +60,6 @@ class CsvSink:
     def episode_row(self, row: dict) -> None:
         self._write("episodes.csv", row)
 
-    def close(self) -> None:
-        self._files.close()
-        self._writers.clear()
-
     def __enter__(self):
         return self
 
@@ -98,8 +94,9 @@ def _net_shape(net) -> str:
 
 
 def load_agents_into(path: str, agents) -> None:
-    """Restore networks saved by save_agents into an existing agent list
-    (optimizer state starts fresh).  A net that only one side has, or
+    """Write the parameters of networks saved by save_agents into the nets
+    of an existing agent list, so a stack over them runs what was loaded
+    (optimizer state is not saved).  A net that only one side has, or
     whose dims or output activation differ, raises ConfigError naming it."""
     nets = nn.load_checkpoint(path)
     slots = {f"{role}_{i}": (a, role)
@@ -111,7 +108,7 @@ def load_agents_into(path: str, agents) -> None:
             raise ConfigError(f"checkpoint {path}: network {name} is {got},"
                               f" the config builds {want}")
     for name, (a, role) in slots.items():
-        setattr(a, role, nets[name])
+        getattr(a, role).params[...] = nets[name].params
 
 
 def _stats_row(stats) -> dict:

@@ -418,16 +418,6 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
     return stats
 
 
-def actor_policy(agents: list):
-    """Deterministic decentralized policy from the actors as they are
-    now: they are stacked once, so later training does not reach it."""
-    actors = nn.MlpStack(a.actor for a in agents)
-
-    def fn(w, obs):
-        return act(actors, obs)
-    return fn
-
-
 @dataclass
 class TrainResult:
     agents: list
@@ -439,7 +429,8 @@ class TrainResult:
 class Trainer:
     """Owns the networks, replay, GP histories, and all random streams of
     one training run.  Seeded identically, two trainers produce
-    bit-identical metric streams."""
+    bit-identical metric streams.  The actors' weights live in one
+    nn.MlpStack, which both training and evaluation act through."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -460,6 +451,7 @@ class Trainer:
         tc = self.train_cfg
         self.agents = build_agents(n, self.obs_dim, tc.hidden, tc.actor_lr,
                                    tc.critic_lr, init_rng)
+        self.actors = nn.MlpStack(a.actor for a in self.agents)
         self.replay = ReplayBuffer(tc.replay_capacity, n, self.obs_dim,
                                    np.random.default_rng(replay_ss))
         self.histories = [gp.SampleHistory(cfg.gp.window) for _ in range(n)]
@@ -502,8 +494,7 @@ class Trainer:
                      and ep % tc.metrics_episode_stride == 0)
         for slot in range(tc.horizon):
             obs = observe(w)
-            actors = nn.MlpStack(a.actor for a in self.agents)  # they learn
-            a_actor = act(actors, obs, tc.noise_scale, self.noise_rng)
+            a_actor = act(self.actors, obs, tc.noise_scale, self.noise_rng)
             a_exec = a_actor.copy()
             if tc.bo_enabled:
                 for i in range(n):
@@ -595,17 +586,17 @@ class Trainer:
     def evaluate(self, episodes: int, policy: FormationPolicy | None = None,
                  demand_scale: float = 1.0, horizon: int | None = None,
                  slot_cb=None, act_fn=None) -> list:
-        """Deterministic rollouts of the trained actors (or any act_fn):
-        no noise, no GP arbitration.  World seeds depend only on (run
-        seed, episode), so different policies see identical scenarios."""
+        """Deterministic rollouts of the actors as they are now (or of any
+        act_fn): no noise, no GP arbitration.  World seeds depend only on
+        (run seed, episode), so different policies see identical scenarios."""
         fn = (self.formation_fn if policy is None
               else make_formation_fn(policy, self.train_cfg.lam))
         horizon = self.train_cfg.horizon if horizon is None else horizon
-        act = actor_policy(self.agents) if act_fn is None else act_fn
+        act_fn = act_fn or (lambda w, obs: act(self.actors, obs))
         out = []
         for k in range(episodes):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
             w = self._new_world(rng=rng, demand_scale=demand_scale, formation_fn=fn)
-            out.append(rollout(w, act, horizon, fn,
+            out.append(rollout(w, act_fn, horizon, fn,
                                self.train_cfg.weights, slot_cb=slot_cb))
         return out

@@ -19,7 +19,8 @@ weights first, row-major as a (fan_in, fan_out) matrix, then its
 fan_out biases; layer l + 1 follows directly.  ``ws[l]`` and ``bs[l]``
 are views into that vector, so writing through them writes the
 parameters, and a whole-net update (Adam, Polyak) is one vector
-operation.  Gradients from ``backward`` use the same layout.
+operation.  Gradients from ``backward`` use the same layout.  The nets
+of an ``MlpStack`` are rows of one (N, P) matrix.
 """
 
 from __future__ import annotations
@@ -164,18 +165,23 @@ class Mlp:
 
 
 class MlpStack:
-    """Frozen copies of N nets of one shape, run as one forward: net k's
-    layer-l weights are row k of an (N, fan_in, fan_out) stack.  forward
-    maps an (N, fan_in) input to (N, fan_out), row k through net k, equal
-    to net k's single-vector forward bit for bit.  Later updates of the
-    nets do not reach a stack; build a new one."""
+    """N nets of one shape that hold their weights together and run as one
+    forward.  Building a stack moves the nets' parameters into the rows of
+    one (N, P) matrix and rebinds net k to row k, so every later update
+    through a net (Adam, Polyak, a loaded checkpoint) is what the stack
+    computes next.  forward maps an (N, fan_in) input to (N, fan_out),
+    row k through net k, equal to net k's single-vector forward bit for
+    bit."""
 
     def __init__(self, nets):
         nets = list(nets)
         dims, self.out_act = nets[0].dims, nets[0].out_act
         if any(net.dims != dims or net.out_act != self.out_act for net in nets):
             raise ValueError("stacked nets must share dims and output activation")
-        self.ws, bs = _layer_views(np.stack([net.params for net in nets]), dims)
+        params = np.stack([net.params for net in nets])
+        for net, row in zip(nets, params):
+            net._bind(row)
+        self.ws, bs = _layer_views(params, dims)
         self.bs = [b[:, None, :] for b in bs]
 
     def forward(self, x) -> np.ndarray:

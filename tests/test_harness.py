@@ -75,6 +75,23 @@ class TestCheckpointHelpers:
             for wa, wb in zip(a.target_critic.ws, b.target_critic.ws):
                 np.testing.assert_array_equal(wa, wb)
 
+    def test_evaluate_runs_the_loaded_actors(self, tmp_path):
+        saved = Trainer(tiny_cfg(seed=12)).agents
+        path = str(tmp_path / "ckpt.json")
+        save_agents(path, saved)
+        trainer = Trainer(tiny_cfg())
+        before = trainer.evaluate(2)
+        load_agents_into(path, trainer.agents)
+        got = trainer.evaluate(2)
+
+        def saved_actors(w, obs):
+            return np.array([a.actor.forward(o)[0] for a, o in zip(saved, obs)]).clip(-1.0, 1.0)
+        want = trainer.evaluate(2, act_fn=saved_actors)
+        for g, wt, b in zip(got, want, before):
+            assert np.array_equal(g.rewards, wt.rewards)
+            assert (g.sensed, g.energy, g.slots) == (wt.sensed, wt.energy, wt.slots)
+            assert not np.array_equal(g.rewards, b.rewards)
+
     def test_load_missing_agent_raises(self, tmp_path):
         rng = np.random.default_rng(0)
         agents = build_agents(1, 6, (8,), 1e-3, 1e-3, rng)

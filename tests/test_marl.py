@@ -639,6 +639,62 @@ def test_target_actor_forwards_per_batch(monkeypatch):
     assert calls == [0, 1, 2, 0, 1]
 
 
+def _actor_step_gradient(update, i, agents, batch, monkeypatch):
+    """The flat gradient that update(i, ...) hands to agent i's actor Adam."""
+    got = []
+    monkeypatch.setattr(agents[i].actor_opt, "step",
+                        lambda net, grad: got.append(grad.copy()))
+    update(i, agents, batch, 0.9, 0.0)
+    return got[0]
+
+
+def _neg_mean_q_gradient(i, agents, batch, h=1e-6):
+    """Central differences of -mean Q_i over the batch, agent i acting by
+    its actor, in actor i's parameters.  Critic input: every observation
+    of a transition, then every agent's action."""
+    actor, critic = agents[i].actor, agents[i].critic
+    b = len(batch.obs)
+
+    def loss():
+        acts = batch.acts.copy()
+        for k in range(b):
+            acts[k, i] = actor.forward(batch.obs[k, i])[0]
+        return -sum(critic.forward(np.concatenate([batch.obs[k].ravel(), acts[k].ravel()]))[0][0]
+                    for k in range(b)) / b
+
+    p = actor.params
+    out = np.empty(p.size)
+    for k in range(p.size):
+        keep = p[k]
+        p[k] = keep + h
+        up = loss()
+        p[k] = keep - h
+        out[k] = (up - loss()) / (2.0 * h)
+        p[k] = keep
+    return out
+
+
+def test_second_agents_actor_step_follows_its_own_action_gradient(monkeypatch):
+    """With the critic frozen (lr 0), agent 1's actor step is the gradient
+    of -mean Q_1 in actor 1's parameters, and an update that reads the
+    critic's input gradient at the next agent's action slot is not."""
+    n, obs_dim = 2, 3
+    agents = build_agents(n, obs_dim, (4,), 1e-2, 0.0, np.random.default_rng(45))
+    batch = random_batch(np.random.default_rng(46), 6, n, obs_dim)
+    want = _neg_mean_q_gradient(1, agents, batch)
+    got = _actor_step_gradient(update_agent, 1, agents, batch, monkeypatch)
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
+    src = inspect.getsource(marl.update_agent)
+    right = "n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM"
+    assert src.count(right) == 1
+    namespace = dict(vars(marl))
+    exec(src.replace(right, "n * obs_dim + (i + 1) % n * ACT_DIM:"
+                            " n * obs_dim + ((i + 1) % n + 1) * ACT_DIM"), namespace)
+    off_by_one = _actor_step_gradient(namespace["update_agent"], 1, agents, batch, monkeypatch)
+    assert not np.allclose(off_by_one, want, rtol=1e-6, atol=1e-9)
+
+
 def tiny_run_config(seed=11, **training_overrides):
     training = TrainingConfig(
         episodes=4, horizon=8, batch_size=8, replay_capacity=512,

@@ -139,14 +139,20 @@ class TestRowForwards:
             y, _ = net.forward(x[:, None, :])
             assert np.array_equal(y[:, 0, :], want)
 
-    def test_stack_is_a_frozen_copy(self):
+    def test_updates_through_the_nets_reach_their_stack(self):
         nets = [_net([3, 4, 2], out_act="tanh", seed=k) for k in range(2)]
+        want = [net.params.copy() for net in nets]
         stack = MlpStack(nets)
+        for net, params in zip(nets, want):
+            assert np.array_equal(net.params, params)
         x = np.ones((2, 3))
         before = stack.forward(x)
-        nets[0].params += 1.0
-        assert np.array_equal(stack.forward(x), before)
-        assert not np.array_equal(MlpStack(nets).forward(x), before)
+        grads, _ = nets[0].backward(nets[0].forward(x[0])[1], np.ones(2), inputs=False)
+        Adam(0.1).step(nets[0], grads.flat)
+        soft_update(nets[1], _net([3, 4, 2], out_act="tanh", seed=9), 0.5)
+        after = stack.forward(x)
+        assert not np.any(after == before)
+        assert np.array_equal(after, [net.forward(row)[0] for net, row in zip(nets, x)])
 
     def test_stack_rejects_mixed_nets(self):
         with pytest.raises(ValueError):

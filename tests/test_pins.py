@@ -1,6 +1,6 @@
-"""The same-bytes promise in tier-1: the benchmark's desk_sweep and
-desk_train workloads at seed 0 write artifacts whose sha256 equal the
-pins in bench/fingerprints.json.
+"""The same-bytes promise in tier-1: the benchmark's desk_sweep,
+desk_train and solo_train workloads at seed 0 write artifacts whose
+sha256 equal the pins in bench/fingerprints.json.
 
 The workloads run as the benchmark worker runs them (bench/workloads.py
 for the calls, bench/checks.py for the hashes, one BLAS thread) in a
@@ -25,7 +25,7 @@ import checks
 from flysense import config, harness
 
 found = {{}}
-for name in ("desk_sweep", "desk_train"):
+for name in ("desk_sweep", "desk_train", "solo_train"):
     wl = WORKLOADS[name]
     out = os.path.join({out!r}, name)
     cfg = dataclasses.replace(config.load_config(os.path.join({root!r}, wl["config"])), seed=0)
