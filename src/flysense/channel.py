@@ -53,35 +53,15 @@ class FormationMatrix:
     """Binary allocation of sub-channels to directed links, held as
     nested lists rows[tx][rx][ch] of 0/1.
 
-    Row 0 (base-station transmit) and the diagonal are structurally zero.
+    A matrix starts empty and gains links through set_link, which keeps
+    row 0 (base-station transmit) and the diagonal zero.
     """
 
-    def __init__(self, n_uavs: int, n_channels: int, phi: np.ndarray | None = None):
+    def __init__(self, n_uavs: int, n_channels: int):
         self.n_uavs = int(n_uavs)
         self.n_channels = int(n_channels)
         nodes = range(self.n_uavs + 1)
-        if phi is None:
-            self.rows = [[[0] * self.n_channels for _ in nodes] for _ in nodes]
-            return
-        phi = np.asarray(phi, dtype=np.int8)
-        shape = (len(nodes), len(nodes), self.n_channels)
-        if phi.shape != shape:
-            raise FormationError(f"expected phi shape {shape}, got {phi.shape}")
-        rows = phi.tolist()
-        if any(map(any, rows[BS])):
-            raise FormationError("base station cannot transmit")
-        if any(any(row[node]) for node, row in enumerate(rows)):
-            raise FormationError("self links are not allowed")
-        if any(on not in (0, 1) for row in rows for chs in row for on in chs):
-            raise FormationError("phi entries must be 0 or 1")
-        self.rows = rows
-
-    @property
-    def phi(self) -> np.ndarray:
-        """A read-only int8 array copy of rows, shape (N+1, N+1, K)."""
-        phi = np.array(self.rows, dtype=np.int8)
-        phi.flags.writeable = False
-        return phi
+        self.rows = [[[0] * self.n_channels for _ in nodes] for _ in nodes]
 
     def set_link(self, tx: int, rx: int, ch: int) -> None:
         if tx == BS or tx == rx:
@@ -112,8 +92,9 @@ class FormationMatrix:
                        for node in (tx, rx) for m in range(len(rows)))
 
     def key(self) -> bytes:
-        """The int8 bytes of phi."""
-        return self.phi.tobytes()
+        """One byte per entry of rows in (tx, rx, ch) order: the bytes of
+        the int8 (N+1, N+1, K) matrix."""
+        return bytes(on for row in self.rows for chs in row for on in chs)
 
 
 def validate_alloc(fm: FormationMatrix) -> list[tuple[int, int]]:

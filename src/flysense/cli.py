@@ -63,10 +63,10 @@ def _load(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "oracle-check":
-        results = harness.run_oracle_checks(args.seed)
-        return 0 if all(r.ok for r in results) else 2
     try:
+        if args.command == "oracle-check":  # numpy seeds no generator below 0
+            harness.require_count("--seed", args.seed, 0)
+            return 0 if all(r.ok for r in harness.run_oracle_checks(args.seed)) else 2
         cfg = _load(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -97,8 +97,12 @@ def load_agents_into(path: str, agents) -> None:
     """Write the parameters of networks saved by save_agents into the nets
     of an existing agent list, so a stack over them runs what was loaded
     (optimizer state is not saved).  A net that only one side has, or
-    whose dims or output activation differ, raises ConfigError naming it."""
-    nets = nn.load_checkpoint(path)
+    whose dims or output activation differ, raises ConfigError naming it,
+    and so does a file that cannot be read or parsed as a checkpoint."""
+    try:
+        nets = nn.load_checkpoint(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"checkpoint {path}: cannot load ({type(exc).__name__}: {exc})") from exc
     slots = {f"{role}_{i}": (a, role)
              for i, a in enumerate(agents, start=1) for role in _NET_ROLES}
     for name in sorted(nets.keys() | slots.keys()):

@@ -228,7 +228,7 @@ def build_agents(n_agents: int, obs_dim: int, hidden, actor_lr: float,
 
 
 def td_targets(agents: list, i: int, batch: Batch, discount: float,
-               next_acts: list | None = None) -> np.ndarray:
+               next_acts: list) -> np.ndarray:
     """One-step bootstrapped targets from the target networks; terminal
     transitions use the bare reward.
 
@@ -236,8 +236,6 @@ def td_targets(agents: list, i: int, batch: Batch, discount: float,
     updates of one batch: None entries are computed here and stored, and
     update_agent clears an agent's entry once its target actor moves."""
     b, n, obs_dim = batch.obs2.shape
-    if next_acts is None:
-        next_acts = [None] * n
     for j in range(n):
         if next_acts[j] is None:
             next_acts[j] = agents[j].target_actor.forward(batch.obs2[:, j])[0]
@@ -247,22 +245,20 @@ def td_targets(agents: list, i: int, batch: Batch, discount: float,
 
 
 def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float,
-                 next_acts: list | None = None):
+                 next_acts: list):
     """One critic step on the squared TD error, one actor step up the
     critic's value, then Polyak updates of both targets.  Agents updated
     in turn on one batch share next_acts (see td_targets).  Returns
     (critic_loss, mean_q) for logging."""
     agent = agents[i]
     b, n, obs_dim = batch.obs.shape
-    if next_acts is None:
-        next_acts = [None] * n
     x = np.concatenate([batch.obs.reshape(b, -1), batch.acts.reshape(b, -1)], axis=1)
     q, cache = agent.critic.forward(x)
     y = td_targets(agents, i, batch, discount, next_acts)
     diff = q[:, 0] - y
     critic_loss = float(np.mean(diff ** 2))
-    grads, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None], inputs=False)
-    agent.critic_opt.step(agent.critic, grads.flat)
+    grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None], inputs=False)
+    agent.critic_opt.step(agent.critic, grad)
 
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     acts = batch.acts.copy()
@@ -272,8 +268,8 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
     mean_q = float(np.mean(q_pi))
     _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b), params=False)
     da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
-    actor_grads, _ = agent.actor.backward(actor_cache, da, inputs=False)
-    agent.actor_opt.step(agent.actor, actor_grads.flat)
+    actor_grad, _ = agent.actor.backward(actor_cache, da, inputs=False)
+    agent.actor_opt.step(agent.actor, actor_grad)
 
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)

@@ -2,16 +2,15 @@
 
 Just enough machinery for small actor/critic heads: tanh hidden layers,
 tanh or identity output, Adam, Polyak target updates, and a JSON
-checkpoint format that round-trips parameters bit-exactly.  Inputs may
-be single vectors or batches (rows).
+checkpoint format that round-trips parameters bit-exactly.  Inputs are
+batches: (R, fan_in) rows, or an (R, 1, fan_in) stack of one-row inputs.
 
-Row-wise forwards: ``Mlp.forward`` on an (R, 1, fan_in) stack of
-one-row inputs, and ``MlpStack.forward`` (which makes that stack from
-an (R, fan_in) input), run one matrix-vector product (gemv) per row,
-exactly as ``forward`` does for a single vector, so every output row
-equals the single-vector forward bit for bit.  A 2-D (R, fan_in) batch
-goes through one matrix-matrix product (gemm), whose sums round
-differently on most rows.
+Row-wise forwards: ``Mlp.forward`` on an (R, 1, fan_in) stack, and
+``MlpStack.forward`` (which makes that stack from an (R, fan_in) input),
+run one matrix-vector product (gemv) per row, so every output row
+equals the forward of that row alone as a (1, fan_in) batch, bit for
+bit.  A 2-D (R, fan_in) batch goes through one matrix-matrix product
+(gemm), whose sums round differently on most rows.
 
 Parameter layout: every net keeps all of its parameters in one flat
 vector, ``params``.  Layer l occupies one contiguous run of it, its
@@ -19,8 +18,9 @@ weights first, row-major as a (fan_in, fan_out) matrix, then its
 fan_out biases; layer l + 1 follows directly.  ``ws[l]`` and ``bs[l]``
 are views into that vector, so writing through them writes the
 parameters, and a whole-net update (Adam, Polyak) is one vector
-operation.  Gradients from ``backward`` use the same layout.  The nets
-of an ``MlpStack`` are rows of one (N, P) matrix.
+operation.  ``backward`` returns the parameter gradient as one flat
+vector in the same layout.  The nets of an ``MlpStack`` are rows of one
+(N, P) matrix.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ def _n_params(dims) -> int:
     return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-class ParamGrads(list):
-    """Parameter gradients: a per-layer list of (dW, db) views into the
-    flat vector ``flat``, which is laid out like ``Mlp.params``."""
-
-    def __init__(self, flat: np.ndarray, dims):
-        super().__init__(zip(*_layer_views(flat, dims)))
-        self.flat = flat
-
-
 class Mlp:
     """Fully connected net: y = act_out(W_L ... tanh(x W_1 + b_1) ...).
 
@@ -99,43 +90,35 @@ class Mlp:
         self.params = params
         self.ws, self.bs = _layer_views(params, self.dims)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.ws)
-
     def forward(self, x):
-        """Returns (y, cache); feed the cache to backward unchanged."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        acts = _layers(self.ws, self.bs, self.out_act, np.atleast_2d(x))
-        y = acts[-1][0] if single else acts[-1]
-        return y, (acts, single)
+        """Returns (y, acts) of a batch x; feed acts to backward unchanged."""
+        acts = _layers(self.ws, self.bs, self.out_act, np.asarray(x, dtype=float))
+        return acts[-1], acts
 
-    def backward(self, cache, dy, params: bool = True, inputs: bool = True):
-        """Gradients of sum(y * dy) w.r.t. the parameters and the input.
+    def backward(self, acts, dy, params: bool = True, inputs: bool = True):
+        """Gradients of sum(y * dy) w.r.t. the parameters and the input of
+        a 2-D batch.
 
-        Returns (grads, dx).  grads is a ParamGrads when params is true
-        and None otherwise; dx is None unless inputs is true.  Only the
-        requested gradients are computed.
+        Returns (grad, dx): grad is one flat vector laid out like params,
+        None unless params is true; dx is None unless inputs is true.
+        Only the requested gradients are computed.
         """
-        acts, single = cache
-        g = np.atleast_2d(np.asarray(dy, dtype=float))
+        g = np.asarray(dy, dtype=float)
         if self.out_act == "tanh":
             g = g * _tanh_slope(acts[-1])
-        grads = ParamGrads(np.empty(self.params.size), self.dims) if params else None
-        for l in range(self.n_layers - 1, -1, -1):
+        grad = np.empty(self.params.size) if params else None
+        if params:
+            dws, dbs = _layer_views(grad, self.dims)
+        for l in range(len(self.ws) - 1, -1, -1):
             if params:
-                dw, db = grads[l]
-                np.matmul(acts[l].T, g, out=dw)
-                g.sum(axis=0, out=db)
+                np.matmul(acts[l].T, g, out=dws[l])
+                g.sum(axis=0, out=dbs[l])
             if l > 0:
                 g = g @ self.ws[l].T
                 g *= _tanh_slope(acts[l])
             elif inputs:
                 g = g @ self.ws[l].T
-        if not inputs:
-            return grads, None
-        return grads, g[0] if single else g
+        return grad, g if inputs else None
 
     def copy(self) -> "Mlp":
         dup = Mlp.__new__(Mlp)
@@ -158,9 +141,13 @@ class Mlp:
         net.dims = [int(d) for d in data["dims"]]
         net.out_act = data["out_act"]
         net._bind(np.empty(_n_params(net.dims)))
-        for w, b, w_raw, b_raw in zip(net.ws, net.bs, data["w"], data["b"]):
-            w[...] = np.array(w_raw, dtype=float)
-            b[...] = np.array(b_raw, dtype=float)
+        if len(data["w"]) != len(net.ws) or len(data["b"]) != len(net.bs):
+            raise ValueError(f"dims {net.dims} need {len(net.ws)} w and b entries")
+        for dst, raw in zip(net.ws + net.bs, data["w"] + data["b"]):
+            src = np.array(raw, dtype=float)
+            if src.shape != dst.shape:
+                raise ValueError(f"dims {net.dims} need a {dst.shape} entry, got {src.shape}")
+            dst[...] = src
         return net
 
 
@@ -170,8 +157,8 @@ class MlpStack:
     one (N, P) matrix and rebinds net k to row k, so every later update
     through a net (Adam, Polyak, a loaded checkpoint) is what the stack
     computes next.  forward maps an (N, fan_in) input to (N, fan_out),
-    row k through net k, equal to net k's single-vector forward bit for
-    bit."""
+    row k through net k, equal to net k's forward of that row as a
+    (1, fan_in) batch bit for bit."""
 
     def __init__(self, nets):
         nets = list(nets)
@@ -210,7 +197,7 @@ class Adam:
 
     def step(self, net: Mlp, grad: np.ndarray) -> None:
         """One update of net.params from a flat gradient laid out like it
-        (ParamGrads.flat)."""
+        (the grad of Mlp.backward)."""
         if self._m is None:
             self._m = np.zeros_like(net.params)
             self._v = np.zeros_like(net.params)

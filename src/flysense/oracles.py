@@ -70,13 +70,10 @@ def _central_diff(arr: np.ndarray, objective, h: float) -> np.ndarray:
 
 
 def finite_diff_param_grads(net: nn.Mlp, x: np.ndarray, dy: np.ndarray,
-                            h: float = 1e-5) -> list:
-    """Central-difference gradients of sum(y * dy) for every parameter."""
-    def objective() -> float:
-        return float(np.sum(net.forward(x)[0] * dy))
-
-    return [(_central_diff(w, objective, h), _central_diff(b, objective, h))
-            for w, b in zip(net.ws, net.bs)]
+                            h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of sum(y * dy) in net.params, one flat
+    vector laid out like it: what Adam.step consumes."""
+    return _central_diff(net.params, lambda: float(np.sum(net.forward(x)[0] * dy)), h)
 
 
 def finite_diff_input_grad(net: nn.Mlp, x: np.ndarray, dy: np.ndarray,
@@ -103,10 +100,10 @@ def alloc_ok_literal(phi, n_uavs: int, n_channels: int):
     return ok
 
 
-def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int) -> set:
+def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int):
     """Valid allocations built compositionally: per channel, any set of
     node-disjoint directed links (BS receive-only); channels combine
-    freely.  Returns matrix byte keys."""
+    freely.  Yields each matrix once, built with set_link."""
     per_channel_links = [(tx, rx) for tx in range(1, n_uavs + 1)
                          for rx in range(n_uavs + 1) if rx != tx]
     channel_configs = []
@@ -117,14 +114,12 @@ def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int) -> set:
                 used += [tx, rx]
             if len(set(used)) == len(used):
                 channel_configs.append(combo)
-    keys = set()
     for assignment in itertools.product(channel_configs, repeat=n_channels):
-        phi = np.zeros((n_uavs + 1, n_uavs + 1, n_channels), dtype=np.int8)
+        fm = FormationMatrix(n_uavs, n_channels)
         for ch, combo in enumerate(assignment):
             for tx, rx in combo:
-                phi[tx, rx, ch] = 1
-        keys.add(phi.tobytes())
-    return keys
+                fm.set_link(tx, rx, ch)
+        yield fm
 
 
 def check_gp_posterior(rng: np.random.Generator, posterior_fn=None,
@@ -182,19 +177,18 @@ def check_mlp_gradients(rng: np.random.Generator, n_seeds: int = 10,
     for _ in range(n_seeds):
         for dims, out_act in shapes:
             net = nn.Mlp(dims, out_act=out_act, rng=rng)
-            x = rng.uniform(-1, 1, size=dims[0])
-            dy = rng.uniform(-1, 1, size=dims[-1])
+            x = rng.uniform(-1, 1, size=(1, dims[0]))
+            dy = rng.uniform(-1, 1, size=(1, dims[-1]))
             _, cache = net.forward(x)
             fd = finite_diff_param_grads(net, x, dy)
             fx = finite_diff_input_grad(net, x, dy)
             for params, inputs in modes:
-                grads, dx = net.backward(cache, dy, params=params, inputs=inputs)
-                if (grads is None) == params or (dx is None) == inputs:
+                grad, dx = net.backward(cache, dy, params=params, inputs=inputs)
+                if (grad is None) == params or (dx is None) == inputs:
                     worst = math.inf
                     continue
                 if params:
-                    for (gw, gb), (fw, fb) in zip(grads, fd):
-                        worst = max(worst, rel_err(gw, fw), rel_err(gb, fb))
+                    worst = max(worst, rel_err(grad, fd))
                 if inputs:
                     worst = max(worst, rel_err(dx, fx))
     return CheckResult("mlp_grads_vs_finite_diff", worst, tol, worst <= tol)
@@ -249,7 +243,7 @@ def _restated_offload(w, fm: FormationMatrix) -> np.ndarray:
     room = np.maximum(cap - start, 0.0)
     new_buf = start.copy()
     for tx, rx in order:
-        if not fm.phi[tx, rx].any():
+        if not fm.has_link(tx, rx):
             continue
         cap_bits = (channel.u2u_rate(fm, w.link_power, tx, rx, w.chan, talking)
                     * w.scenario.protocol.t_o)
@@ -314,8 +308,7 @@ def check_offload(rng: np.random.Generator, offload_fn=None) -> CheckResult:
         n, k = len(w.uavs), w.chan.n_channels
         cap = w.scenario.buffer_capacity_bits
         buffers = [u.buffer for u in w.uavs]
-        for key in enumerate_valid_allocs_constructive(n, k):
-            fm = FormationMatrix(n, k, np.frombuffer(key, dtype=np.int8).reshape(n + 1, n + 1, k))
+        for fm in enumerate_valid_allocs_constructive(n, k):
             res = offload_fn(buffers, [cap - b for b in buffers], w.link_power, fm, w.chan,
                              w.scenario.protocol.t_o)
             got = [world.uav_buffer_step(buffers[i], res.outgoing[i], res.incoming[i], cap)

@@ -4,6 +4,7 @@ Expected values are restated here with plain math (math.log2, explicit
 path-loss products) so an error in the library cannot hide in the test.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -13,7 +14,6 @@ import pytest
 from flysense.channel import (
     BS,
     ChannelParams,
-    FormationError,
     FormationMatrix,
     g2u_snr,
     interference,
@@ -25,7 +25,11 @@ from flysense.channel import (
     u2u_rate,
     validate_alloc,
 )
-from flysense.oracles import check_alloc_validator
+from flysense.oracles import (
+    alloc_ok_literal,
+    check_alloc_validator,
+    enumerate_valid_allocs_constructive,
+)
 
 P = ChannelParams()
 
@@ -64,23 +68,12 @@ class TestFormationMatrix:
         assert sorted(fm.links()) == [(1, 0, 0), (2, 1, 1)]
 
     def test_rejects_bs_transmit_and_self_links(self):
-        phi = np.zeros((3, 3, 2), dtype=np.int8)
-        phi[0, 1, 0] = 1  # base station never transmits
-        with pytest.raises(FormationError):
-            FormationMatrix(2, 2, phi)
-        phi = np.zeros((3, 3, 2), dtype=np.int8)
-        phi[1, 1, 0] = 1
-        with pytest.raises(FormationError):
-            FormationMatrix(2, 2, phi)
-
-    def test_rejects_wrong_shape_and_non_binary_entries(self):
-        for shape in ((3, 3, 3), (2, 3, 2), (3, 3)):
-            with pytest.raises(FormationError, match="shape"):
-                FormationMatrix(2, 2, np.zeros(shape, dtype=np.int8))
-        phi = np.zeros((3, 3, 2), dtype=np.int8)
-        phi[1, 0, 1] = 2
-        with pytest.raises(FormationError, match="0 or 1"):
-            FormationMatrix(2, 2, phi)
+        fm = FormationMatrix(2, 2)
+        with pytest.raises(ValueError, match="illegal link"):
+            fm.set_link(BS, 1, 0)  # base station never transmits
+        with pytest.raises(ValueError, match="illegal link"):
+            fm.set_link(1, 1, 0)
+        assert fm.links() == [] and fm.key() == bytes(3 * 3 * 2)
 
     def test_set_then_clear_seen_by_every_query(self):
         """Link 2->3 on sub-channel 0 beside 1->BS (channel 0) and 3->BS
@@ -107,18 +100,13 @@ class TestFormationMatrix:
 
     def test_key_is_the_int8_bytes_of_phi(self):
         """key(), which run traces use to tell starting worlds apart, is
-        the bytes of the int8 matrix; phi is a read-only copy."""
+        the bytes of the int8 (N+1, N+1, K) matrix of the same links."""
         phi = np.zeros((4, 4, 3), dtype=np.int8)
+        fm = FormationMatrix(3, 3)
         for tx, rx, ch in ((1, 0, 0), (2, 1, 2), (3, 0, 1)):
             phi[tx, rx, ch] = 1
-        built = FormationMatrix(3, 3)
-        for tx, rx, ch in ((1, 0, 0), (2, 1, 2), (3, 0, 1)):
-            built.set_link(tx, rx, ch)
-        for fm in (FormationMatrix(3, 3, phi), built):
-            assert fm.key() == phi.tobytes()
-            assert fm.phi.dtype == np.int8 and np.array_equal(fm.phi, phi)
-            with pytest.raises(ValueError):
-                fm.phi[1, 0, 0] = 0
+            fm.set_link(tx, rx, ch)
+        assert fm.key() == phi.tobytes()
         assert FormationMatrix(3, 3).key() == bytes(phi.size)
 
     def test_channel_fits_counts_both_roles(self):
@@ -131,10 +119,9 @@ class TestFormationMatrix:
 
 
 def test_validate_alloc_flags_each_node_channel_overuse():
-    phi = np.zeros((4, 4, 2), dtype=np.int8)
-    phi[1, 0, 0] = 1
-    phi[2, 1, 0] = 1  # node 1: tx on ch0 and rx on ch0 -> violation
-    fm = FormationMatrix(3, 2, phi)
+    fm = FormationMatrix(3, 2)
+    fm.set_link(1, 0, 0)
+    fm.set_link(2, 1, 0)  # node 1: tx on ch0 and rx on ch0 -> violation
     assert validate_alloc(fm) == [(1, 0)]
 
 
@@ -152,19 +139,39 @@ def test_alloc_oracle_flags_a_validator_ignoring_incoming_use():
     assert check_alloc_validator(max_uavs=2).ok
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_constructive_enumerator_yields_each_valid_matrix_once(n, k):
+    """The enumerator yields every matrix that the literal constraint
+    accepts, and each of them once, compared by key()."""
+    got = [fm.key() for fm in enumerate_valid_allocs_constructive(n, k)]
+    assert len(got) == len(set(got))
+    slots = [(tx, rx, ch) for tx in range(1, n + 1) for rx in range(n + 1) if rx != tx
+             for ch in range(k)]
+    want = set()
+    for bits in itertools.product((0, 1), repeat=len(slots)):
+        fm = FormationMatrix(n, k)
+        for (tx, rx, ch), on in zip(slots, bits):
+            if on:
+                fm.set_link(tx, rx, ch)
+        if alloc_ok_literal(fm.rows, n, k):
+            want.add(fm.key())
+    assert set(got) == want
+
+
 def test_validate_alloc_random_matches_literal_recount():
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         phi = np.zeros((n + 1, n + 1, k), dtype=np.int8)
+        fm = FormationMatrix(n, k)
         for _ in range(int(rng.integers(0, 6))):
             tx = int(rng.integers(1, n + 1))
             rx = int(rng.integers(0, n + 1))
             ch = int(rng.integers(0, k))
             if rx != tx:
                 phi[tx, rx, ch] = 1
-        fm = FormationMatrix(n, k, phi)
+                fm.set_link(tx, rx, ch)
         bad = set(validate_alloc(fm))
         expect = set()
         for node in range(n + 1):

@@ -173,18 +173,45 @@ def test_evaluation_count_below_one_exit_1_before_running(tmp_path, capsys, argv
     assert not (tmp_path / "o").exists()
 
 
-def test_missing_checkpoint_exit_3(tmp_path, capsys):
-    cfg = write_tiny_config(tmp_path)
-    code = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--checkpoint", str(tmp_path / "nope.json")])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
-
-
 def _untrained_checkpoint(path, config):
     """checkpoint.json of a Trainer built from config, before any training."""
     harness.save_agents(str(path), Trainer(load_config(str(config))).agents)
     return str(path)
+
+
+def _edit_actor_1(text, edit):
+    payload = json.loads(text)
+    edit(payload["nets"]["actor_1"])
+    return json.dumps(payload)
+
+
+# Each case maps the text of a good checkpoint to a broken one (None: no file).
+_BROKEN_CHECKPOINTS = {
+    "missing": None,
+    "invalid-json": lambda text: text[:-1],
+    "version-2": lambda text: text.replace('{"version": 1', '{"version": 2', 1),
+    "no-nets": lambda text: '{"version": 1}',
+    # three layers, one w and b entry: the rest would be uninitialised memory
+    "one-w-and-b-entry": lambda text: _edit_actor_1(
+        text, lambda net: net.update(w=net["w"][:1], b=net["b"][:1])),
+    # a scalar would be broadcast over the whole weight matrix
+    "scalar-w": lambda text: _edit_actor_1(text, lambda net: net["w"].__setitem__(0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_CHECKPOINTS))
+def test_unreadable_checkpoint_exit_1_before_writing(tmp_path, capsys, case):
+    cfg = write_tiny_config(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    if _BROKEN_CHECKPOINTS[case] is not None:
+        _untrained_checkpoint(ckpt, cfg)
+        ckpt.write_text(_BROKEN_CHECKPOINTS[case](ckpt.read_text()))
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--config", cfg, "--out", str(out), "--episodes", "1",
+                     "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: checkpoint {ckpt}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("saved, evaluated, hidden", [
@@ -217,6 +244,12 @@ def test_oracle_check_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "run_all", lambda seed: bad)
     assert cli.main(["oracle-check", "--seed", "3"]) == 2
     capsys.readouterr()
+
+
+def test_oracle_check_negative_seed_exit_1_before_running(monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "run_all", lambda seed: pytest.fail("checks ran"))
+    assert cli.main(["oracle-check", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed: must be at least 0")
 
 
 # Integer sizes and counts get no very large value: a huge horizon or

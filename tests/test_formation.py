@@ -149,7 +149,7 @@ class TestEdaNf:
                             spare_rate=np.full(3, np.inf))
         pos = _positions((-600, -600), (-400, -400), (600, 600))
         fm = eda_nf(report, *_tables(pos), FormationPolicy(pair_range_m=3000.0), 4, P)
-        assert fm.phi[1, 3, 3] == 1
+        assert fm.rows[1][3][3] == 1
         assert sorted(ch for rx, ch in fm.out_links(3) if rx == BS) == [0, 2]
         assert validate_alloc(fm) == []
 

@@ -85,7 +85,8 @@ class TestCheckpointHelpers:
         got = trainer.evaluate(2)
 
         def saved_actors(w, obs):
-            return np.array([a.actor.forward(o)[0] for a, o in zip(saved, obs)]).clip(-1.0, 1.0)
+            return np.array([a.actor.forward(o[None])[0][0]
+                             for a, o in zip(saved, obs)]).clip(-1.0, 1.0)
         want = trainer.evaluate(2, act_fn=saved_actors)
         for g, wt, b in zip(got, want, before):
             assert np.array_equal(g.rewards, wt.rewards)

@@ -121,7 +121,7 @@ def _reference_observe(w, i):
     obs[1] = u.pos.y / hw
     obs[2] = u.buffer / w.scenario.buffer_capacity_bits
     obs[3] = min(w.last_energy[i] / w.max_slot_energy, 1.0)
-    obs[4:4 + n + 1] = w.formation.phi[i + 1].any(axis=1)
+    obs[4:4 + n + 1] = [w.formation.has_link(i + 1, rx) for rx in range(n + 1)]
     base = 4 + n + 1
     gid = world.select_gu(w, i)
     if gid is not None:
@@ -258,7 +258,7 @@ def test_fleet_act_equals_per_agent_forward_and_clamp_bitwise(name):
             noise_rng = np.random.default_rng(trial)
             want = []
             for i, agent in enumerate(agents):
-                raw, _ = agent.actor.forward(obs[i])
+                raw = agent.actor.forward(obs[i:i + 1])[0][0]
                 if scale > 0.0:
                     raw = raw + scale * noise_rng.standard_normal(ACT_DIM)
                 want.append([min(max(a, -1.0), 1.0) for a in raw.tolist()])
@@ -275,7 +275,7 @@ def test_critic_q_equals_single_vector_forwards_bitwise(name):
         trials = np.stack([rng.uniform(-1.0, 1.0, (n, ACT_DIM))] * 2)
         trials[1, i] = rng.uniform(-1.0, 1.0, ACT_DIM)
         critic = agents[i].critic
-        want = [float(critic.forward(np.concatenate([obs.ravel(), t.ravel()]))[0][0])
+        want = [float(critic.forward(np.concatenate([obs.ravel(), t.ravel()])[None])[0][0, 0])
                 for t in trials]
         assert critic_q(critic, obs, trials) == want
 
@@ -500,12 +500,12 @@ class TestAgentUpdates:
         n, obs_dim, b = 2, 5, 7
         agents = build_agents(n, obs_dim, (8,), 1e-3, 1e-3, rng)
         batch = random_batch(rng, b, n, obs_dim)
-        got = td_targets(agents, 0, batch, discount=0.9)
+        got = td_targets(agents, 0, batch, 0.9, [None] * n)
         for k in range(b):
-            next_acts = [agents[j].target_actor.forward(batch.obs2[k, j])[0]
+            next_acts = [agents[j].target_actor.forward(batch.obs2[k, j][None])[0]
                          for j in range(n)]
-            x2 = np.concatenate([batch.obs2[k].ravel(), *next_acts])
-            q2 = agents[0].target_critic.forward(x2)[0][0]
+            x2 = np.concatenate([batch.obs2[k].ravel()[None], *next_acts], axis=1)
+            q2 = agents[0].target_critic.forward(x2)[0][0, 0]
             want = batch.rews[k, 0] + 0.9 * (1.0 - batch.done[k]) * q2
             assert got[k] == pytest.approx(want)
 
@@ -514,7 +514,7 @@ class TestAgentUpdates:
         agents = build_agents(1, 4, (8,), 1e-3, 1e-3, rng)
         batch = random_batch(rng, 4, 1, 4)
         batch.done[:] = 1.0
-        got = td_targets(agents, 0, batch, discount=0.99)
+        got = td_targets(agents, 0, batch, 0.99, [None])
         np.testing.assert_allclose(got, batch.rews[:, 0])
 
     def test_critic_loss_decreases(self):
@@ -522,7 +522,7 @@ class TestAgentUpdates:
         n, obs_dim = 2, 5
         agents = build_agents(n, obs_dim, (16,), 1e-3, 1e-2, rng)
         batch = random_batch(rng, 32, n, obs_dim)
-        losses = [update_agent(0, agents, batch, 0.9, tau=0.0)[0]
+        losses = [update_agent(0, agents, batch, 0.9, 0.0, [None] * n)[0]
                   for _ in range(60)]
         assert losses[-1] < losses[0]
 
@@ -531,7 +531,7 @@ class TestAgentUpdates:
         n, obs_dim = 2, 5
         agents = build_agents(n, obs_dim, (16,), 1e-2, 0.0, rng)
         batch = random_batch(rng, 32, n, obs_dim)
-        qs = [update_agent(0, agents, batch, 0.9, tau=0.0)[1]
+        qs = [update_agent(0, agents, batch, 0.9, 0.0, [None] * n)[1]
               for _ in range(40)]
         # frozen critic (lr 0): mean Q under the actor must rise
         assert qs[-1] > qs[0]
@@ -541,7 +541,7 @@ class TestAgentUpdates:
         agents = build_agents(1, 4, (8,), 1e-2, 1e-2, rng)
         before = agents[0].target_critic.ws[0].copy()
         batch = random_batch(rng, 8, 1, 4)
-        update_agent(0, agents, batch, 0.9, tau=0.5)
+        update_agent(0, agents, batch, 0.9, 0.5, [None])
         after = agents[0].target_critic.ws[0]
         expected = 0.5 * before + 0.5 * agents[0].critic.ws[0]
         np.testing.assert_allclose(after, expected)
@@ -587,8 +587,8 @@ def _reference_update(i, agents, batch, discount, tau):
     q2, _ = agent.target_critic.forward(x2)
     y = batch.rews[:, i] + discount * (1.0 - batch.done) * q2[:, 0]
     diff = q[:, 0] - y
-    grads, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
-    agent.critic_opt.step(agent.critic, grads.flat)
+    grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
+    agent.critic_opt.step(agent.critic, grad)
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     acts = batch.acts.copy()
     acts[:, i, :] = a_i
@@ -596,8 +596,8 @@ def _reference_update(i, agents, batch, discount, tau):
     _, critic_cache = agent.critic.forward(x_pi)
     _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
     da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
-    actor_grads, _ = agent.actor.backward(actor_cache, da)
-    agent.actor_opt.step(agent.actor, actor_grads.flat)
+    actor_grad, _ = agent.actor.backward(actor_cache, da)
+    agent.actor_opt.step(agent.actor, actor_grad)
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)
 
@@ -644,7 +644,7 @@ def _actor_step_gradient(update, i, agents, batch, monkeypatch):
     got = []
     monkeypatch.setattr(agents[i].actor_opt, "step",
                         lambda net, grad: got.append(grad.copy()))
-    update(i, agents, batch, 0.9, 0.0)
+    update(i, agents, batch, 0.9, 0.0, [None] * len(agents))
     return got[0]
 
 
@@ -658,9 +658,9 @@ def _neg_mean_q_gradient(i, agents, batch, h=1e-6):
     def loss():
         acts = batch.acts.copy()
         for k in range(b):
-            acts[k, i] = actor.forward(batch.obs[k, i])[0]
-        return -sum(critic.forward(np.concatenate([batch.obs[k].ravel(), acts[k].ravel()]))[0][0]
-                    for k in range(b)) / b
+            acts[k, i] = actor.forward(batch.obs[k, i][None])[0][0]
+        x = np.concatenate([batch.obs.reshape(b, -1), acts.reshape(b, -1)], axis=1)
+        return -sum(critic.forward(x[k:k + 1])[0][0, 0] for k in range(b)) / b
 
     p = actor.params
     out = np.empty(p.size)

@@ -5,7 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from flysense.nn import Adam, Mlp, MlpStack, load_checkpoint, save_checkpoint, soft_update
+from flysense.nn import (
+    Adam,
+    Mlp,
+    MlpStack,
+    _layer_views,
+    load_checkpoint,
+    save_checkpoint,
+    soft_update,
+)
 from flysense.oracles import (
     check_mlp_gradients,
     finite_diff_input_grad,
@@ -21,19 +29,19 @@ def _net(dims, out_act="identity", seed=0):
 # replaced.  They must agree bit for bit.
 
 
-def _reference_backward(net, cache, dy):
-    acts, single = cache
-    g = np.atleast_2d(np.asarray(dy, dtype=float))
-    last = net.n_layers - 1
+def _reference_backward(net, acts, dy):
+    """Per-layer (dW, db) pairs and dx."""
+    g = np.asarray(dy, dtype=float)
+    last = len(net.ws) - 1
     if net.out_act == "tanh":
         g = g * (1.0 - acts[-1] ** 2)
-    grads = [None] * net.n_layers
+    grads = [None] * len(net.ws)
     for l in range(last, -1, -1):
         grads[l] = (acts[l].T @ g, g.sum(axis=0))
         g = g @ net.ws[l].T
         if l > 0:
             g = g * (1.0 - acts[l] ** 2)
-    return grads, (g[0] if single else g)
+    return grads, g
 
 
 class _LayerNet:
@@ -80,10 +88,12 @@ class _ReferenceAdam:
 class TestForward:
     def test_shapes_for_single_and_batch(self):
         net = _net([4, 8, 2], out_act="tanh")
-        y1, _ = net.forward(np.zeros(4))
+        y1, _ = net.forward(np.zeros((1, 4)))
         yb, _ = net.forward(np.zeros((5, 4)))
-        assert y1.shape == (2,)
+        ys, _ = net.forward(np.zeros((5, 1, 4)))
+        assert y1.shape == (1, 2)
         assert yb.shape == (5, 2)
+        assert ys.shape == (5, 1, 2)
 
     def test_tanh_output_bounded(self):
         net = _net([3, 16, 2], out_act="tanh", seed=2)
@@ -93,7 +103,7 @@ class TestForward:
 
     def test_identity_output_is_affine_in_last_hidden(self):
         net = _net([2, 4, 1], out_act="identity", seed=3)
-        y, (acts, _) = net.forward(np.ones((1, 2)))
+        y, acts = net.forward(np.ones((1, 2)))
         np.testing.assert_allclose(y, acts[-2] @ net.ws[-1] + net.bs[-1], rtol=1e-12)
 
     def test_init_scale_follows_fan_in(self):
@@ -116,7 +126,8 @@ CRITIC_SHAPES = ([42, 64, 64, 1], [12, 32, 32, 1], [26, 16, 16, 1])
 
 class TestRowForwards:
     """Row-wise forwards run each row as its own one-row input (gemv per
-    row), so they must equal single-vector forwards bit for bit."""
+    row), so they must equal the forward of each row alone as a
+    (1, fan_in) batch bit for bit."""
 
     @pytest.mark.parametrize("dims", ACTOR_SHAPES + CRITIC_SHAPES)
     def test_stack_rows_equal_each_nets_single_vector_forward(self, dims):
@@ -126,7 +137,7 @@ class TestRowForwards:
             n = 1 + trial % 3
             nets = [_net(dims, out_act=out_act, seed=1000 * trial + k) for k in range(n)]
             x = rng.uniform(-1.5, 1.5, (n, dims[0]))
-            want = np.array([net.forward(row)[0] for net, row in zip(nets, x)])
+            want = np.array([net.forward(row[None])[0][0] for net, row in zip(nets, x)])
             assert np.array_equal(MlpStack(nets).forward(x), want)
 
     @pytest.mark.parametrize("dims", CRITIC_SHAPES)
@@ -135,7 +146,7 @@ class TestRowForwards:
         for trial in range(200):
             net = _net(dims, seed=trial)
             x = rng.uniform(-1.5, 1.5, (2 + trial % 3, dims[0]))
-            want = np.array([net.forward(row)[0] for row in x])
+            want = np.array([net.forward(row[None])[0][0] for row in x])
             y, _ = net.forward(x[:, None, :])
             assert np.array_equal(y[:, 0, :], want)
 
@@ -147,12 +158,12 @@ class TestRowForwards:
             assert np.array_equal(net.params, params)
         x = np.ones((2, 3))
         before = stack.forward(x)
-        grads, _ = nets[0].backward(nets[0].forward(x[0])[1], np.ones(2), inputs=False)
-        Adam(0.1).step(nets[0], grads.flat)
+        grad, _ = nets[0].backward(nets[0].forward(x[:1])[1], np.ones((1, 2)), inputs=False)
+        Adam(0.1).step(nets[0], grad)
         soft_update(nets[1], _net([3, 4, 2], out_act="tanh", seed=9), 0.5)
         after = stack.forward(x)
         assert not np.any(after == before)
-        assert np.array_equal(after, [net.forward(row)[0] for net, row in zip(nets, x)])
+        assert np.array_equal(after, [net.forward(row[None])[0][0] for net, row in zip(nets, x)])
 
     def test_stack_rejects_mixed_nets(self):
         with pytest.raises(ValueError):
@@ -171,11 +182,8 @@ class TestBackward:
             x = rng.uniform(-1, 1, (4, 3))
             dy = rng.uniform(-1, 1, (4, 2))
             _, cache = net.forward(x)
-            grads, dx = net.backward(cache, dy)
-            ref = finite_diff_param_grads(net, x, dy)
-            for (dw, db), (rw, rb) in zip(grads, ref):
-                np.testing.assert_allclose(dw, rw, atol=1e-6)
-                np.testing.assert_allclose(db, rb, atol=1e-6)
+            grad, dx = net.backward(cache, dy)
+            np.testing.assert_allclose(grad, finite_diff_param_grads(net, x, dy), atol=1e-6)
             np.testing.assert_allclose(dx, finite_diff_input_grad(net, x, dy), atol=1e-6)
 
     @pytest.mark.parametrize("params,inputs", [(True, False), (False, True), (True, True)])
@@ -186,13 +194,11 @@ class TestBackward:
             x = rng.uniform(-1, 1, (4, 3))
             dy = rng.uniform(-1, 1, (4, 2))
             _, cache = net.forward(x)
-            grads, dx = net.backward(cache, dy, params=params, inputs=inputs)
-            assert (grads is None) != params
+            grad, dx = net.backward(cache, dy, params=params, inputs=inputs)
+            assert (grad is None) != params
             assert (dx is None) != inputs
             if params:
-                for (dw, db), (rw, rb) in zip(grads, finite_diff_param_grads(net, x, dy)):
-                    np.testing.assert_allclose(dw, rw, atol=1e-6)
-                    np.testing.assert_allclose(db, rb, atol=1e-6)
+                np.testing.assert_allclose(grad, finite_diff_param_grads(net, x, dy), atol=1e-6)
             if inputs:
                 np.testing.assert_allclose(dx, finite_diff_input_grad(net, x, dy), atol=1e-6)
 
@@ -204,14 +210,13 @@ class TestBackward:
             dy = rng.uniform(-1, 1, (9, 3))
             _, cache = net.forward(x)
             ref_grads, ref_dx = _reference_backward(net, cache, dy)
-            grads, dx = net.backward(cache, dy)
-            only_grads, none_dx = net.backward(cache, dy, inputs=False)
-            none_grads, only_dx = net.backward(cache, dy, params=False)
-            assert none_dx is None and none_grads is None
-            for got in (grads, only_grads):
-                for (dw, db), (rw, rb) in zip(got, ref_grads):
-                    assert np.array_equal(dw, rw) and np.array_equal(db, rb)
-                assert np.shares_memory(got.flat, got[0][0])
+            ref_flat = np.concatenate([a.ravel() for pair in ref_grads for a in pair])
+            grad, dx = net.backward(cache, dy)
+            only_grad, none_dx = net.backward(cache, dy, inputs=False)
+            none_grad, only_dx = net.backward(cache, dy, params=False)
+            assert none_dx is None and none_grad is None
+            for got in (grad, only_grad):
+                assert got.shape == net.params.shape and np.array_equal(got, ref_flat)
             assert np.array_equal(dx, ref_dx) and np.array_equal(only_dx, ref_dx)
 
     def test_oracle_check_passes(self):
@@ -220,18 +225,35 @@ class TestBackward:
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_oracle_check_flags_a_scaled_weight_gradient(self, monkeypatch, layer):
-        """Planted mutation of Mlp.backward: one layer's weight gradient
-        comes out 1% too large."""
+        """Planted mutation of Mlp.backward: one layer's weight block of
+        the flat gradient comes out 1% too large."""
         real = Mlp.backward
 
-        def scaled(self, cache, dy, params=True, inputs=True):
-            grads, dx = real(self, cache, dy, params=params, inputs=inputs)
-            if grads is not None:
-                dw = grads[layer][0]
+        def scaled(self, acts, dy, params=True, inputs=True):
+            grad, dx = real(self, acts, dy, params=params, inputs=inputs)
+            if grad is not None:
+                dw = _layer_views(grad, self.dims)[0][layer]
                 dw *= 1.01
-            return grads, dx
+            return grad, dx
 
         monkeypatch.setattr(Mlp, "backward", scaled)
+        assert not check_mlp_gradients(np.random.default_rng(0)).ok
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_oracle_check_flags_a_column_major_weight_block(self, monkeypatch, layer):
+        """Planted mutation of Mlp.backward: one layer's weight gradient
+        is written into the flat vector column-major, not row-major like
+        params.  Every value is right, only the layout is wrong."""
+        real = Mlp.backward
+
+        def column_major(self, acts, dy, params=True, inputs=True):
+            grad, dx = real(self, acts, dy, params=params, inputs=inputs)
+            if grad is not None:
+                dw = _layer_views(grad, self.dims)[0][layer]
+                dw.reshape(-1)[:] = dw.ravel(order="F")
+            return grad, dx
+
+        monkeypatch.setattr(Mlp, "backward", column_major)
         assert not check_mlp_gradients(np.random.default_rng(0)).ok
 
 
@@ -254,8 +276,8 @@ class TestAdam:
             pred, cache = net.forward(x)
             diff = pred - y
             losses.append(float((diff**2).mean()))
-            grads, _ = net.backward(cache, 2.0 * diff / len(x))
-            opt.step(net, grads.flat)
+            grad, _ = net.backward(cache, 2.0 * diff / len(x))
+            opt.step(net, grad)
         assert losses[-1] < 0.1 * losses[0]
 
 
@@ -268,9 +290,10 @@ def test_adam_and_polyak_match_per_layer_loops_bitwise():
     x = rng.uniform(-1, 1, (8, 5))
     for _ in range(5):
         _, cache = net.forward(x)
-        grads, _ = net.backward(cache, rng.uniform(-1, 1, (8, 2)))
-        ref_opt.step(ref, [(dw.copy(), db.copy()) for dw, db in grads])
-        opt.step(net, grads.flat)
+        grad, _ = net.backward(cache, rng.uniform(-1, 1, (8, 2)))
+        layers = zip(*_layer_views(grad, net.dims))
+        ref_opt.step(ref, [(dw.copy(), db.copy()) for dw, db in layers])
+        opt.step(net, grad)
         ref_target.soft_update(ref, 0.05)
         soft_update(target, net, 0.05)
         for mine, theirs in ((net, ref), (target, ref_target)):
@@ -320,7 +343,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             assert (w == lw).all()
         for b, lb in zip(net.bs, loaded[name].bs):
             assert (b == lb).all()
-    x = np.full(4, 0.3)
+    x = np.full((1, 4), 0.3)
     assert (actor.forward(x)[0] == loaded["actor"].forward(x)[0]).all()
 
 
@@ -330,3 +353,15 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         fh.write('{"version": 99, "nets": {}}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda d: d.update(w=d["w"][:1], b=d["b"][:1]),  # one entry for two layers
+    lambda d: d.update(w=[0.5, d["w"][1]]),          # a scalar for a (2, 3) matrix
+    lambda d: d["b"][1].append(0.0),                 # a bias one too long
+])
+def test_from_dict_rejects_entries_that_do_not_fill_every_layer(broken):
+    data = _net([2, 3, 1], seed=14).to_dict()
+    broken(data)
+    with pytest.raises(ValueError):
+        Mlp.from_dict(data)

@@ -144,22 +144,23 @@ def _scalar_power(a, b):
     return P.p_uav * _gain(distance(a, b), P.beta_u, P.alpha_u)
 
 
-def _scalar_interference(fm, positions, tx, rx, ch, active):
-    """Co-channel power at rx restated pair by pair from positions."""
+def _scalar_interference(phi, positions, tx, rx, ch, active):
+    """Co-channel power at rx under the int8 matrix phi, restated pair by
+    pair from positions."""
     total = 0.0
-    for m, n, k in zip(*np.nonzero(fm.phi)):
+    for m, n, k in zip(*np.nonzero(phi)):
         if k != ch or m == tx or n == rx or (active is not None and not active[m]):
             continue
         total += _scalar_power(positions[m], positions[rx])
     return total
 
 
-def _scalar_u2u_rate(fm, positions, tx, rx, active):
+def _scalar_u2u_rate(phi, positions, tx, rx, active):
     signal = _scalar_power(positions[tx], positions[rx])
     rate = 0.0
-    for ch in range(fm.n_channels):
-        if fm.phi[tx, rx, ch]:
-            sinr = signal / (P.noise + _scalar_interference(fm, positions, tx, rx, ch, active))
+    for ch in range(phi.shape[2]):
+        if phi[tx, rx, ch]:
+            sinr = signal / (P.noise + _scalar_interference(phi, positions, tx, rx, ch, active))
             rate += P.bandwidth * math.log2(1.0 + sinr)
     return rate
 
@@ -215,7 +216,9 @@ class TestNodeTables:
             phi[BS] = 0
             for node in range(n + 1):
                 phi[node, node] = 0
-            fm = FormationMatrix(n, k, phi)  # rates are defined on any matrix
+            fm = FormationMatrix(n, k)  # rates are defined on any matrix
+            for tx, rx, ch in zip(*np.nonzero(phi)):
+                fm.set_link(int(tx), int(rx), int(ch))
             active = np.concatenate([[False], rng.random(n) < 0.7])
             for tx in range(n + 1):
                 for rx in range(n + 1):
@@ -225,10 +228,10 @@ class TestNodeTables:
                         continue
                     for mask in (None, active):
                         assert (u2u_rate(fm, w.link_power, tx, rx, P, mask)
-                                == _scalar_u2u_rate(fm, positions, tx, rx, mask))
+                                == _scalar_u2u_rate(phi, positions, tx, rx, mask))
                         for ch in range(k):
                             assert (interference(fm, w.link_power, tx, rx, ch, mask)
-                                    == _scalar_interference(fm, positions, tx, rx, ch, mask))
+                                    == _scalar_interference(phi, positions, tx, rx, ch, mask))
 
 
 def test_sense_rate_budget_and_caps():
@@ -285,10 +288,9 @@ def _small_world(seed=0, n_uavs=2, n_gus=3):
 class TestStep:
     def test_rejects_bad_matrix_before_mutating(self):
         w = _small_world()
-        phi = np.zeros((3, 3, 3), dtype=np.int8)
-        phi[1, 0, 0] = 1
-        phi[2, 0, 0] = 1  # BS reuses channel 0
-        fm = FormationMatrix(2, 3, phi)
+        fm = FormationMatrix(2, 3)
+        fm.set_link(1, 0, 0)
+        fm.set_link(2, 0, 0)  # BS reuses channel 0
         x_before = w.uavs[0].pos.x
         with pytest.raises(FormationError):
             step(w, [((1.0, 0.0), 5.0)] * 2, fm)
