@@ -80,12 +80,16 @@ def _finite(compute) -> float | None:
 
 
 def _broken_bound(value, meta) -> str | None:
-    """The rule of the bound in a field's metadata that value breaks, or
-    None.  A NaN breaks every bound."""
+    """The rule that value breaks, or None: a float must be finite, and
+    every value must keep the bound in its field's metadata."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
     if "gt" in meta and not value > meta["gt"]:
         return "must be positive" if meta["gt"] == 0 else f"must exceed {meta['gt']}"
     if "min" in meta and not value >= meta["min"]:
         return "must not be negative" if meta["min"] == 0 else f"must be at least {meta['min']}"
+    if "max" in meta and not value <= meta["max"]:
+        return f"must be at most {meta['max']}"
     return None
 
 

@@ -3,8 +3,13 @@
 Each UAV keeps a sliding window of (position, bits collected) samples.
 A squared-exponential GP conditioned on that window scores candidate
 waypoints by expected improvement over the best observation, which gives
-the trajectory proposals fed to the action arbitration.  The module is
-unit-agnostic: positions and length scale just have to share units.
+the trajectory proposals fed to the action arbitration.  There is one
+function per computation: posterior conditions the window on a (Q, 2)
+batch of query points through one Cholesky factor (Rasmussen & Williams
+2006, Alg. 2.1), expected_improvement scores one candidate (Jones,
+Schonlau & Welch 1998), and propose_point runs both over its candidate
+grid.  The module is unit-agnostic: positions and length scale just
+have to share units.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ class SampleHistory:
     def add(self, position, value: float) -> None:
         if value < 0:
             raise ValueError("sample values must be non-negative")
-        p = np.asarray(position, dtype=float).reshape(-1)[:2]
-        self._positions = np.concatenate([self._positions, p[None]])[-self._capacity:]
+        self._positions = np.concatenate([self._positions, [position]])[-self._capacity:]
         self._values = np.append(self._values, float(value))[-self._capacity:]
 
     def positions(self) -> np.ndarray:
@@ -62,20 +66,6 @@ class SampleHistory:
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-def kernel(p, q, cfg: GpConfig) -> float:
-    """Squared-exponential covariance between two points."""
-    p = np.asarray(p, dtype=float).reshape(-1)[:2]
-    q = np.asarray(q, dtype=float).reshape(-1)[:2]
-    sq = float(np.sum((p - q) ** 2))
-    return cfg.signal_var * math.exp(-0.5 * sq / cfg.length_scale ** 2)
-
-
-@dataclass
-class Posterior:
-    mean: float
-    var: float
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
@@ -107,12 +97,13 @@ def _factor(history: SampleHistory, cfg: GpConfig):
     raise np.linalg.LinAlgError("kernel matrix not positive definite even after jitter escalation")
 
 
-def _posterior_many(history: SampleHistory, queries: np.ndarray, cfg: GpConfig):
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))[:, :2]
+def posterior(history: SampleHistory, queries: np.ndarray,
+              cfg: GpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """GP means and variances at the (Q, 2) query points given the
+    current window, as two (Q,) arrays.  With an empty window this is
+    just the prior."""
     if len(history) == 0:
-        mean = np.full(len(queries), cfg.prior_mean)
-        var = np.full(len(queries), cfg.signal_var)
-        return mean, var
+        return np.full(len(queries), cfg.prior_mean), np.full(len(queries), cfg.signal_var)
     x, chol = _factor(history, cfg)
     resid = history.values() - cfg.prior_mean
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
@@ -121,20 +112,6 @@ def _posterior_many(history: SampleHistory, queries: np.ndarray, cfg: GpConfig):
     v = np.linalg.solve(chol, k_star)
     var = cfg.signal_var - np.einsum("ij,ij->j", v, v)
     return mean, np.maximum(var, 0.0)
-
-
-def posterior(history: SampleHistory, query, cfg: GpConfig) -> Posterior:
-    """GP mean and variance at one query point given the current window.
-    With an empty window this is just the prior."""
-    mean, var = _posterior_many(history, np.asarray(query, dtype=float).reshape(1, -1), cfg)
-    return Posterior(float(mean[0]), float(var[0]))
-
-
-def best_observed(history: SampleHistory) -> float:
-    """Incumbent value for the improvement criterion; 0 when empty."""
-    if len(history) == 0:
-        return 0.0
-    return float(history.values().max())
 
 
 _SQRT_2 = math.sqrt(2.0)
@@ -149,18 +126,14 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT_2))
 
 
-def _ei(gap: float, sigma: float) -> float:
-    """Expected improvement from the posterior's margin over the
-    incumbent (mean - f_star) and its standard deviation."""
+def expected_improvement(gap: float, sigma: float) -> float:
+    """E[max(f - f_star, 0)] for f ~ N(mean, sigma**2), from the
+    posterior's margin over the incumbent (gap = mean - f_star) and its
+    standard deviation."""
     if sigma == 0.0:
         return max(gap, 0.0)
     z = gap / sigma
     return gap * _norm_cdf(z) + sigma * _norm_pdf(z)
-
-
-def expected_improvement(post: Posterior, f_star: float) -> float:
-    """E[max(f - f_star, 0)] for f ~ N(post.mean, post.var)."""
-    return _ei(post.mean - f_star, math.sqrt(max(post.var, 0.0)))
 
 
 def candidate_offsets(reach: float, cfg: GpConfig) -> np.ndarray:
@@ -177,37 +150,27 @@ def candidate_offsets(reach: float, cfg: GpConfig) -> np.ndarray:
     return out
 
 
-def propose_point(
-    history: SampleHistory,
-    current,
-    offsets: np.ndarray,
-    cfg: GpConfig,
-    bounds: tuple | None = None,
-) -> np.ndarray:
-    """Waypoint with the highest expected improvement among reachable
-    candidates.
+def propose_point(history: SampleHistory, current, offsets: np.ndarray, cfg: GpConfig,
+                  bounds: tuple) -> np.ndarray:
+    """Waypoint with the highest expected improvement over the best
+    observation (0 with an empty window) among reachable candidates.
 
     Candidates are the current point plus the moves in offsets, the grid
     candidate_offsets(reach, cfg) built once by the caller, clipped to
-    bounds when given.  Ties keep the earliest candidate, so an
-    uninformative posterior proposes staying put.
+    the (lo, hi) corners in bounds.  Ties keep the earliest candidate, so
+    an uninformative posterior proposes staying put.
     """
-    current = np.asarray(current, dtype=float).reshape(-1)[:2]
     cands = np.empty((len(offsets) + 1, 2))
     cands[0] = current
     np.add(current, offsets, out=cands[1:])
-    if bounds is not None:
-        lo, hi = bounds
-        cands = np.clip(cands, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    f_star = best_observed(history)
-    means, variances = _posterior_many(history, cands, cfg)
+    cands = np.clip(cands, *bounds)
+    f_star = float(history.values().max()) if len(history) else 0.0
+    means, variances = posterior(history, cands, cfg)
     gaps = (means - f_star).tolist()
     sigmas = np.sqrt(variances).tolist()
-    best_idx = 0
-    best_ei = -math.inf
+    best_idx, best_ei = 0, -math.inf
     for idx in range(len(cands)):
-        ei = _ei(gaps[idx], sigmas[idx])
+        ei = expected_improvement(gaps[idx], sigmas[idx])
         if ei > best_ei:
-            best_ei = ei
-            best_idx = idx
+            best_ei, best_idx = ei, idx
     return cands[best_idx]

@@ -473,7 +473,7 @@ class Trainer:
         u = w.uavs[i]
         cur = np.array([u.pos.x / hw, u.pos.y / hw])
         prop = gp.propose_point(self.histories[i], cur, self.gp_offsets, self.cfg.gp,
-                                bounds=self.gp_bounds)
+                                self.gp_bounds)
         a_bo = bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
         trials = np.stack([a_actor, a_actor])
         trials[1, i] = a_bo

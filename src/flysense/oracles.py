@@ -30,22 +30,21 @@ class CheckResult:
     detail: str = ""
 
 
-def dense_gp_posterior(positions: np.ndarray, values: np.ndarray, query,
-                       cfg: gp.GpConfig) -> tuple[float, float]:
-    """Textbook GP regression with an explicit matrix inverse."""
-    x = np.atleast_2d(positions)
-    q = np.asarray(query, dtype=float).reshape(-1)[:2]
-    n = len(x)
-    gram = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            gram[a, b] = gp.kernel(x[a], x[b], cfg)
-    gram += cfg.noise_jitter * cfg.signal_var * np.eye(n)
-    k_star = np.array([gp.kernel(x[a], q, cfg) for a in range(n)])
-    inv = np.linalg.inv(gram)
-    mean = cfg.prior_mean + k_star @ inv @ (np.asarray(values) - cfg.prior_mean)
-    var = gp.kernel(q, q, cfg) - k_star @ inv @ k_star
-    return float(mean), float(max(var, 0.0))
+def dense_gp_posterior(positions, values, queries, cfg: gp.GpConfig) -> tuple[list, list]:
+    """Textbook GP regression with an explicit matrix inverse and the
+    squared-exponential kernel in plain floats: the mean and variance at
+    each query point."""
+    def kernel(p, q) -> float:
+        sq = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+        return cfg.signal_var * math.exp(-0.5 * sq / cfg.length_scale ** 2)
+
+    pts, qs = np.asarray(positions).tolist(), np.asarray(queries).tolist()
+    gram = np.array([[kernel(a, b) for b in pts] for a in pts])
+    inv = np.linalg.inv(gram + cfg.noise_jitter * cfg.signal_var * np.eye(len(pts)))
+    resid = np.asarray(values) - cfg.prior_mean
+    k_stars = [np.array([kernel(a, q) for a in pts]) for q in qs]
+    return ([float(cfg.prior_mean + k @ inv @ resid) for k in k_stars],
+            [max(float(kernel(q, q) - k @ inv @ k), 0.0) for q, k in zip(qs, k_stars)])
 
 
 def mc_expected_improvement(mu: float, sigma: float, f_star: float,
@@ -124,8 +123,12 @@ def enumerate_valid_allocs_constructive(n_uavs: int, n_channels: int):
 
 def check_gp_posterior(rng: np.random.Generator, posterior_fn=None,
                        tol: float = 1e-8) -> CheckResult:
+    """gp.posterior against dense_gp_posterior on random windows, each
+    queried in one batch as the proposer queries it: a random point and
+    the default candidate grid (65 points) around it."""
     posterior_fn = posterior_fn or gp.posterior
     cfg = gp.GpConfig(length_scale=0.4, signal_var=1.3, noise_jitter=1e-6, window=10)
+    offsets = gp.candidate_offsets(0.5, cfg)
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 9))
@@ -135,12 +138,15 @@ def check_gp_posterior(rng: np.random.Generator, posterior_fn=None,
         for p, v in zip(pts, vals):
             hist.add(p, v)
         query = rng.uniform(-1, 1, size=2)
-        post = posterior_fn(hist, query, cfg)
-        mean_ref, var_ref = dense_gp_posterior(pts, vals, query, cfg)
-        scale = max(abs(mean_ref), abs(var_ref), 1.0)
-        worst = max(worst, abs(post.mean - mean_ref) / scale,
-                    abs(post.var - var_ref) / scale)
-    return CheckResult("gp_posterior_vs_dense", worst, tol, worst <= tol)
+        queries = np.vstack([query, query + offsets])
+        means, variances = posterior_fn(hist, queries, cfg)
+        mean_ref, var_ref = dense_gp_posterior(pts, vals, queries, cfg)
+        scale = np.maximum(np.maximum(np.abs(mean_ref), np.abs(var_ref)), 1.0)
+        err = np.maximum(np.abs(np.subtract(means, mean_ref)),
+                         np.abs(np.subtract(variances, var_ref))) / scale
+        worst = max(worst, float(err.max()))
+    return CheckResult("gp_posterior_vs_dense", worst, tol, worst <= tol,
+                       detail=f"{len(queries)} queries per window")
 
 
 def check_expected_improvement(rng: np.random.Generator, ei_fn=None,
@@ -152,7 +158,7 @@ def check_expected_improvement(rng: np.random.Generator, ei_fn=None,
                       float(rng.uniform(-2, 2))))
     worst = 0.0
     for mu, sigma, f_star in cases:
-        closed = ei_fn(gp.Posterior(mu, sigma ** 2), f_star)
+        closed = ei_fn(mu - f_star, sigma)
         mc = mc_expected_improvement(mu, sigma, f_star, n_draws, rng)
         worst = max(worst, abs(closed - mc))
     return CheckResult("expected_improvement_vs_mc", worst, tol, worst <= tol)
@@ -161,8 +167,8 @@ def check_expected_improvement(rng: np.random.Generator, ei_fn=None,
 def check_mlp_gradients(rng: np.random.Generator, n_seeds: int = 10,
                         tol: float = 1e-4) -> CheckResult:
     """Backprop vs central differences for the actor and critic shapes,
-    in each gradient mode the learner uses: parameters only, input only,
-    and both."""
+    in the two gradient modes the learner uses (parameters only, input
+    only) and in the default that computes both."""
     shapes = [
         ([12, 16, 16, 2], "tanh"),
         ([42, 16, 16, 1], "identity"),

@@ -93,7 +93,8 @@ class Scenario:
     uav_alt_m: float = 100.0
     bs_height_m: float = 25.0
     bs_xy: tuple[float, float] = (1.0, 1.0)  # scaled; upper-right corner
-    uav_xy: tuple[tuple[float, float], ...] | None = None  # explicit scaled starts, else sampled
+    uav_xy: tuple[tuple[float, float], ...] | None = field(  # explicit scaled starts, else sampled
+        default=None, metadata={"min": -1.0, "max": 1.0})
     v_max_mps: float = field(default=20.0, metadata={"gt": 0.0})
     coverage_snr_min_db: float = 0.0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
@@ -174,7 +175,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         gu_xy = layout_rng.uniform(-1.0, 1.0, size=(scenario.n_gus, 2))
     gus = [
         GroundUser(Position(x * hw, y * hw, 0.0), scenario.demand_bits, scenario.demand_bits)
-        for x, y in gu_xy
+        for x, y in gu_xy.tolist()
     ]
 
     if scenario.uav_xy is not None:
@@ -182,7 +183,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
     else:
         uav_xy = rng.uniform(-1.0, 1.0, size=(scenario.n_uavs, 2))
     uavs = [
-        UavState(Position(x * hw, y * hw, scenario.uav_alt_m)) for x, y in uav_xy
+        UavState(Position(x * hw, y * hw, scenario.uav_alt_m)) for x, y in uav_xy.tolist()
     ]
 
     bs = Position(scenario.bs_xy[0] * hw, scenario.bs_xy[1] * hw, scenario.bs_height_m)

@@ -134,6 +134,13 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     ("training", {"metrics_episode_stride": -1}, "training.metrics_episode_stride"),
     ("scenario", {"protocol": {"slot_len": 1.0}}, "scenario.protocol.slot_len"),  # unknown
     ("scenario", {"protocol": {"t_f": 0.5}}, "scenario.protocol"),         # sums to 1.2 s
+    ("scenario", {"n_uavs": 1, "uav_xy": [[3.0, 0.0]]}, "scenario.uav_xy[0][0]"),  # off the field
+    # JSON's NaN and Infinity parse; each ran to a NaN reward, NaN metrics
+    # or a checkpoint that is not valid JSON
+    ("training", {"tau": math.nan}, "training.tau: must be finite, got nan"),
+    ("training", {"actor_lr": math.nan}, "training.actor_lr: must be finite, got nan"),
+    ("training", {"discount": math.inf}, "training.discount: must be finite, got inf"),
+    ("training", {"lam": math.nan}, "training.lam: must be finite, got nan"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):

@@ -1,7 +1,11 @@
 """Config parsing: defaults, strict keys, unit aliases, round trips."""
 
+import dataclasses
 import json
 import math
+import re
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -26,6 +30,39 @@ class TestUnits:
     def test_inverse(self):
         for w in (1e-12, 0.2, 1.0, 40.0):
             assert dbm_to_watts(10.0 * math.log10(1000.0 * w)) == pytest.approx(w, rel=1e-12)
+
+
+def _float_slots(hint) -> list:
+    """(index suffix, bad -> JSON value) for the float slots of a type
+    hint; in a tuple, its first entry holds the bad value and the rest 0."""
+    if isinstance(hint, types.UnionType):  # X | None
+        hint = typing.get_args(hint)[0]
+    if hint is float:
+        return [("", lambda bad: bad)]
+    if typing.get_origin(hint) is not tuple:
+        return []
+    args = typing.get_args(hint)
+    width = 1 if args[-1] is Ellipsis else len(args)
+    return [(f"[0]{suffix}", lambda bad, make=make: [make(bad)] + [make(0.0)] * (width - 1))
+            for suffix, make in _float_slots(args[0])]
+
+
+def _float_fields(cls, path=""):
+    """(dotted path, bad -> config document) for every float a config
+    dataclass reads, walked from its type hints: nested sections, tuple
+    entries and dBm aliases included."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hints[f.name]):
+            for leaf, make in _float_fields(hints[f.name], where):
+                yield leaf, lambda bad, make=make, key=f.name: {key: make(bad)}
+            continue
+        for suffix, make in _float_slots(hints[f.name]):
+            yield where + suffix, lambda bad, make=make, key=f.name: {key: make(bad)}
+        if "alias_dbm" in f.metadata:
+            alias = f.metadata["alias_dbm"]
+            yield f"{path}.{alias}", lambda bad, key=alias: {key: bad}
 
 
 class TestParse:
@@ -109,10 +146,17 @@ class TestParse:
             parse_config({"scenario": {"gu_xy": [[0.0, 0.0], [1.0]]}})
 
     def test_declared_bounds_reject_nan(self):
-        for section, key in (("scenario", "demand_bits"), ("gp", "signal_var"),
-                             ("channel", "bandwidth")):
-            with pytest.raises(ConfigError, match=rf"{section}\.{key}: must .*, got nan"):
-                parse_config({section: {key: math.nan}})
+        """Every float the schema reads, tuple entries and dBm aliases
+        included, rejects NaN and both infinities with its dotted path."""
+        fields = dict(_float_fields(RunConfig))
+        assert {"seed", "training.hidden[0]"}.isdisjoint(fields)
+        assert {"scenario.demand_bits", "scenario.bs_xy[0]", "scenario.uav_xy[0][0]",
+                "scenario.protocol.t_f", "formation.min_rate", "gp.signal_var",
+                "channel.noise_dbm", "training.tau"} <= set(fields)
+        for path, doc in fields.items():
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must .*, got {bad}$"):
+                    parse_config(doc(bad))
 
     def test_invalid_protocol_timing_reported_with_path(self):
         with pytest.raises(ConfigError, match="scenario.protocol: sub-slot durations must "

@@ -877,8 +877,9 @@ print(json.dumps(tracer.summary()))
 def test_traced_benchmark_runs_train_and_compare(tmp_path):
     """bench/tracing.py reads entity fields as well as names, so a field
     change can break a traced benchmark run that the name check above
-    passes.  Tracer.install patches the modules for the whole process,
-    hence the subprocess."""
+    passes, and it counts calls through module attributes, so a caller
+    that bypasses one leaves its counter at 0.  Tracer.install patches
+    the modules for the whole process, hence the subprocess."""
     script = _TRACED_RUN.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "bench"),
                                 config=os.path.join(ROOT, "configs", "tiny.json"),
                                 out=str(tmp_path))
@@ -891,6 +892,10 @@ def test_traced_benchmark_runs_train_and_compare(tmp_path):
     for name in ("world.step", "marl.rollout", "formation.eda_nf",
                  "formation.baseline_noncoop"):
         assert summary["spans"][name]["calls"] > 0, name
+    # The proposer scores each of its n_rad * n_dir + 1 = 65 candidates
+    # through the counted gp.expected_improvement.
+    proposals = summary["spans"]["gp.propose_point"]["calls"]
+    assert summary["counts"]["gp.expected_improvement"] == 65 * proposals > 0
 
 
 def test_sensing_table_built_once_per_world_and_slot(monkeypatch):

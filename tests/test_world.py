@@ -280,6 +280,25 @@ def test_make_world_layout_is_reproducible_and_scaled():
     assert (w1.uavs[0].pos.x, w1.uavs[0].pos.y) != (w2.uavs[0].pos.x, w2.uavs[0].pos.y)
 
 
+@pytest.mark.parametrize("layout", [{}, {"uav_xy": ((0.2, 0.0), (-0.999, 0.5)),
+                                         "gu_xy": ((0.1, 0.1), (0.3, -0.2), (-0.7, 0.9))}])
+def test_positions_are_python_floats(layout):
+    """Sampled and explicit layouts start every coordinate as a Python
+    float, and a step keeps it one, clamped to the field or not (README,
+    "One representation per slot value")."""
+    scen = Scenario(n_uavs=2, n_gus=3, **layout)
+    w = make_world(scen, P, np.random.default_rng(4))
+
+    def coordinates():
+        return [c for p in (w.bs_pos, *(u.pos for u in w.uavs), *(g.pos for g in w.gus))
+                for c in p]
+
+    assert all(type(c) is float for c in coordinates())
+    # UAV 2 of the explicit layout flies 6 m west from 1 m inside the edge
+    w, _ = step(w, [((0.0, 1.0), 5.0), ((-1.0, 0.0), 20.0)], FormationMatrix(2, P.n_channels))
+    assert all(type(c) is float for c in coordinates())
+
+
 def _small_world(seed=0, n_uavs=2, n_gus=3):
     scen = Scenario(n_uavs=n_uavs, n_gus=n_gus, gu_seed=seed + 1000)
     return make_world(scen, P, np.random.default_rng(seed))
