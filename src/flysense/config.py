@@ -90,6 +90,8 @@ def _broken_bound(value, meta) -> str | None:
         return "must not be negative" if meta["min"] == 0 else f"must be at least {meta['min']}"
     if "max" in meta and not value <= meta["max"]:
         return f"must be at most {meta['max']}"
+    if "lt" in meta and not value < meta["lt"]:
+        return f"must be below {meta['lt']}"
     return None
 
 

@@ -4,8 +4,11 @@ Every policy maps per-UAV status (drain-time balance, running cost,
 positions) to a formation matrix that passes the sub-channel constraint
 by construction.  The main policy pairs overloaded UAVs with cheap
 relays; three simpler baselines are used for comparison.  The three
-relay planners start all-direct and place every relay through the same
-interference-ranked step (_relay_pair).
+relay planners start all-direct and share one greedy pairing loop
+(_pair_greedy), which makes every seeker-relay decision: the pairing
+range, the relay's backhaul, the interference-ranked step (_relay_pair)
+and the taken set.  Each planner only names its seekers in order and how
+a seeker ranks its candidates.
 """
 
 from __future__ import annotations
@@ -108,16 +111,26 @@ def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list,
     return True
 
 
-def _pair_first(fm, tx, candidates, power, active) -> int | None:
-    """Route tx through the first candidate (0-based UAV index, lazily
-    consumed) that has a BS link and takes _relay_pair; None if none does."""
-    for j in candidates:
-        rx = j + 1
-        if not fm.has_link(rx, BS):
-            continue  # a relay with no backhaul would strand the data
-        if _relay_pair(fm, tx, rx, power, active):
-            return j
-    return None
+def _pair_greedy(fm, seekers, rank, node_range, power, policy, active) -> FormationMatrix:
+    """The one pairing loop of the relay planners.  Each seeker (0-based
+    UAV index, in the planner's order, skipped once taken) is routed
+    through the first candidate of rank(seeker, near, taken) that has a
+    BS link and takes _relay_pair; near lists the other UAVs within the
+    pairing range, and the ranking is consumed lazily so its guards run
+    only as far as needed.  Both ends of a pairing are recorded as taken."""
+    taken = set()
+    for i in seekers:
+        if i in taken:
+            continue
+        tx = i + 1
+        near = [j for j in range(fm.n_uavs)
+                if j != i and node_range[tx][j + 1] < policy.pair_range_m]
+        for j in rank(i, near, taken):
+            # A relay with no backhaul would strand the data.
+            if fm.has_link(j + 1, BS) and _relay_pair(fm, tx, j + 1, power, active):
+                taken |= {i, j}
+                break
+    return fm
 
 
 def _point_rates_ok(policy, params, power, seeker, relay, spare_rate) -> bool:
@@ -157,22 +170,16 @@ def eda_nf(
     the world's node_range and link_power tables (base station first).
     """
     balance, cost, spare = report.balance, report.cost, report.spare_rate
-    n = len(balance)
-    fm = _all_direct(n, n_channels)
-    seekers = [i for i in range(n) if balance[i] > policy.balance_threshold]
-    relays = [i for i in range(n) if balance[i] <= policy.balance_threshold]
-    seekers.sort(key=lambda i: (-cost[i], i))
-    relays.sort(key=lambda i: (cost[i], i))
-    for i in seekers:
-        tx = i + 1
-        # Lazy: the guards of later candidates run only if earlier ones fail.
-        guarded = (j for j in relays
-                   if node_range[tx][j + 1] < policy.pair_range_m
-                   and _point_rates_ok(policy, params, power, tx, j + 1, spare[j]))
-        j = _pair_first(fm, tx, guarded, power, active)
-        if j is not None:
-            relays.remove(j)
-    return fm
+    seekers = sorted((i for i in range(len(balance)) if balance[i] > policy.balance_threshold),
+                     key=lambda i: (-cost[i], i))
+
+    def rank(i, near, taken):
+        relays = sorted((j for j in near if j not in taken
+                         and balance[j] <= policy.balance_threshold), key=lambda j: (cost[j], j))
+        return (j for j in relays
+                if _point_rates_ok(policy, params, power, i + 1, j + 1, spare[j]))
+    return _pair_greedy(_all_direct(len(balance), n_channels), seekers, rank,
+                        node_range, power, policy, active)
 
 
 def baseline_noncoop(n_uavs: int, n_channels: int) -> FormationMatrix:
@@ -190,18 +197,13 @@ def baseline_buffer(
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
     nearest UAV that is still below it (within the pairing range)."""
-    n = len(buffers)
-    fm = _all_direct(n, n_channels)
-    for i in range(n):
-        if buffers[i] <= policy.buffer_threshold_bits:
-            continue
-        tx = i + 1
-        gaps = {j: node_range[tx][j + 1]
-                for j in range(n) if j != i and buffers[j] <= policy.buffer_threshold_bits}
-        order = sorted(gaps, key=lambda j: (gaps[j], j))
-        _pair_first(fm, tx, [j for j in order if gaps[j] < policy.pair_range_m],
-                    power, active)
-    return fm
+    below = [b <= policy.buffer_threshold_bits for b in buffers]
+
+    def rank(i, near, taken):  # a relay may serve several seekers
+        return sorted((j for j in near if below[j]), key=lambda j: (node_range[i + 1][j + 1], j))
+    return _pair_greedy(_all_direct(len(buffers), n_channels),
+                        [i for i in range(len(buffers)) if not below[i]], rank,
+                        node_range, power, policy, active)
 
 
 def baseline_dynamic_nf(
@@ -215,20 +217,9 @@ def baseline_dynamic_nf(
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
     per-UAV cost (CostReport.cost) undercuts its own by the configured
     margin.  Pairings are exclusive, most expensive UAV first."""
-    n = len(cost)
-    fm = _all_direct(n, n_channels)
-    free = set(range(n))
-    for i in sorted(range(n), key=lambda i: (-cost[i], i)):
-        if i not in free:
-            continue
-        tx = i + 1
-        candidates = sorted((j for j in free if j != i
-                             and cost[j] < cost[i] - policy.cost_margin
-                             and node_range[tx][j + 1] < policy.pair_range_m),
-                            key=lambda j: (cost[j], j))
-        j = _pair_first(fm, tx, candidates, power, active)
-        if j is not None:
-            free.discard(i)
-            free.discard(j)
-    return fm
-
+    def rank(i, near, taken):
+        return sorted((j for j in near if j not in taken
+                       and cost[j] < cost[i] - policy.cost_margin), key=lambda j: (cost[j], j))
+    return _pair_greedy(_all_direct(len(cost), n_channels),
+                        sorted(range(len(cost)), key=lambda i: (-cost[i], i)), rank,
+                        node_range, power, policy, active)

@@ -176,10 +176,11 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
 
 def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, TrainResult]:
     """Save the config, train into metrics/episodes CSVs and save the
-    trained agents, all under out_dir."""
+    trained agents, all under out_dir.  The Trainer is built first, so a
+    learner that cannot be built leaves nothing on disk."""
+    trainer = Trainer(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
-    trainer = Trainer(cfg)
     with CsvSink(out_dir) as sink:
         result = trainer.run(episodes=episodes, sink=sink)
     save_agents(os.path.join(out_dir, "checkpoint.json"), result.agents)

@@ -285,20 +285,20 @@ class TrainingConfig:
     batch_size: int = field(default=256, metadata={"min": 1})
     replay_capacity: int = 100000
     warmup: int | None = None          # None -> batch_size
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-4
-    tau: float = 0.01
-    discount: float = 0.95
-    noise_scale: float = 0.1
-    epsilon: float = 0.1               # arbitration override probability
+    actor_lr: float = field(default=1e-3, metadata={"gt": 0.0})
+    critic_lr: float = field(default=1e-4, metadata={"gt": 0.0})
+    tau: float = field(default=0.01, metadata={"gt": 0.0, "max": 1.0})
+    discount: float = field(default=0.95, metadata={"min": 0.0, "lt": 1.0})
+    noise_scale: float = field(default=0.1, metadata={"min": 0.0})
+    epsilon: float = field(default=0.1, metadata={"min": 0.0, "max": 1.0})  # arbitration override
     bo_enabled: bool = True
     hidden: tuple[int, ...] = field(default=(64, 64), metadata={"min": 1})  # layer widths
     lam: float = 0.5                   # buffer weight in cost/objective
     weights: RewardWeights = field(default_factory=RewardWeights)
     early_stop_enabled: bool = True
-    early_stop_min_episodes: int = 300
-    early_stop_patience: int = 300
-    early_stop_rel_tol: float = 0.01
+    early_stop_min_episodes: int = field(default=300, metadata={"min": 0})
+    early_stop_patience: int = field(default=300, metadata={"min": 0})
+    early_stop_rel_tol: float = field(default=0.01, metadata={"min": 0.0})
     eval_episodes: int = field(default=5, metadata={"min": 1})
     metrics_episode_stride: int = field(default=1, metadata={"min": 0})  # 0: no per-slot rows
     completion_cap: int = field(default=600, metadata={"min": 1})  # drain-everything horizon

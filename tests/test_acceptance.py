@@ -171,7 +171,10 @@ def test_criterion_3_eda_nf_structure():
             assert balance[rx - 1] <= policy.balance_threshold
             d = float(np.linalg.norm(positions[tx][:2] - positions[rx][:2]))
             assert d < policy.pair_range_m
-        # 3. drain-time imbalances cancel whenever every rate is finite
+        # 3. no UAV receives relay links from two seekers
+        relayed = [rx for tx, rx in {(tx, rx) for tx, rx, _ in fm.links()} if rx != BS]
+        assert len(relayed) == len(set(relayed))
+        # 4. drain-time imbalances cancel whenever every rate is finite
         if not zero_rate:
             assert abs(np.sum(balance)) < 1e-9
     elapsed = time.time() - t0

@@ -87,6 +87,19 @@ def test_bad_config_exit_1(tmp_path, capsys):
     ({"batch_size": 0, "warmup": 16}, "training.batch_size"),
     ({"replay_capacity": 4}, "training.replay_capacity"),      # below batch 8 and warm-up 16
     ({"replay_capacity": 12}, "training.replay_capacity"),     # holds a batch, not the warm-up
+    # Each of these trained to exit 0 without learning what it should.
+    ({"actor_lr": 0.0}, "training.actor_lr: must be positive"),
+    ({"actor_lr": -0.01}, "training.actor_lr: must be positive"),
+    ({"critic_lr": -1.0}, "training.critic_lr: must be positive"),
+    ({"tau": 0.0}, "training.tau: must be positive"),              # targets never move
+    ({"tau": 2.0}, "training.tau: must be at most 1.0"),
+    ({"discount": 1.0}, "training.discount: must be below 1.0"),
+    ({"discount": 1.5}, "training.discount: must be below 1.0"),
+    ({"epsilon": 2.0}, "training.epsilon: must be at most 1.0"),
+    ({"noise_scale": -0.1}, "training.noise_scale: must not be negative"),
+    ({"early_stop_patience": -1}, "training.early_stop_patience: must not be negative"),
+    ({"early_stop_min_episodes": -3}, "training.early_stop_min_episodes: must not be negative"),
+    ({"early_stop_rel_tol": -0.5}, "training.early_stop_rel_tol: must not be negative"),
 ])
 def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, override, path):
     cfg_path = write_tiny_config(tmp_path)
@@ -99,6 +112,19 @@ def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, overri
     assert code == 1
     assert path in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_trainer_built_before_anything_is_written(tmp_path, capsys, monkeypatch):
+    """A learner that cannot be built (a replay buffer too large for
+    memory, say) exits 3 and leaves nothing under --out."""
+    def no_memory(cfg):
+        raise MemoryError("Unable to allocate the replay buffer")
+    monkeypatch.setattr(harness, "Trainer", no_memory)
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", write_tiny_config(tmp_path), "--out", str(out)])
+    assert code == 3
+    assert "MemoryError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,override,path", [
@@ -277,6 +303,10 @@ def _bound_values(kind, meta) -> tuple:
         out += (meta["min"], step(meta["min"], up=False))
     if "gt" in meta:
         out += (step(meta["gt"], up=True), meta["gt"])
+    if "max" in meta:
+        out += (meta["max"], step(meta["max"], up=True))
+    if "lt" in meta:
+        out += (step(meta["lt"], up=False), meta["lt"])
     return out
 
 

@@ -153,6 +153,18 @@ class TestEdaNf:
         assert sorted(ch for rx, ch in fm.out_links(3) if rx == BS) == [0, 2]
         assert validate_alloc(fm) == []
 
+    def test_each_relay_serves_one_seeker(self):
+        # two seekers, two relays: the costlier seeker takes the cheaper
+        # relay, and the other seeker, though it ranks that relay first
+        # too, gets the other one
+        report = CostReport(balance=np.array([4.0, 3.0, -3.5, -3.5]),
+                            cost=np.array([9.0, 8.0, 2.0, 1.0]), spare_rate=np.full(4, np.inf))
+        pos = _positions((-800, -800), (-800, -600), (-400, -400), (-300, -500))
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 4, P)
+        relays = sorted((tx, rx) for tx, rx, _ in fm.links() if rx != BS)
+        assert relays == [(1, 4), (2, 3)]
+        assert validate_alloc(fm) == []
+
     def test_relay_must_keep_backhaul(self):
         # with a single sub-channel the relay's own BS link is the only
         # allocation; pairing would strand the seeker's data

@@ -863,13 +863,14 @@ _TRACED_RUN = """
 import json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 from flysense import config, harness
+from flysense.formation import FormationPolicy
 from tracing import Tracer
 tracer = Tracer()
 tracer.install()
 cfg = config.load_config({config!r})
 harness.run_train(cfg, {out!r} + "/train", episodes=2)
 harness.run_compare(cfg, {out!r} + "/compare", episodes=0, eval_episodes=1,
-                    policies=("eda_nf", "non_cooperative"), demand_scales=(1.0,))
+                    policies=FormationPolicy.KINDS, demand_scales=(1.0,))
 print(json.dumps(tracer.summary()))
 """
 
@@ -889,9 +890,13 @@ def test_traced_benchmark_runs_train_and_compare(tmp_path):
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout)
     assert summary["rollouts"] > 0
-    for name in ("world.step", "marl.rollout", "formation.eda_nf",
-                 "formation.baseline_noncoop"):
+    for name in ("world.step", "marl.rollout"):
         assert summary["spans"][name]["calls"] > 0, name
+    # Every planner is reached through its module attribute.
+    planners = ("eda_nf", "baseline_dynamic_nf", "baseline_buffer", "baseline_noncoop")
+    for name in planners:
+        assert summary["spans"]["formation." + name]["calls"] > 0, name
+    assert sorted(summary["decisions"]) == sorted(planners)
     # The proposer scores each of its n_rad * n_dir + 1 = 65 candidates
     # through the counted gp.expected_improvement.
     proposals = summary["spans"]["gp.propose_point"]["calls"]
