@@ -1,15 +1,15 @@
 """Gaussian-process surrogate over sensed-data yield by location.
 
-Each UAV keeps a sliding window of (position, bits collected) samples.
-A squared-exponential GP conditioned on that window scores candidate
+A window is an (m, 2) array of positions in the field scaled to
+[-1, 1] and the (m,) array of bits collected at them, oldest first.  A
+squared-exponential GP conditioned on a window scores candidate
 waypoints by expected improvement over the best observation, which gives
 the trajectory proposals fed to the action arbitration.  There is one
 function per computation: posterior conditions the window on a (Q, 2)
 batch of query points through one Cholesky factor (Rasmussen & Williams
 2006, Alg. 2.1), expected_improvement scores one candidate (Jones,
 Schonlau & Welch 1998), and propose_point runs both over its candidate
-grid.  The module is unit-agnostic: positions and length scale just
-have to share units.
+grid.  The length scale is in the positions' units.
 """
 
 from __future__ import annotations
@@ -39,35 +39,6 @@ class GpConfig:
     n_rad: int = field(default=4, metadata={"min": 1})    # candidate radii per heading
 
 
-class SampleHistory:
-    """Sliding window of planar samples in arrival order, which the Gram
-    matrix and so the proposals follow; appending past capacity evicts
-    the oldest.  Values are non-negative data amounts.  add replaces the
-    (m, 2) positions and (m,) values arrays, never writes into them."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._positions = np.zeros((0, 2))
-        self._values = np.zeros(0)
-
-    def add(self, position, value: float) -> None:
-        if value < 0:
-            raise ValueError("sample values must be non-negative")
-        self._positions = np.concatenate([self._positions, [position]])[-self._capacity:]
-        self._values = np.append(self._values, float(value))[-self._capacity:]
-
-    def positions(self) -> np.ndarray:
-        return self._positions
-
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
     dx = a[:, None, 0] - b[None, :, 0]
     dy = a[:, None, 1] - b[None, :, 1]
@@ -80,32 +51,30 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
     return k
 
 
-def _factor(history: SampleHistory, cfg: GpConfig):
-    """Cholesky of the windowed kernel matrix, escalating the jitter by
-    decades (up to six) if the factorization fails.  The retries start
-    from at least JITTER_FLOOR * signal_var, so a zero or negligible
-    noise_jitter still escalates."""
-    x = history.positions()
+def _factor(x: np.ndarray, cfg: GpConfig) -> np.ndarray:
+    """Cholesky of the kernel matrix of the (m, 2) window positions,
+    escalating the jitter by decades (up to six) if the factorization
+    fails.  The retries start from at least JITTER_FLOOR * signal_var, so
+    a zero or negligible noise_jitter still escalates."""
     gram = _kernel_matrix(x, x, cfg)
     jitter = cfg.noise_jitter * cfg.signal_var
     for _ in range(7):
         try:
-            chol = np.linalg.cholesky(gram + jitter * np.eye(len(x)))
-            return x, chol
+            return np.linalg.cholesky(gram + jitter * np.eye(len(x)))
         except np.linalg.LinAlgError:
             jitter = max(jitter, JITTER_FLOOR * cfg.signal_var) * 10.0
     raise np.linalg.LinAlgError("kernel matrix not positive definite even after jitter escalation")
 
 
-def posterior(history: SampleHistory, queries: np.ndarray,
+def posterior(x: np.ndarray, y: np.ndarray, queries: np.ndarray,
               cfg: GpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """GP means and variances at the (Q, 2) query points given the
-    current window, as two (Q,) arrays.  With an empty window this is
-    just the prior."""
-    if len(history) == 0:
+    """GP means and variances at the (Q, 2) query points given the window
+    of (m, 2) positions x and (m,) values y, as two (Q,) arrays.  With an
+    empty window this is just the prior."""
+    if len(y) == 0:
         return np.full(len(queries), cfg.prior_mean), np.full(len(queries), cfg.signal_var)
-    x, chol = _factor(history, cfg)
-    resid = history.values() - cfg.prior_mean
+    chol = _factor(x, cfg)
+    resid = y - cfg.prior_mean
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
     k_star = _kernel_matrix(x, queries, cfg)
     mean = cfg.prior_mean + k_star.T @ alpha
@@ -150,22 +119,23 @@ def candidate_offsets(reach: float, cfg: GpConfig) -> np.ndarray:
     return out
 
 
-def propose_point(history: SampleHistory, current, offsets: np.ndarray, cfg: GpConfig,
-                  bounds: tuple) -> np.ndarray:
+def propose_point(x: np.ndarray, y: np.ndarray, current, offsets: np.ndarray,
+                  cfg: GpConfig) -> np.ndarray:
     """Waypoint with the highest expected improvement over the best
-    observation (0 with an empty window) among reachable candidates.
+    observation in the window x, y (0 with an empty window) among
+    reachable candidates.
 
     Candidates are the current point plus the moves in offsets, the grid
     candidate_offsets(reach, cfg) built once by the caller, clipped to
-    the (lo, hi) corners in bounds.  Ties keep the earliest candidate, so
-    an uninformative posterior proposes staying put.
+    the scaled field [-1, 1]^2.  Ties keep the earliest candidate, so an
+    uninformative posterior proposes staying put.
     """
     cands = np.empty((len(offsets) + 1, 2))
     cands[0] = current
     np.add(current, offsets, out=cands[1:])
-    cands = np.clip(cands, *bounds)
-    f_star = float(history.values().max()) if len(history) else 0.0
-    means, variances = posterior(history, cands, cfg)
+    cands = np.clip(cands, -1.0, 1.0)
+    f_star = float(y.max()) if len(y) else 0.0
+    means, variances = posterior(x, y, cands, cfg)
     gaps = (means - f_star).tolist()
     sigmas = np.sqrt(variances).tolist()
     best_idx, best_ei = 0, -math.inf

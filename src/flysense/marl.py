@@ -161,30 +161,28 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of joint transitions with uniform sampling."""
+    """Ring of up to capacity joint transitions with uniform sampling.
+    The arrays (obs, acts, rews, obs2, done; one row per transition)
+    start empty and double as rows arrive, up to capacity, so memory
+    follows what was written; sample() reads only written rows."""
 
     def __init__(self, capacity: int, n_agents: int, obs_dim: int,
                  rng: np.random.Generator):
         self.capacity = capacity
         self.rng = rng
-        # Uninitialised: sample() reads only rows add() has written.  A
-        # run usually fills a small part of the capacity, and zeroing it
-        # (np.zeros on recycled heap memory) would make all of it resident.
-        self._obs = np.empty((capacity, n_agents, obs_dim))
-        self._acts = np.empty((capacity, n_agents, ACT_DIM))
-        self._rews = np.empty((capacity, n_agents))
-        self._obs2 = np.empty((capacity, n_agents, obs_dim))
-        self._done = np.empty(capacity)
+        self._arrays = [np.empty((0, *shape)) for shape in (
+            (n_agents, obs_dim), (n_agents, ACT_DIM), (n_agents,), (n_agents, obs_dim), ())]
         self._idx = 0
         self._size = 0
 
     def add(self, obs, acts, rews, obs2, done: bool) -> None:
         i = self._idx
-        self._obs[i] = obs
-        self._acts[i] = acts
-        self._rews[i] = rews
-        self._obs2[i] = obs2
-        self._done[i] = float(done)
+        if i == len(self._arrays[0]):  # every row written, capacity not reached
+            rows = min(max(1, 2 * i), self.capacity)
+            self._arrays = [np.concatenate([a, np.empty((rows - i, *a.shape[1:]))])
+                            for a in self._arrays]
+        for a, value in zip(self._arrays, (obs, acts, rews, obs2, float(done))):
+            a[i] = value
         self._idx = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -192,8 +190,7 @@ class ReplayBuffer:
         if batch_size > self._size:
             raise ValueError("not enough transitions buffered")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        return Batch(self._obs[idx], self._acts[idx], self._rews[idx],
-                     self._obs2[idx], self._done[idx])
+        return Batch(*(a[idx] for a in self._arrays))
 
     def __len__(self) -> int:
         return self._size
@@ -285,8 +282,10 @@ class TrainingConfig:
     batch_size: int = field(default=256, metadata={"min": 1})
     replay_capacity: int = 100000
     warmup: int | None = None          # None -> batch_size
-    actor_lr: float = field(default=1e-3, metadata={"gt": 0.0})
-    critic_lr: float = field(default=1e-4, metadata={"gt": 0.0})
+    # Adam moves each weight by about lr a step, and the nets start within
+    # 1/sqrt(fan_in): a rate above 1 outsteps the whole initial range.
+    actor_lr: float = field(default=1e-3, metadata={"gt": 0.0, "max": 1.0})
+    critic_lr: float = field(default=1e-4, metadata={"gt": 0.0, "max": 1.0})
     tau: float = field(default=0.01, metadata={"gt": 0.0, "max": 1.0})
     discount: float = field(default=0.95, metadata={"min": 0.0, "lt": 1.0})
     noise_scale: float = field(default=0.1, metadata={"min": 0.0})
@@ -423,10 +422,12 @@ class TrainResult:
 
 
 class Trainer:
-    """Owns the networks, replay, GP histories, and all random streams of
+    """Owns the networks, replay, GP window, and all random streams of
     one training run.  Seeded identically, two trainers produce
     bit-identical metric streams.  The actors' weights live in one
-    nn.MlpStack, which both training and evaluation act through."""
+    nn.MlpStack, which both training and evaluation act through.  The
+    fleet's GP window is gp_x, (N, m, 2) scaled positions, and gp_y,
+    (N, m) Mbit sensed there, oldest sample first; row i is UAV i's."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -450,11 +451,10 @@ class Trainer:
         self.actors = nn.MlpStack(a.actor for a in self.agents)
         self.replay = ReplayBuffer(tc.replay_capacity, n, self.obs_dim,
                                    np.random.default_rng(replay_ss))
-        self.histories = [gp.SampleHistory(cfg.gp.window) for _ in range(n)]
+        self.gp_x, self.gp_y = np.zeros((n, 0, 2)), np.zeros((n, 0))
         self.formation_fn = make_formation_fn(cfg.formation, tc.lam)
         reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / scenario.half_width_m
         self.gp_offsets = gp.candidate_offsets(reach_scaled, cfg.gp)
-        self.gp_bounds = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
     def _new_world(self, rng=None, demand_scale: float = 1.0,
                    formation_fn=None) -> WorldState:
@@ -472,8 +472,7 @@ class Trainer:
         hw = self.scenario.half_width_m
         u = w.uavs[i]
         cur = np.array([u.pos.x / hw, u.pos.y / hw])
-        prop = gp.propose_point(self.histories[i], cur, self.gp_offsets, self.cfg.gp,
-                                self.gp_bounds)
+        prop = gp.propose_point(self.gp_x[i], self.gp_y[i], cur, self.gp_offsets, self.cfg.gp)
         a_bo = bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
         trials = np.stack([a_actor, a_actor])
         trials[1, i] = a_bo
@@ -505,11 +504,12 @@ class Trainer:
             obs2 = observe(w)
             done = _episode_done(w)
             self.replay.add(obs, a_exec, rews, obs2, done)
-            if tc.bo_enabled:  # only the GP proposer reads the histories
-                for i in range(n):
-                    u = w.uavs[i]
-                    self.histories[i].add((u.pos.x / hw, u.pos.y / hw),
-                                          report.sensed[i] / DATA_UNIT)
+            if tc.bo_enabled:  # only the GP proposer reads the window
+                xy = np.array([[u.pos.x, u.pos.y] for u in w.uavs]) / hw
+                mbit = np.array(report.sensed) / DATA_UNIT
+                keep = self.cfg.gp.window
+                self.gp_x = np.concatenate([self.gp_x, xy[:, None]], axis=1)[:, -keep:]
+                self.gp_y = np.concatenate([self.gp_y, mbit[:, None]], axis=1)[:, -keep:]
             if len(self.replay) >= tc.warmup_size:
                 batch = self.replay.sample(tc.batch_size)
                 next_acts = [None] * n

@@ -127,19 +127,16 @@ def check_gp_posterior(rng: np.random.Generator, posterior_fn=None,
     queried in one batch as the proposer queries it: a random point and
     the default candidate grid (65 points) around it."""
     posterior_fn = posterior_fn or gp.posterior
-    cfg = gp.GpConfig(length_scale=0.4, signal_var=1.3, noise_jitter=1e-6, window=10)
+    cfg = gp.GpConfig(length_scale=0.4, signal_var=1.3, noise_jitter=1e-6)
     offsets = gp.candidate_offsets(0.5, cfg)
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        hist = gp.SampleHistory(cfg.window)
         pts = rng.uniform(-1, 1, size=(n, 2))
         vals = rng.uniform(0, 3, size=n)
-        for p, v in zip(pts, vals):
-            hist.add(p, v)
         query = rng.uniform(-1, 1, size=2)
         queries = np.vstack([query, query + offsets])
-        means, variances = posterior_fn(hist, queries, cfg)
+        means, variances = posterior_fn(pts, vals, queries, cfg)
         mean_ref, var_ref = dense_gp_posterior(pts, vals, queries, cfg)
         scale = np.maximum(np.maximum(np.abs(mean_ref), np.abs(var_ref)), 1.0)
         err = np.maximum(np.abs(np.subtract(means, mean_ref)),

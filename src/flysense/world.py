@@ -217,10 +217,10 @@ def move_uav(u: UavState, direction, speed: float, scenario: Scenario) -> Positi
     if len(direction) != 2:
         raise ValueError(f"direction must be a unit 2-vector, got {direction!r}")
     dx, dy = float(direction[0]), float(direction[1])
-    if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
+    if not abs(math.hypot(dx, dy) - 1.0) <= 1e-9:  # written so that NaN fails
         raise ValueError(f"direction must be a unit 2-vector, got {direction!r}")
-    if speed < 0:
-        raise ValueError("speed must be non-negative")
+    if not speed >= 0:
+        raise ValueError(f"speed must be non-negative, got {speed!r}")
     step_m = min(float(speed), scenario.v_max_mps) * scenario.protocol.t_f
     hw = scenario.half_width_m
     x = min(max(u.pos.x + dx * step_m, -hw), hw)

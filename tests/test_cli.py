@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import random
+import re
+import subprocess
+import sys
 import types
 import typing
 from collections import Counter
@@ -12,7 +16,7 @@ from collections import Counter
 import pytest
 
 from flysense import cli, harness, oracles
-from flysense.config import RunConfig, load_config
+from flysense.config import RunConfig, _schema, config_to_dict, load_config, parse_config
 from flysense.marl import Trainer
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -91,6 +95,8 @@ def test_bad_config_exit_1(tmp_path, capsys):
     ({"actor_lr": 0.0}, "training.actor_lr: must be positive"),
     ({"actor_lr": -0.01}, "training.actor_lr: must be positive"),
     ({"critic_lr": -1.0}, "training.critic_lr: must be positive"),
+    ({"critic_lr": 1e300}, "training.critic_lr: must be at most 1.0"),  # trained to NaN
+    ({"actor_lr": 1.5}, "training.actor_lr: must be at most 1.0"),
     ({"tau": 0.0}, "training.tau: must be positive"),              # targets never move
     ({"tau": 2.0}, "training.tau: must be at most 1.0"),
     ({"discount": 1.0}, "training.discount: must be below 1.0"),
@@ -310,32 +316,40 @@ def _bound_values(kind, meta) -> tuple:
     return out
 
 
+def _leaves(cls=RunConfig, path=()):
+    """(key, ..., key) path, type hint (X for X | None) and metadata of
+    every settable value of the config schema: the fields of the nested
+    config dataclasses that are not themselves dataclasses."""
+    for name, (hint, meta) in _schema(cls).items():
+        if isinstance(hint, types.UnionType):  # X | None
+            hint = typing.get_args(hint)[0]
+        if dataclasses.is_dataclass(hint):
+            yield from _leaves(hint, path + (name,))
+        else:
+            yield path + (name,), hint, meta
+
+
+def test_readme_states_the_number_of_settable_values():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    stated = re.search(r"`RunConfig` has (\d+) settable values", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(list(_leaves()))
+
+
 def _numeric_fields() -> list:
     """(key, ..., key) path and boundary values of every numeric config
     field, tuple of integers and dBm alias, read from the config schema:
     the type hints and the bounds in the field metadata."""
     fields = []
-
-    def walk(cls, path):
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            hint = hints[f.name]
-            if isinstance(hint, types.UnionType):  # X | None
-                hint = typing.get_args(hint)[0]
-            if dataclasses.is_dataclass(hint):
-                walk(hint, path + (f.name,))
-                continue
-            widths = typing.get_args(hint) == (int, ...)
-            kind = int if widths else hint
-            if kind not in (int, float):
-                continue
-            values = tuple(dict.fromkeys(_BOUNDARY_VALUES[kind]
-                                         + _bound_values(kind, f.metadata)))
-            fields.append((path + (f.name,), [[v] for v in values] if widths else values))
-            if "alias_dbm" in f.metadata:
-                fields.append((path + (f.metadata["alias_dbm"],), _BOUNDARY_VALUES[float]))
-
-    walk(RunConfig, ())
+    for path, hint, meta in _leaves():
+        widths = typing.get_args(hint) == (int, ...)
+        kind = int if widths else hint
+        if kind not in (int, float):
+            continue
+        values = tuple(dict.fromkeys(_BOUNDARY_VALUES[kind] + _bound_values(kind, meta)))
+        fields.append((path, [[v] for v in values] if widths else values))
+        if "alias_dbm" in meta:
+            fields.append((path[:-1] + (meta["alias_dbm"],), _BOUNDARY_VALUES[float]))
     return fields
 
 
@@ -370,3 +384,104 @@ def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
         capsys.readouterr()
     assert bad == []
     assert codes[0] > 0 and codes[1] > 0  # the cases both run and get rejected
+
+
+def _walk_values(kind, meta) -> tuple:
+    """Edge values for one number: each declared bound with its neighbours
+    on both sides, plus a few plain values."""
+    out = (0.0, 1.0, -1.0, 1e-300, 1e300, 0.5, 2.0) if kind is float else (2, 16)
+    for key in ("min", "gt", "max", "lt"):
+        if key in meta:
+            b = meta[key]
+            out += ((b - 1, b, b + 1) if kind is int
+                    else (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)))
+    return tuple(dict.fromkeys(out))
+
+
+def _walk_cases(base: dict) -> list:
+    """(dotted path, config) for every number of the schema, tuple entries
+    included, set to each of its edge values in the fully spelled-out base
+    config.  A layout that is None in the base has no entry to set."""
+    cases = []
+    for path, hint, meta in _leaves():
+        value = base
+        for key in path:
+            value = value[key]
+        if typing.get_origin(hint) is tuple:
+            kind = typing.get_args(hint)[0]
+            slots = [((k,), kind) for k in range(len(value or ()))]
+        else:
+            slots = [((), hint)]
+        for entry, kind in slots:
+            if kind not in (int, float):
+                continue
+            for v in _walk_values(kind, meta):
+                cfg = json.loads(json.dumps(base))
+                section = cfg
+                for key in (path + entry)[:-1]:
+                    section = section[key]
+                section[(path + entry)[-1]] = v
+                cases.append((".".join(map(str, path + entry)) + f"={v!r}", cfg))
+    return cases
+
+
+# Runs under the interpreter's default warning filters, as `flysense` does.
+_WALK = """
+import contextlib, io, json, sys
+from flysense import cli
+results = []
+for cfg, out in json.load(open(sys.argv[1])):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--config", cfg, "--out", out])
+    results.append((code, err.getvalue().strip()))
+print(json.dumps(results))
+"""
+_NOT_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def test_schema_walk_past_the_warm_up_runs_finite_or_exits_1(tmp_path):
+    """Every number of the schema at each of its edge values, on tiny with
+    a warm-up of one batch, so that the learner updates in the first
+    episode.  A case either runs (exit 0) with no NaN or infinity in any
+    artifact, or is rejected with exit 1 before anything is written."""
+    raw = json.loads(TINY.read_text())
+    raw["training"].update(episodes=3, warmup=16, batch_size=16)
+    cases = _walk_cases(config_to_dict(parse_config(raw)))
+    jobs = []
+    for k, (_, cfg) in enumerate(cases):
+        (tmp_path / f"case{k}.json").write_text(json.dumps(cfg))
+        jobs.append((str(tmp_path / f"case{k}.json"), str(tmp_path / f"out{k}")))
+    (tmp_path / "jobs.json").write_text(json.dumps(jobs))
+    src = str(CONFIGS.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _WALK, str(tmp_path / "jobs.json")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    bad = []
+    for (name, _), (_, out), (code, err) in zip(cases, jobs, results):
+        out = pathlib.Path(out)
+        if code not in (0, 1) or (code == 1 and out.exists()):
+            bad.append((name, code, err))
+        elif code == 0 and any(_NOT_FINITE.search(f.read_text()) for f in out.iterdir()):
+            bad.append((name, "not finite", err))
+    assert bad == []
+    assert {code for code, _ in results} == {0, 1}  # the cases both run and get rejected
+
+
+def test_replay_capacity_beyond_memory_trains_to_the_default_bytes(tmp_path):
+    """The replay's arrays grow with what is written, so a capacity far
+    beyond memory trains tiny exactly as the default capacity does."""
+    raw = json.loads(TINY.read_text())
+    outs = []
+    for capacity in (RunConfig().training.replay_capacity, 10 ** 9):
+        raw["training"]["replay_capacity"] = capacity
+        path = tmp_path / f"cap{capacity}.json"
+        path.write_text(json.dumps(raw))
+        outs.append(tmp_path / f"out{capacity}")
+        assert cli.main(["train", "--config", str(path), "--out", str(outs[-1])]) == 0
+    for name in ("metrics.csv", "episodes.csv", "checkpoint.json", "summary.json",
+                 "trajectory.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

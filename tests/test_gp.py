@@ -8,7 +8,6 @@ import pytest
 from flysense.gp import (
     MIN_SIGNAL_VAR,
     GpConfig,
-    SampleHistory,
     _factor,
     _kernel_matrix,
     candidate_offsets,
@@ -24,8 +23,7 @@ from flysense.oracles import (
 )
 
 CFG = GpConfig()
-FIELD = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-UNBOUNDED = (np.full(2, -np.inf), np.full(2, np.inf))
+EMPTY = np.zeros((0, 2)), np.zeros(0)
 
 
 def kernel(p, q, cfg=CFG) -> float:
@@ -52,32 +50,15 @@ class TestKernel:
             assert kernel(p, far) <= kernel(p, q) + 1e-12
 
 
-class TestSampleHistory:
-    def test_window_evicts_oldest(self):
-        h = SampleHistory(3)
-        for i in range(5):
-            h.add((float(i), 0.0), float(i))
-        assert len(h) == 3
-        np.testing.assert_allclose(h.values(), [2.0, 3.0, 4.0])
-        np.testing.assert_allclose(h.positions()[:, 0], [2.0, 3.0, 4.0])
-
-    def test_rejects_negative_observations(self):
-        h = SampleHistory(3)
-        with pytest.raises(ValueError):
-            h.add((0.0, 0.0), -1.0)
-
-
 class TestPosterior:
     def test_empty_history_returns_prior(self):
-        mean, var = posterior(SampleHistory(5), np.zeros((3, 2)), CFG)
+        mean, var = posterior(*EMPTY, np.zeros((3, 2)), CFG)
         np.testing.assert_array_equal(mean, [CFG.prior_mean] * 3)
         np.testing.assert_array_equal(var, [CFG.signal_var] * 3)
 
     def test_interpolates_observations(self):
-        h = SampleHistory(5)
-        h.add((0.2, 0.1), 3.0)
-        h.add((-0.5, 0.4), 1.0)
-        mean, var = posterior(h, np.array([[0.2, 0.1], [-0.5, 0.4]]), CFG)
+        x = np.array([[0.2, 0.1], [-0.5, 0.4]])
+        mean, var = posterior(x, np.array([3.0, 1.0]), x, CFG)
         np.testing.assert_allclose(mean, [3.0, 1.0], atol=1e-3)
         assert (var < 1e-3).all()
 
@@ -97,11 +78,8 @@ class TestPosterior:
             m = int(rng.integers(1, 9))
             pts = rng.uniform(-1, 1, (m, 2))
             vals = rng.uniform(0, 4, m)
-            h = SampleHistory(50)
-            for p, v in zip(pts, vals):
-                h.add(p, v)
             queries = rng.uniform(-1, 1, (int(rng.integers(2, 9)), 2))
-            mean, var = posterior(h, queries, CFG)
+            mean, var = posterior(pts, vals, queries, CFG)
             ref_mean, ref_var = dense_gp_posterior(pts, vals, queries, CFG)
             np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-8)
             np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-8)
@@ -114,8 +92,8 @@ class TestPosterior:
     def test_oracle_check_catches_bias(self):
         """The self-check must fail loudly for a subtly wrong posterior."""
 
-        def biased(history, queries, cfg):
-            mean, var = posterior(history, queries, cfg)
+        def biased(x, y, queries, cfg):
+            mean, var = posterior(x, y, queries, cfg)
             return mean + 0.01, var
 
         res = check_gp_posterior(np.random.default_rng(0), posterior_fn=biased)
@@ -126,17 +104,17 @@ class TestPosterior:
         column is right for a single query; the batched check the
         proposer's form gets fails it, a query-at-a-time check does not."""
 
-        def pooled(history, queries, cfg):
-            x, chol = _factor(history, cfg)
-            resid = history.values() - cfg.prior_mean
+        def pooled(x, y, queries, cfg):
+            chol = _factor(x, cfg)
+            resid = y - cfg.prior_mean
             alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
             k_star = _kernel_matrix(x, queries, cfg)
             v = np.linalg.solve(chol, k_star)
             var = cfg.signal_var - np.einsum("ij,ij->", v, v)
             return cfg.prior_mean + k_star.T @ alpha, np.maximum(var, 0.0)
 
-        def one_at_a_time(history, queries, cfg):
-            rows = [pooled(history, q[None], cfg) for q in queries]
+        def one_at_a_time(x, y, queries, cfg):
+            rows = [pooled(x, y, q[None], cfg) for q in queries]
             return (np.concatenate([m for m, _ in rows]),
                     np.concatenate([np.broadcast_to(v, 1) for _, v in rows]))
 
@@ -180,17 +158,15 @@ class TestProposePoint:
 
     def test_empty_history_stays_put(self):
         cur = np.array([0.1, -0.2])
-        got = propose_point(SampleHistory(10), cur, candidate_offsets(0.2, self.cfg()),
-                            self.cfg(), FIELD)
+        got = propose_point(*EMPTY, cur, candidate_offsets(0.2, self.cfg()), self.cfg())
         np.testing.assert_allclose(got, cur)
 
     def test_moves_toward_better_samples(self):
-        h = SampleHistory(50)
         # rewards grow to the east
-        for x in np.linspace(-0.5, 0.5, 8):
-            h.add((x, 0.0), x + 0.5)
+        east = np.linspace(-0.5, 0.5, 8)
+        x, y = np.stack([east, np.zeros(8)], axis=1), east + 0.5
         cur = np.array([0.0, 0.0])
-        got = propose_point(h, cur, candidate_offsets(0.2, self.cfg()), self.cfg(), FIELD)
+        got = propose_point(x, y, cur, candidate_offsets(0.2, self.cfg()), self.cfg())
         assert got[0] > cur[0]
 
     @pytest.mark.parametrize("noise_jitter,signal_var",
@@ -200,49 +176,40 @@ class TestProposePoint:
         # escalate from a floor relative to signal_var, not from the
         # configured jitter.
         cfg = GpConfig(noise_jitter=noise_jitter, signal_var=signal_var)
-        h = SampleHistory(10)
-        for p, v in (((0.1, 0.2), 1.0), ((0.1, 0.2), 2.0), ((0.3, 0.2), 0.5)):
-            h.add(p, v)
-        got = propose_point(h, (0.1, 0.2), candidate_offsets(0.1, cfg), cfg, FIELD)
+        x, y = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, 0.2]]), np.array([1.0, 2.0, 0.5])
+        got = propose_point(x, y, (0.1, 0.2), candidate_offsets(0.1, cfg), cfg)
         assert np.isfinite(got).all()
-        mean, _ = posterior(h, np.array([[0.1, 0.2]]), cfg)
+        mean, _ = posterior(x, y, np.array([[0.1, 0.2]]), cfg)
         assert mean[0] == pytest.approx(1.5, abs=1e-2)
 
     def test_candidates_respect_reach_and_bounds(self):
         rng = np.random.default_rng(9)
-        h = SampleHistory(50)
-        for _ in range(12):
-            h.add(rng.uniform(-1, 1, 2), float(rng.uniform(0, 3)))
+        x, y = rng.uniform(-1, 1, (12, 2)), rng.uniform(0, 3, 12)
         for _ in range(20):
             cur = rng.uniform(-1, 1, 2)
             reach = float(rng.uniform(0.05, 0.5))
-            got = propose_point(h, cur, candidate_offsets(reach, self.cfg()), self.cfg(), FIELD)
-            clipped_dist = np.linalg.norm(np.clip(got, *FIELD) - got)
-            assert clipped_dist == 0.0
+            got = propose_point(x, y, cur, candidate_offsets(reach, self.cfg()), self.cfg())
+            assert (np.abs(got) <= 1.0).all()
             assert np.linalg.norm(got - cur) <= reach * math.sqrt(2.0) + 1e-9
 
     def test_zero_variance_tie_stays_put(self):
         cur = np.array([0.3, -0.4])
         for prior_mean in (0.0, 0.5):
             cfg = GpConfig(signal_var=0.0, prior_mean=prior_mean)
-            got = propose_point(SampleHistory(10), cur, candidate_offsets(0.2, cfg), cfg, FIELD)
+            got = propose_point(*EMPTY, cur, candidate_offsets(0.2, cfg), cfg)
             assert np.array_equal(got, cur)
-            assert np.array_equal(got, _reference_propose(SampleHistory(10), cur, 0.2, cfg,
-                                                          FIELD))
+            assert np.array_equal(got, _reference_propose(*EMPTY, cur, 0.2, cfg))
 
     def test_matches_scalar_ei_loop_on_random_windows(self):
         rng = np.random.default_rng(31)
-        for trial in range(30):
-            cfg = GpConfig(window=int(rng.integers(1, 40)), n_dir=int(rng.integers(1, 20)),
-                           n_rad=int(rng.integers(1, 6)))
-            h = SampleHistory(cfg.window)
-            for _ in range(int(rng.integers(0, 60))):
-                h.add(rng.uniform(-1, 1, 2), float(rng.exponential(1.0)))
+        for _ in range(30):
+            cfg = GpConfig(n_dir=int(rng.integers(1, 20)), n_rad=int(rng.integers(1, 6)))
+            m = int(rng.integers(0, 40))
+            x, y = rng.uniform(-1, 1, (m, 2)), rng.exponential(1.0, m)
             cur = rng.uniform(-1, 1, 2)
             reach = float(rng.uniform(0.01, 0.5))
-            box = FIELD if trial % 2 else UNBOUNDED
-            want = _reference_propose(h, cur, reach, cfg, box)
-            got = propose_point(h, cur, candidate_offsets(reach, cfg), cfg, box)
+            want = _reference_propose(x, y, cur, reach, cfg)
+            got = propose_point(x, y, cur, candidate_offsets(reach, cfg), cfg)
             assert np.array_equal(got, want)
 
     def test_incumbent_is_the_best_sample(self):
@@ -253,22 +220,21 @@ class TestProposePoint:
         cfg = self.cfg()
         moved = 0
         for _ in range(20):
-            h = SampleHistory(cfg.window)
-            for _ in range(int(rng.integers(1, 12))):
-                h.add(rng.uniform(-1, 1, 2), float(rng.exponential(1.0)))
+            m = int(rng.integers(1, 12))
+            x, y = rng.uniform(-1, 1, (m, 2)), rng.exponential(1.0, m)
             cur = rng.uniform(-1, 1, 2)
-            got = propose_point(h, cur, candidate_offsets(0.3, cfg), cfg, FIELD)
-            assert np.array_equal(got, _reference_propose(h, cur, 0.3, cfg, FIELD))
-            low = _reference_propose(h, cur, 0.3, cfg, FIELD, f_star=float(h.values().min()))
+            got = propose_point(x, y, cur, candidate_offsets(0.3, cfg), cfg)
+            assert np.array_equal(got, _reference_propose(x, y, cur, 0.3, cfg))
+            low = _reference_propose(x, y, cur, 0.3, cfg, f_star=float(y.min()))
             moved += not np.array_equal(got, low)
         assert moved > 0
 
 
-def _reference_propose(history, current, reach, cfg, bounds, f_star=None):
+def _reference_propose(x, y, current, reach, cfg, f_star=None):
     """The per-candidate loop propose_point replaced: polar grid built
-    point by point, one expected_improvement call per candidate from the
-    posterior's mean and variance.  The incumbent defaults to the best
-    sample, 0 for an empty window."""
+    point by point and clipped to the field, one expected_improvement call
+    per candidate from the posterior's mean and variance.  The incumbent
+    defaults to the best sample, 0 for an empty window."""
     current = np.asarray(current, dtype=float)
     cands = [current]
     for ri in range(1, cfg.n_rad + 1):
@@ -276,10 +242,10 @@ def _reference_propose(history, current, reach, cfg, bounds, f_star=None):
         for di in range(cfg.n_dir):
             ang = 2.0 * math.pi * di / cfg.n_dir
             cands.append(current + r * np.array([math.cos(ang), math.sin(ang)]))
-    cands = np.clip(np.array(cands), bounds[0], bounds[1])
+    cands = np.clip(np.array(cands), -1.0, 1.0)
     if f_star is None:
-        f_star = max(history.values().tolist(), default=0.0)
-    means, variances = posterior(history, cands, cfg)
+        f_star = max(y.tolist(), default=0.0)
+    means, variances = posterior(x, y, cands, cfg)
     best_idx, best_ei = 0, -math.inf
     for idx in range(len(cands)):
         ei = expected_improvement(float(means[idx]) - f_star,

@@ -800,7 +800,33 @@ class TestTrainer:
     def test_gp_samples_kept_only_for_the_proposer(self, bo):
         tr = Trainer(tiny_run_config(bo_enabled=bo))
         stats = tr.train_episode(0)
-        assert [len(h) for h in tr.histories] == [stats.slots if bo else 0] * 2
+        m = stats.slots if bo else 0
+        assert tr.gp_x.shape == (2, m, 2) and tr.gp_y.shape == (2, m)
+
+    def test_gp_window_equals_per_uav_windows_bitwise(self, monkeypatch):
+        """gp_x and gp_y hold, row by row, the last gp.window samples a
+        per-UAV window would: each slot appends the UAV's scaled position
+        after the step and the Mbit it sensed, evicting the oldest, and
+        the window carries over into the next episode."""
+        cfg = load_config(os.path.join(ROOT, "configs", "tiny.json"))
+        cfg = dataclasses.replace(cfg, gp=dataclasses.replace(cfg.gp, window=3))
+        tr = Trainer(cfg)
+        hw = tr.scenario.half_width_m
+        windows = [[] for _ in range(cfg.scenario.n_uavs)]
+        real_step = world.step
+
+        def recorded(*args):
+            w, report = real_step(*args)
+            for i, (u, bits) in enumerate(zip(w.uavs, report.sensed)):
+                windows[i] = (windows[i] + [((u.pos.x / hw, u.pos.y / hw), bits / 1e6)])[-3:]
+            return w, report
+
+        monkeypatch.setattr(world, "step", recorded)
+        for ep in range(2):
+            assert tr.train_episode(ep).slots > 3
+            for i, window in enumerate(windows):
+                assert np.array_equal(tr.gp_x[i], [p for p, _ in window])
+                assert np.array_equal(tr.gp_y[i], [v for _, v in window])
 
     @pytest.mark.parametrize("kind,log,per_slot", [
         ("eda_nf", True, 1), ("eda_nf", False, 1),

@@ -88,6 +88,12 @@ class TestMoveUav:
         with pytest.raises(ValueError):
             move_uav(self.u(), (1.0, 0.0), -1.0, SCEN)
 
+    @pytest.mark.parametrize("direction,speed", [((math.nan, math.nan), 5.0),
+                                                 ((1.0, 0.0), math.nan)])
+    def test_rejects_nan_direction_or_speed(self, direction, speed):
+        with pytest.raises(ValueError):
+            move_uav(self.u(), direction, speed, SCEN)
+
 
 def _placed_world(uav_xy, gu_xy, demand_bits=1e6, **scenario):
     """World on a 1 km half-width field (scaled coordinates x 1000 m)."""
