@@ -95,8 +95,6 @@ def test_bad_config_exit_1(tmp_path, capsys):
     ({"actor_lr": 0.0}, "training.actor_lr: must be positive"),
     ({"actor_lr": -0.01}, "training.actor_lr: must be positive"),
     ({"critic_lr": -1.0}, "training.critic_lr: must be positive"),
-    ({"critic_lr": 1e300}, "training.critic_lr: must be at most 1.0"),  # trained to NaN
-    ({"actor_lr": 1.5}, "training.actor_lr: must be at most 1.0"),
     ({"tau": 0.0}, "training.tau: must be positive"),              # targets never move
     ({"tau": 2.0}, "training.tau: must be at most 1.0"),
     ({"discount": 1.0}, "training.discount: must be below 1.0"),
@@ -106,6 +104,8 @@ def test_bad_config_exit_1(tmp_path, capsys):
     ({"early_stop_patience": -1}, "training.early_stop_patience: must not be negative"),
     ({"early_stop_min_episodes": -3}, "training.early_stop_min_episodes: must not be negative"),
     ({"early_stop_rel_tol": -0.5}, "training.early_stop_rel_tol: must not be negative"),
+    ({"critic_lr": 1e300}, "training.critic_lr: must be at most 1.0"),  # trained to NaN
+    ({"actor_lr": 1.5}, "training.actor_lr: must be at most 1.0"),
 ])
 def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, override, path):
     cfg_path = write_tiny_config(tmp_path)
