@@ -221,49 +221,39 @@ def offload(
     """Move buffered bits along every allocated link for one sub-slot.
 
     buffers[i] is UAV i+1's backlog at the start of the slot; bits sensed
-    during the current slot are not yet sendable.  Each link carries up to
-    rate * t_o bits and a sender never ships more than it holds.  Links
-    into the base station are served first: the station accepts anything,
-    and every bit a UAV drains frees that much buffer for relayed traffic
-    in the same sub-slot (departures precede arrivals in the queue
-    recursion).  U2U links then run in ascending (tx, rx) order; a
-    receiver accepts at most free_space[rx] plus whatever it just drained,
-    so no bits are ever silently dropped; refused bits simply stay with
-    the sender.  UAVs with nothing buffered transmit nothing, so their
-    allocated links contribute no co-channel interference this sub-slot.
-    power is the link_power table of the current positions, and fm must
-    already pass validate_alloc (world.step checks it before anything
-    mutates).
+    during the current slot are not yet sendable.  One pass serves the
+    links into the base station in ascending tx, then the U2U links in
+    ascending (tx, rx).  Each link carries the least of rate * t_o, what
+    its sender still holds and what its receiver accepts.  The station
+    accepts anything; a UAV accepts free_space plus whatever it has
+    drained to the station (departures precede arrivals in the queue
+    recursion), so no bits are ever silently dropped; refused bits simply
+    stay with the sender.  UAVs with nothing buffered transmit nothing, so
+    their allocated links contribute no co-channel interference this
+    sub-slot.  power is the link_power table of the current positions,
+    and fm must already pass validate_alloc (world.step checks it before
+    anything mutates).
     """
     n = fm.n_uavs
     remaining = list(buffers)
-    accept = [max(f, 0.0) for f in free_space]
+    accept = [math.inf] + [max(f, 0.0) for f in free_space]  # by node: the BS takes anything
     active = [False] + [b > 0.0 for b in remaining]
     outgoing = [0.0] * n
     incoming = [0.0] * n
     to_bs = [0.0] * n
-    rows = fm.rows
-    for tx in range(1, n + 1):
-        if not any(rows[tx][BS]):
+    uavs = range(1, n + 1)
+    service = [(tx, BS) for tx in uavs] + [(tx, rx) for tx in uavs for rx in uavs if rx != tx]
+    for tx, rx in service:
+        if not any(fm.rows[tx][rx]):
             continue
-        capacity = u2u_rate(fm, power, tx, BS, params, active) * t_o
-        amount = min(capacity, remaining[tx - 1])
-        if amount <= 0.0:
-            continue
+        amount = min(u2u_rate(fm, power, tx, rx, params, active) * t_o,
+                     remaining[tx - 1], accept[rx])
         remaining[tx - 1] -= amount
-        accept[tx - 1] += amount
         outgoing[tx - 1] += amount
-        to_bs[tx - 1] += amount
-    for tx in range(1, n + 1):
-        for rx in range(1, n + 1):
-            if rx == tx or not any(rows[tx][rx]):
-                continue
-            capacity = u2u_rate(fm, power, tx, rx, params, active) * t_o
-            amount = min(capacity, remaining[tx - 1], accept[rx - 1])
-            if amount <= 0.0:
-                continue
-            remaining[tx - 1] -= amount
-            outgoing[tx - 1] += amount
+        accept[rx] -= amount
+        if rx == BS:  # a drain frees the sender's space for relayed-in bits
+            accept[tx] += amount
+            to_bs[tx - 1] += amount
+        else:
             incoming[rx - 1] += amount
-            accept[rx - 1] -= amount
     return OffloadReport(outgoing, incoming, to_bs)

@@ -68,10 +68,6 @@ def main(argv=None) -> int:
             harness.require_count("--seed", args.seed, 0)
             return 0 if all(r.ok for r in harness.run_oracle_checks(args.seed)) else 2
         cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "train":
             summary = harness.run_train(cfg, args.out, episodes=args.episodes)
             print(f"trained {summary['episodes_run']} episodes"

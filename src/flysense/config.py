@@ -34,7 +34,7 @@ from typing import Any
 from .channel import ChannelParams
 from .formation import FormationPolicy
 from .gp import GpConfig
-from .marl import TrainingConfig
+from .marl import DATA_UNIT, ENERGY_UNIT, TrainingConfig
 from .nn import write_json
 from .world import Scenario, coverage_radius_m, max_slot_energy
 
@@ -163,9 +163,21 @@ def _check(cfg: RunConfig) -> None:
                                               scen.bs_height_m))) is None:
         raise ConfigError("scenario.half_width_km: with uav_alt_m and bs_height_m the "
                           "field is too large for a finite squared range")
-    if _finite(lambda: max_slot_energy(scen)) is None:
-        raise ConfigError(f"scenario.energy: the propulsion energy of one slot at speeds up "
-                          f"to scenario.v_max_mps ({scen.v_max_mps} m/s) is not finite")
+    # marl.reward's terms at their largest (an infinite slot energy fails
+    # even at gamma_energy 0).  The critic regresses Q toward reward +
+    # discount * Q', so |Q| tends to their sum over (1 - discount), which
+    # its loss and Adam's moments square: allow a 1000-fold overshoot.
+    w, bits, bound = tc.weights, scen.buffer_capacity_bits / DATA_UNIT, 0.0
+    for where, term in (
+            ("gamma_energy with scenario.energy and v_max_mps",
+             lambda: abs(w.gamma_energy) * max_slot_energy(scen) / ENERGY_UNIT),
+            ("gamma_data with scenario.buffer_capacity_bits", lambda: abs(w.gamma_data) * bits),
+            ("gamma_sense with scenario.buffer_capacity_bits", lambda: abs(w.gamma_sense) * bits),
+            ("mu with scenario.n_uavs", lambda: abs(w.mu) * (scen.n_uavs - 1))):
+        bound = _finite(lambda: bound + term())
+        if bound is None or _finite(lambda: (1e3 * bound / (1.0 - tc.discount)) ** 2) is None:
+            raise ConfigError(f"training.weights.{where}: one slot's reward can be so large "
+                              f"that the critic's squared return overflows")
     for key, count in (("uav_xy", "n_uavs"), ("gu_xy", "n_gus")):
         xy = getattr(scen, key)
         if xy is not None and len(xy) != getattr(scen, count):

@@ -86,13 +86,14 @@ class Scenario:
     half_width_km: float = field(default=1.0, metadata={"gt": 0.0})
     n_uavs: int = field(default=3, metadata={"min": 1})
     n_gus: int = field(default=8, metadata={"min": 1})
-    gu_xy: tuple[tuple[float, float], ...] | None = None  # explicit scaled coords, else sampled
+    gu_xy: tuple[tuple[float, float], ...] | None = field(  # explicit scaled coords, else sampled
+        default=None, metadata={"min": -1.0, "max": 1.0})
     gu_seed: int | None = field(default=None, metadata={"min": 0})  # None: from the run seed
     demand_bits: float = field(default=1e7, metadata={"min": 0.0})  # per-GU request (10 Mbit)
     buffer_capacity_bits: float = field(default=2e7, metadata={"gt": 0.0})
     uav_alt_m: float = 100.0
     bs_height_m: float = 25.0
-    bs_xy: tuple[float, float] = (1.0, 1.0)  # scaled; upper-right corner
+    bs_xy: tuple[float, float] = field(default=(1.0, 1.0), metadata={"min": -1.0, "max": 1.0})
     uav_xy: tuple[tuple[float, float], ...] | None = field(  # explicit scaled starts, else sampled
         default=None, metadata={"min": -1.0, "max": 1.0})
     v_max_mps: float = field(default=20.0, metadata={"gt": 0.0})

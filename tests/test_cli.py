@@ -173,6 +173,20 @@ def test_trainer_built_before_anything_is_written(tmp_path, capsys, monkeypatch)
     ("training", {"actor_lr": math.nan}, "training.actor_lr: must be finite, got nan"),
     ("training", {"discount": math.inf}, "training.discount: must be finite, got inf"),
     ("training", {"lam": math.nan}, "training.lam: must be finite, got nan"),
+    # a station or a user off the field: ranges overflow, or no UAV can reach it
+    ("scenario", {"bs_xy": [1e300, 1.0]}, "scenario.bs_xy[0]: must be at most 1.0"),
+    ("scenario", {"gu_xy": [[0.1, 0.1], [1e300, 0.2], [0.3, 0.3]]},
+     "scenario.gu_xy[1][0]: must be at most 1.0"),
+    ("scenario", {"gu_xy": [[0.1, 0.1], [0.2, 0.2], [0.3, 2.0]]},
+     "scenario.gu_xy[2][1]: must be at most 1.0"),
+    # one slot's reward so large that the critic's loss overflows
+    ("scenario", {"energy": {"c1": 1e300}}, "scenario.energy"),
+    ("scenario", {"energy": {"c2": 1e300}}, "scenario.energy"),
+    ("scenario", {"energy": {"hover_w": 1e300}}, "scenario.energy"),
+    ("scenario", {"energy": {"v_floor": 1e-300}}, "scenario.energy"),
+    ("training", {"weights": {"gamma_energy": 1e300}}, "training.weights.gamma_energy"),
+    ("training", {"weights": {"gamma_data": 1e300}}, "training.weights.gamma_data"),
+    ("training", {"weights": {"gamma_sense": 1e300}}, "training.weights.gamma_sense"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -283,6 +297,12 @@ def test_oracle_check_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "run_all", lambda seed: bad)
     assert cli.main(["oracle-check", "--seed", "3"]) == 2
     capsys.readouterr()
+
+    def crash(seed):
+        raise RuntimeError("check crashed")
+    monkeypatch.setattr(oracles, "run_all", crash)
+    assert cli.main(["oracle-check"]) == 3
+    assert capsys.readouterr().err.startswith("error: RuntimeError: check crashed")
 
 
 def test_oracle_check_negative_seed_exit_1_before_running(monkeypatch, capsys):
@@ -398,21 +418,28 @@ def _walk_values(kind, meta) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
+def _entries(hint, value, at=()):
+    """(index path, type hint) of every scalar in a value of the given type
+    hint: the value itself, or each entry of a tuple, nested ones included."""
+    if typing.get_origin(hint) is not tuple:
+        yield at, hint
+        return
+    args = typing.get_args(hint)
+    for k, item in enumerate(value or ()):
+        yield from _entries(args[0] if args[-1] is Ellipsis else args[k], item, at + (k,))
+
+
 def _walk_cases(base: dict) -> list:
     """(dotted path, config) for every number of the schema, tuple entries
-    included, set to each of its edge values in the fully spelled-out base
-    config.  A layout that is None in the base has no entry to set."""
+    and layout coordinates included, set to each of its edge values in the
+    fully spelled-out base config.  A layout that is None in the base has
+    no entry to set."""
     cases = []
     for path, hint, meta in _leaves():
         value = base
         for key in path:
             value = value[key]
-        if typing.get_origin(hint) is tuple:
-            kind = typing.get_args(hint)[0]
-            slots = [((k,), kind) for k in range(len(value or ()))]
-        else:
-            slots = [((), hint)]
-        for entry, kind in slots:
+        for entry, kind in _entries(hint, value):
             if kind not in (int, float):
                 continue
             for v in _walk_values(kind, meta):
@@ -425,12 +452,15 @@ def _walk_cases(base: dict) -> list:
     return cases
 
 
-# Runs under the interpreter's default warning filters, as `flysense` does.
+# Runs under -W error, so that an overflow or invalid value anywhere in a
+# run, even one whose result is discarded, fails its case with exit 3.
 _WALK = """
 import contextlib, io, json, sys
 from flysense import cli
 results = []
-for cfg, out in json.load(open(sys.argv[1])):
+with open(sys.argv[1]) as fh:
+    jobs = json.load(fh)
+for cfg, out in jobs:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["train", "--config", cfg, "--out", out])
@@ -442,11 +472,15 @@ _NOT_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
 
 def test_schema_walk_past_the_warm_up_runs_finite_or_exits_1(tmp_path):
     """Every number of the schema at each of its edge values, on tiny with
-    a warm-up of one batch, so that the learner updates in the first
-    episode.  A case either runs (exit 0) with no NaN or infinity in any
-    artifact, or is rejected with exit 1 before anything is written."""
+    a warm-up of one batch and explicit layouts, so that their entries are
+    walked too.  The layout's episodes last 6 slots, so the learner updates
+    in the third.  A case either runs (exit 0) with no warning and no NaN
+    or infinity in any artifact, or is rejected with exit 1 before
+    anything is written."""
     raw = json.loads(TINY.read_text())
     raw["training"].update(episodes=3, warmup=16, batch_size=16)
+    raw["scenario"].update(uav_xy=[[-0.9, -0.8], [-0.7, -0.9]],
+                           gu_xy=[[-0.8, -0.6], [-0.6, -0.9], [-0.9, -0.3], [-0.4, -0.7]])
     cases = _walk_cases(config_to_dict(parse_config(raw)))
     jobs = []
     for k, (_, cfg) in enumerate(cases):
@@ -456,7 +490,8 @@ def test_schema_walk_past_the_warm_up_runs_finite_or_exits_1(tmp_path):
     src = str(CONFIGS.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", _WALK, str(tmp_path / "jobs.json")],
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _WALK,
+                           str(tmp_path / "jobs.json")],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     results = json.loads(done.stdout)
