@@ -200,11 +200,12 @@ def _check(cfg: RunConfig) -> None:
     if tc.replay_capacity < tc.warmup_size:
         raise ConfigError(f"training.replay_capacity: {tc.replay_capacity} is below the "
                           f"warm-up ({tc.warmup_size}), so no update would run")
-    radius = _finite(lambda: coverage_radius_m(cfg.scenario, cfg.channel))
-    if radius is None or radius <= 0.0:
-        raise ConfigError(f"scenario.coverage_snr_min_db: {cfg.scenario.coverage_snr_min_db} "
-                          f"dB leaves no finite coverage radius with channel.q_gu, "
-                          f"beta_s and alpha_s")
+    # Every ground user is at least the altitude away from a UAV.
+    radius = _finite(lambda: coverage_radius_m(scen, cfg.channel))
+    if radius is None or radius <= 0.0 or radius < abs(scen.uav_alt_m):
+        raise ConfigError(f"scenario.coverage_snr_min_db: {scen.coverage_snr_min_db} dB leaves "
+                          f"no positive, finite coverage radius of at least uav_alt_m "
+                          f"({scen.uav_alt_m} m) with channel.q_gu, beta_s and alpha_s")
 
 
 def parse_config(data: Any) -> RunConfig:

@@ -56,12 +56,12 @@ def load_balance(buffers: list, u2b_rates: list) -> list:
 
     The drain time is buffer over BS-link rate; a zero rate is replaced by
     RATIO_CAP so a cut-off UAV surfaces as maximally overloaded.  The
-    entries always sum to zero.
+    entries always sum to zero; a lone UAV has no others and balance 0.
     """
     ratios = [b / r if r > 0.0 else RATIO_CAP for b, r in zip(buffers, u2b_rates)]
     n = len(ratios)
     if n < 2:
-        raise ValueError("need at least two UAVs to balance")
+        return [0.0] * n
     total = float(np.add.reduce(ratios))  # np.sum's order of additions
     return [x - (total - x) / (n - 1) for x in ratios]
 
@@ -101,12 +101,12 @@ def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list,
         for c in freed:
             fm.set_link(tx, BS, c)
         return False
-    widenable = {c for c in freed if fm.channel_fits(rx, BS, c)}
+    widen = [c for c in freed if fm.channel_fits(rx, BS, c)]
     placed = min(fits, key=lambda c: (
-        channel.interference(fm, power, tx, rx, c, active), c in widenable, c))
+        channel.interference(fm, power, tx, rx, c, active), c in widen, c))
     fm.set_link(tx, rx, placed)
-    for c in freed:
-        if c != placed and fm.channel_fits(rx, BS, c):
+    for c in widen:
+        if c != placed:
             fm.set_link(rx, BS, c)
     return True
 

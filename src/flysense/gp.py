@@ -69,10 +69,8 @@ def _factor(x: np.ndarray, cfg: GpConfig) -> np.ndarray:
 def posterior(x: np.ndarray, y: np.ndarray, queries: np.ndarray,
               cfg: GpConfig) -> tuple[np.ndarray, np.ndarray]:
     """GP means and variances at the (Q, 2) query points given the window
-    of (m, 2) positions x and (m,) values y, as two (Q,) arrays.  With an
-    empty window this is just the prior."""
-    if len(y) == 0:
-        return np.full(len(queries), cfg.prior_mean), np.full(len(queries), cfg.signal_var)
+    of (m, 2) positions x and (m,) values y, as two (Q,) arrays; an empty
+    window (a 0x0 factor, an empty k_star) gives the prior exactly."""
     chol = _factor(x, cfg)
     resid = y - cfg.prior_mean
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 
 from . import nn, oracles
@@ -138,26 +139,20 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
         def emit(obj):
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
-        header = {
-            "type": "header",
-            "seed": trainer.cfg.seed,
-            "gu_seed": scen.gu_seed,
-            "n_uavs": scen.n_uavs,
-            "half_width_m": scen.half_width_m,
-            "demand_bits": scen.demand_bits,
-            "buffer_capacity_bits": scen.buffer_capacity_bits,
-        }
-
-        episode = -1
-
-        def on_slot(w, slot, acts, report):
-            nonlocal episode
-            episode += slot == 0  # every rollout starts at slot 0
+        def on_slot(episode, w, slot, acts, report):
             if episode > 0:
                 return
             if slot == 0:
-                header["gu_xy"] = [[g.pos.x, g.pos.y] for g in w.gus]
-                emit(header)
+                emit({
+                    "type": "header",
+                    "seed": trainer.cfg.seed,
+                    "gu_seed": scen.gu_seed,
+                    "n_uavs": scen.n_uavs,
+                    "half_width_m": scen.half_width_m,
+                    "demand_bits": scen.demand_bits,
+                    "buffer_capacity_bits": scen.buffer_capacity_bits,
+                    "gu_xy": [[g.pos.x, g.pos.y] for g in w.gus],
+                })
             emit({
                 "type": "slot",
                 "slot": slot,
@@ -252,6 +247,12 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
     worlds.  Writes comparison.json."""
     require_count("episodes", episodes, 0)
     require_count("eval_episodes", eval_episodes, 1)
+    for kind in policies:
+        if kind not in FormationPolicy.KINDS:
+            raise ConfigError(f"policies: unknown formation kind {kind!r}")
+    for scale in demand_scales:
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ConfigError(f"demand_scales: must be finite and not negative, got {scale}")
     trainer, result = _train(cfg, out_dir, episodes)
     n_eval = cfg.training.eval_episodes if eval_episodes is None else eval_episodes
     horizon = cfg.training.completion_cap

@@ -75,12 +75,12 @@ def decode_action(raw, v_max: float):
 
 def act(actors: nn.MlpStack, obs: np.ndarray, noise_scale: float = 0.0,
         rng: np.random.Generator | None = None) -> np.ndarray:
-    """(N, 2) raw actions: row i is actor i's output on observation row
-    i, plus optional Gaussian exploration noise, clamped to the raw action
-    box.  One stacked forward equals the N single-vector forwards bit for
-    bit, and the (N, 2) noise draw is the stream of N draws of 2."""
+    """(N, 2) raw actions: row i is actor i's output on observation row i,
+    plus Gaussian noise from rng if noise_scale > 0, clamped to the raw
+    action box.  One stacked forward equals the N single-vector forwards
+    bit for bit, and the (N, 2) noise draw is the stream of N draws of 2."""
     raw = actors.forward(obs)
-    if noise_scale > 0.0 and rng is not None:
+    if noise_scale > 0.0:
         raw = raw + noise_scale * rng.standard_normal(raw.shape)
     return raw.clip(-1.0, 1.0)
 
@@ -143,7 +143,7 @@ def arbitrate(a_actor, propose, epsilon: float = 0.0,
     """Critic-refereed choice between the actor action and the GP proposal,
     propose() -> (a_bo, q_actor, q_bo); ties go to the actor.  First, with
     probability epsilon, a uniform random action overrides: no proposal."""
-    if epsilon > 0.0 and rng is not None and rng.random() < epsilon:
+    if epsilon > 0.0 and rng.random() < epsilon:
         return rng.uniform(-1.0, 1.0, ACT_DIM), "random"
     a_bo, q_actor, q_bo = propose()
     if q_bo > q_actor:
@@ -321,9 +321,8 @@ def build_cost_report(w: WorldState, lam: float) -> CostReport:
     uav_costs, and the spare backhaul rate each UAV could lend a seeker
     (BS rate minus the sensing intake of its current target, scaled to the
     offload sub-slot)."""
-    n = w.n_uavs
-    rates = [channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(n)]
-    balance = formation.load_balance([u.buffer for u in w.uavs], rates) if n >= 2 else [0.0]
+    rates = [channel.point_rate(w.link_power, i + 1, BS, w.chan) for i in range(w.n_uavs)]
+    balance = formation.load_balance([u.buffer for u in w.uavs], rates)
     sub_slots = w.scenario.protocol.t_s / w.scenario.protocol.t_o
     intake = [0.0 if gid is None else channel.link_rate(snrs[gid], w.chan)
               for gid, snrs in zip(w.targets, w.sensing_snr)]
@@ -468,12 +467,13 @@ class Trainer:
         return w
 
     def _bo_scored(self, i: int, w: WorldState, obs: np.ndarray, a_actor: np.ndarray):
-        """UAV i's GP proposal a_bo and agent i's critic q_actor, q_bo."""
-        hw = self.scenario.half_width_m
-        u = w.uavs[i]
-        cur = np.array([u.pos.x / hw, u.pos.y / hw])
-        prop = gp.propose_point(self.gp_x[i], self.gp_y[i], cur, self.gp_offsets, self.cfg.gp)
-        a_bo = bo_to_action(u.pos, prop * hw, w.scenario.v_max_mps, w.scenario.protocol.t_f)
+        """UAV i's GP proposal a_bo and agent i's critic q_actor, q_bo.  The
+        proposer starts from obs[i, :2], observe's scaled position, as the
+        window does: cast a lower-precision copy at the replay, not in observe."""
+        s = w.scenario
+        prop = gp.propose_point(self.gp_x[i], self.gp_y[i], obs[i, :2], self.gp_offsets,
+                                self.cfg.gp)
+        a_bo = bo_to_action(w.uavs[i].pos, prop * s.half_width_m, s.v_max_mps, s.protocol.t_f)
         trials = np.stack([a_actor, a_actor])
         trials[1, i] = a_bo
         return (a_bo, *critic_q(self.agents[i].critic, obs, trials))
@@ -482,7 +482,6 @@ class Trainer:
         tc = self.train_cfg
         w = self._new_world()
         n = w.n_uavs
-        hw = self.scenario.half_width_m
         stats = EpisodeStats(np.zeros(n))
         bo_hits = 0
         log_slots = (sink is not None and tc.metrics_episode_stride > 0
@@ -505,10 +504,9 @@ class Trainer:
             done = _episode_done(w)
             self.replay.add(obs, a_exec, rews, obs2, done)
             if tc.bo_enabled:  # only the GP proposer reads the window
-                xy = np.array([[u.pos.x, u.pos.y] for u in w.uavs]) / hw
                 mbit = np.array(report.sensed) / DATA_UNIT
                 keep = self.cfg.gp.window
-                self.gp_x = np.concatenate([self.gp_x, xy[:, None]], axis=1)[:, -keep:]
+                self.gp_x = np.concatenate([self.gp_x, obs2[:, None, :2]], axis=1)[:, -keep:]
                 self.gp_y = np.concatenate([self.gp_y, mbit[:, None]], axis=1)[:, -keep:]
             if len(self.replay) >= tc.warmup_size:
                 batch = self.replay.sample(tc.batch_size)
@@ -584,7 +582,8 @@ class Trainer:
                  slot_cb=None, act_fn=None) -> list:
         """Deterministic rollouts of the actors as they are now (or of any
         act_fn): no noise, no GP arbitration.  World seeds depend only on
-        (run seed, episode), so different policies see identical scenarios."""
+        (run seed, episode), so different policies see identical scenarios.
+        slot_cb(episode, w, slot, acts, report) sees every stepped slot."""
         fn = (self.formation_fn if policy is None
               else make_formation_fn(policy, self.train_cfg.lam))
         horizon = self.train_cfg.horizon if horizon is None else horizon
@@ -593,6 +592,6 @@ class Trainer:
         for k in range(episodes):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
             w = self._new_world(rng=rng, demand_scale=demand_scale, formation_fn=fn)
-            out.append(rollout(w, act_fn, horizon, fn,
-                               self.train_cfg.weights, slot_cb=slot_cb))
+            cb = None if slot_cb is None else (lambda *slot, k=k: slot_cb(k, *slot))
+            out.append(rollout(w, act_fn, horizon, fn, self.train_cfg.weights, slot_cb=cb))
         return out

@@ -187,6 +187,13 @@ def test_trainer_built_before_anything_is_written(tmp_path, capsys, monkeypatch)
     ("training", {"weights": {"gamma_energy": 1e300}}, "training.weights.gamma_energy"),
     ("training", {"weights": {"gamma_data": 1e300}}, "training.weights.gamma_data"),
     ("training", {"weights": {"gamma_sense": 1e300}}, "training.weights.gamma_sense"),
+    # a coverage radius below the altitude: no UAV ever senses a ground user
+    ("scenario", {"coverage_snr_min_db": 40},                              # 53.3 m
+     "scenario.coverage_snr_min_db: 40.0 dB leaves no positive, finite coverage radius "
+     "of at least uav_alt_m (100.0 m)"),
+    ("scenario", {"uav_alt_m": 6000},                                      # 5,332 m
+     "scenario.coverage_snr_min_db: 0.0 dB leaves no positive, finite coverage radius "
+     "of at least uav_alt_m (6000.0 m)"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -356,38 +363,60 @@ def test_readme_states_the_number_of_settable_values():
     assert int(stated.group(1)) == len(list(_leaves()))
 
 
-def _numeric_fields() -> list:
-    """(key, ..., key) path and boundary values of every numeric config
-    field, tuple of integers and dBm alias, read from the config schema:
-    the type hints and the bounds in the field metadata."""
+def _numeric_fields(base: dict) -> list:
+    """(key, ..., key) path and draw(rng) -> boundary value of every
+    numeric config field, tuple of integers, layout and dBm alias, read
+    from the config schema: the type hints and the bounds in the field
+    metadata.  A layout's coordinates are drawn one by one from the float
+    boundary values and both sides of its bounds: bs_xy is one pair,
+    uav_xy and gu_xy hold as many pairs as the base config has UAVs and
+    ground users."""
+    counts = {"uav_xy": "n_uavs", "gu_xy": "n_gus"}
+    scenario = parse_config(base).scenario
+
+    def values(kind, meta):
+        return tuple(dict.fromkeys(_BOUNDARY_VALUES[kind] + _bound_values(kind, meta)))
+
     fields = []
     for path, hint, meta in _leaves():
-        widths = typing.get_args(hint) == (int, ...)
-        kind = int if widths else hint
-        if kind not in (int, float):
+        args = typing.get_args(hint)
+        if hint in (int, float):
+            v = values(hint, meta)
+            draw = lambda rng, v=v: rng.choice(v)
+        elif args == (int, ...):  # layer widths
+            v = values(int, meta)
+            draw = lambda rng, v=v: [rng.choice(v)]
+        elif args == (float, float):  # bs_xy
+            v = values(float, meta)
+            draw = lambda rng, v=v: [rng.choice(v), rng.choice(v)]
+        elif args == (tuple[float, float], ...):  # uav_xy, gu_xy
+            v, n = values(float, meta), getattr(scenario, counts[path[-1]])
+            draw = lambda rng, v=v, n=n: [[rng.choice(v), rng.choice(v)] for _ in range(n)]
+        else:
             continue
-        values = tuple(dict.fromkeys(_BOUNDARY_VALUES[kind] + _bound_values(kind, meta)))
-        fields.append((path, [[v] for v in values] if widths else values))
+        fields.append((path, draw))
         if "alias_dbm" in meta:
-            fields.append((path[:-1] + (meta["alias_dbm"],), _BOUNDARY_VALUES[float]))
+            fields.append((path[:-1] + (meta["alias_dbm"],),
+                           lambda rng: rng.choice(_BOUNDARY_VALUES[float])))
     return fields
 
 
 def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
     """Seeded fuzz over configs/tiny.json: each case sets one or two numeric
-    fields to a boundary value, both sides of its declared bound among
-    them.  A config must either be rejected with exit 1 before anything
-    is written, or run (exit 0); it must never crash mid-run (exit 3)."""
+    fields or layouts to boundary values, both sides of the declared bound
+    among them.  A config must either be rejected with exit 1 before
+    anything is written, or run (exit 0); it must never crash mid-run
+    (exit 3)."""
     rng = random.Random(20261018)
-    fields = _numeric_fields()
     base = json.loads(TINY.read_text())
+    fields = _numeric_fields(base)
     codes = Counter()
     bad = []
     for case in range(400):
         cfg = json.loads(json.dumps(base))
         overrides = {}
-        for path, values in rng.sample(fields, rng.choice((1, 2))):
-            value = rng.choice(values)
+        for path, draw in rng.sample(fields, rng.choice((1, 2))):
+            value = draw(rng)
             section = cfg
             for key in path[:-1]:
                 section = section.setdefault(key, {})

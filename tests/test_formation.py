@@ -44,9 +44,10 @@ class TestLoadBalance:
         b = load_balance([1.0, 1.0], [0.0, 1.0])
         np.testing.assert_allclose(b[0], RATIO_CAP - 1.0)
 
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            load_balance([1.0], [1.0])
+    def test_lone_uav_balances_zero(self):
+        # no other UAV to drain against: the single entry still sums to zero
+        assert load_balance([1.0], [1.0]) == [0.0]
+        assert load_balance([5e6], [0.0]) == [0.0]
 
 
 def test_cost_components():
@@ -223,6 +224,28 @@ class TestBaselines:
         pos = _positions((0, 0), (200, 0), (100, 0))
         fm = baseline_buffer(buffers, *_tables(pos), pol, 3)
         assert fm.has_link(1, 3) and fm.has_link(2, 3)
+
+    def test_buffer_threshold_structural_invariants_random(self):
+        """Any buffers and transmitter mask: the output passes the
+        sub-channel validator, and each relay link runs from above the
+        threshold to at or below it, inside the range limit.  A seeker
+        masked silent lets an earlier seeker's hop into a shared relay
+        take the seeker's BS sub-channel, which the relay then cannot
+        also send on when that seeker's own pairing frees it."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, 6))
+            pol = FormationPolicy(buffer_threshold_bits=1e6, pair_range_m=1500.0)
+            buffers = rng.uniform(0, 2e6, n)
+            pos = _positions(*[(x, y) for x, y in rng.uniform(-1000, 1000, (n, 2))])
+            active = [False] + (rng.random(n) < 0.5).tolist()
+            fm = baseline_buffer(buffers, *_tables(pos), pol, k, active)
+            assert validate_alloc(fm) == []
+            for tx, rx, ch in fm.links():
+                if rx != BS:
+                    assert buffers[tx - 1] > 1e6 >= buffers[rx - 1]
+                    assert np.linalg.norm(pos[tx][:2] - pos[rx][:2]) < pol.pair_range_m
 
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
         pol = FormationPolicy(cost_margin=1.0)

@@ -235,6 +235,19 @@ class TestCountOverrides:
             run(str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"policies": ("eda_nf", "bogus")}, "policies: unknown formation kind 'bogus'"),
+        ({"demand_scales": (float("nan"), -1.0)}, "demand_scales: .*, got nan"),
+        ({"demand_scales": (1.0, -1.0)}, "demand_scales: .*, got -1.0"),
+        ({"demand_scales": (float("inf"),)}, "demand_scales: .*, got inf"),
+    ], ids=["unknown-policy", "nan-scale", "negative-scale", "infinite-scale"])
+    def test_bad_compare_argument_rejected_before_anything_is_written(self, tmp_path,
+                                                                      kwargs, match):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=match):
+            harness.run_compare(tiny_cfg(), str(out), episodes=1, **kwargs)
+        assert not out.exists()
+
     def test_compare_without_training_stays_valid(self, tmp_path):
         payload = harness.run_compare(tiny_cfg(), str(tmp_path / "cmp"), episodes=0,
                                       policies=("eda_nf",), demand_scales=(1.0,),

@@ -766,7 +766,7 @@ class TestTrainer:
         def grab(policy):
             starts = []
             tr.evaluate(2, policy=policy,
-                        slot_cb=lambda w, s, a, r: starts.append(w.gus[0].remaining))
+                        slot_cb=lambda k, w, s, a, r: starts.append(w.gus[0].remaining))
             return starts[0]
         # same episode index -> same world regardless of formation policy
         a = grab(FormationPolicy(kind="non_cooperative"))
@@ -781,6 +781,13 @@ class TestTrainer:
         for s1, s2 in zip(e1, e2):
             np.testing.assert_array_equal(s1.rewards, s2.rewards)
             assert s1.sensed == s2.sensed
+
+    def test_evaluate_names_the_episode(self):
+        tr = Trainer(tiny_run_config())
+        seen = []
+        stats = tr.evaluate(3, slot_cb=lambda k, w, slot, acts, r: seen.append((k, slot)))
+        assert seen == [(k, slot) for k, s in enumerate(stats) for slot in range(s.slots)]
+        assert [k for k, slot in seen if slot == 0] == [0, 1, 2]
 
     def test_early_stopping_on_flat_signal(self):
         cfg = tiny_run_config(
