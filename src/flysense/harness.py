@@ -247,6 +247,8 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
     worlds.  Writes comparison.json."""
     require_count("episodes", episodes, 0)
     require_count("eval_episodes", eval_episodes, 1)
+    require_count("policies", len(policies), 1)
+    require_count("demand_scales", len(demand_scales), 1)
     for kind in policies:
         if kind not in FormationPolicy.KINDS:
             raise ConfigError(f"policies: unknown formation kind {kind!r}")

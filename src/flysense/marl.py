@@ -580,18 +580,21 @@ class Trainer:
     def evaluate(self, episodes: int, policy: FormationPolicy | None = None,
                  demand_scale: float = 1.0, horizon: int | None = None,
                  slot_cb=None, act_fn=None) -> list:
-        """Deterministic rollouts of the actors as they are now (or of any
-        act_fn): no noise, no GP arbitration.  World seeds depend only on
-        (run seed, episode), so different policies see identical scenarios.
-        slot_cb(episode, w, slot, acts, report) sees every stepped slot."""
+        """Deterministic rollouts of the actors as they are now, or of any
+        act_fn(w, obs) that reads nothing else: no noise, no GP arbitration.
+        World seeds depend only on (run seed, episode), so policies see the
+        same worlds.  The Trainer fixes gu_seed, so the seed places only UAV
+        starts: with uav_xy fixed, one rollout's stats stand for all
+        `episodes`.  slot_cb(episode, w, slot, acts, report) sees every stepped slot."""
         fn = (self.formation_fn if policy is None
               else make_formation_fn(policy, self.train_cfg.lam))
         horizon = self.train_cfg.horizon if horizon is None else horizon
         act_fn = act_fn or (lambda w, obs: act(self.actors, obs))
+        stepped = episodes if self.scenario.uav_xy is None else min(episodes, 1)
         out = []
-        for k in range(episodes):
+        for k in range(stepped):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
             w = self._new_world(rng=rng, demand_scale=demand_scale, formation_fn=fn)
             cb = None if slot_cb is None else (lambda *slot, k=k: slot_cb(k, *slot))
             out.append(rollout(w, act_fn, horizon, fn, self.train_cfg.weights, slot_cb=cb))
-        return out
+        return out + out[-1:] * (episodes - stepped)

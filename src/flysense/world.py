@@ -167,26 +167,21 @@ def place(w: WorldState) -> None:
     w.sensing_snr = sensing_table(nodes[1:], w.gu_xyz, w.scenario, w.chan)
 
 
+def _layout(scaled_xy, n: int, rng: np.random.Generator, hw: float) -> list:
+    """Meter (x, y) of n points: the configured scaled list, or else n
+    uniform draws from rng, make_world's only reads of its generators."""
+    if scaled_xy is None:
+        return (rng.uniform(-1.0, 1.0, size=(n, 2)) * hw).tolist()
+    return (np.asarray(scaled_xy, dtype=float) * hw).tolist()
+
+
 def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generator) -> WorldState:
     hw = scenario.half_width_m
     layout_rng = rng if scenario.gu_seed is None else np.random.default_rng(scenario.gu_seed)
-    if scenario.gu_xy is not None:
-        gu_xy = np.asarray(scenario.gu_xy, dtype=float)
-    else:
-        gu_xy = layout_rng.uniform(-1.0, 1.0, size=(scenario.n_gus, 2))
-    gus = [
-        GroundUser(Position(x * hw, y * hw, 0.0), scenario.demand_bits, scenario.demand_bits)
-        for x, y in gu_xy.tolist()
-    ]
-
-    if scenario.uav_xy is not None:
-        uav_xy = np.asarray(scenario.uav_xy, dtype=float)
-    else:
-        uav_xy = rng.uniform(-1.0, 1.0, size=(scenario.n_uavs, 2))
-    uavs = [
-        UavState(Position(x * hw, y * hw, scenario.uav_alt_m)) for x, y in uav_xy.tolist()
-    ]
-
+    gus = [GroundUser(Position(x, y, 0.0), scenario.demand_bits, scenario.demand_bits)
+           for x, y in _layout(scenario.gu_xy, scenario.n_gus, layout_rng, hw)]
+    uavs = [UavState(Position(x, y, scenario.uav_alt_m))
+            for x, y in _layout(scenario.uav_xy, scenario.n_uavs, rng, hw)]
     bs = Position(scenario.bs_xy[0] * hw, scenario.bs_xy[1] * hw, scenario.bs_height_m)
     fm = FormationMatrix(scenario.n_uavs, params.n_channels)
     w = WorldState(

@@ -363,12 +363,21 @@ def test_readme_states_the_number_of_settable_values():
     assert int(stated.group(1)) == len(list(_leaves()))
 
 
+def _edge_layout(rng, n: int, values: tuple, meta: dict) -> list:
+    """n (x, y) pairs drawn uniformly inside the layout's bounds, then one
+    coordinate set to one of the given boundary values, which lie on,
+    inside or outside the bounds: 4 of the 7 float values keep the layout
+    in bounds."""
+    layout = [[rng.uniform(meta["min"], meta["max"]) for _ in range(2)] for _ in range(n)]
+    layout[rng.randrange(n)][rng.randrange(2)] = rng.choice(values)
+    return layout
+
+
 def _numeric_fields(base: dict) -> list:
     """(key, ..., key) path and draw(rng) -> boundary value of every
     numeric config field, tuple of integers, layout and dBm alias, read
     from the config schema: the type hints and the bounds in the field
-    metadata.  A layout's coordinates are drawn one by one from the float
-    boundary values and both sides of its bounds: bs_xy is one pair,
+    metadata.  A layout is drawn whole by _edge_layout: bs_xy is one pair,
     uav_xy and gu_xy hold as many pairs as the base config has UAVs and
     ground users."""
     counts = {"uav_xy": "n_uavs", "gu_xy": "n_gus"}
@@ -388,10 +397,10 @@ def _numeric_fields(base: dict) -> list:
             draw = lambda rng, v=v: [rng.choice(v)]
         elif args == (float, float):  # bs_xy
             v = values(float, meta)
-            draw = lambda rng, v=v: [rng.choice(v), rng.choice(v)]
+            draw = lambda rng, v=v, meta=meta: _edge_layout(rng, 1, v, meta)[0]
         elif args == (tuple[float, float], ...):  # uav_xy, gu_xy
             v, n = values(float, meta), getattr(scenario, counts[path[-1]])
-            draw = lambda rng, v=v, n=n: [[rng.choice(v), rng.choice(v)] for _ in range(n)]
+            draw = lambda rng, v=v, n=n, meta=meta: _edge_layout(rng, n, v, meta)
         else:
             continue
         fields.append((path, draw))

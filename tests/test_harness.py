@@ -240,7 +240,10 @@ class TestCountOverrides:
         ({"demand_scales": (float("nan"), -1.0)}, "demand_scales: .*, got nan"),
         ({"demand_scales": (1.0, -1.0)}, "demand_scales: .*, got -1.0"),
         ({"demand_scales": (float("inf"),)}, "demand_scales: .*, got inf"),
-    ], ids=["unknown-policy", "nan-scale", "negative-scale", "infinite-scale"])
+        ({"policies": ()}, "policies: must be at least 1, got 0"),
+        ({"demand_scales": ()}, "demand_scales: must be at least 1, got 0"),
+    ], ids=["unknown-policy", "nan-scale", "negative-scale", "infinite-scale",
+            "no-policy", "no-scale"])
     def test_bad_compare_argument_rejected_before_anything_is_written(self, tmp_path,
                                                                       kwargs, match):
         out = tmp_path / "run"

@@ -789,6 +789,24 @@ class TestTrainer:
         assert seen == [(k, slot) for k, s in enumerate(stats) for slot in range(s.slots)]
         assert [k for k, slot in seen if slot == 0] == [0, 1, 2]
 
+    @pytest.mark.parametrize("name,stepped", [("desk", 1), ("tiny", 5)])
+    def test_evaluate_rolls_out_each_distinct_world_once(self, monkeypatch, name, stepped):
+        """desk.json fixes uav_xy, so its five evaluation episodes are one
+        world: one rollout, whose stats are those of stepping any of them.
+        tiny samples UAV starts, so every episode is stepped."""
+        real, calls = marl.rollout, []
+        monkeypatch.setattr(marl, "rollout", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        tr = Trainer(load_config(os.path.join(ROOT, "configs", f"{name}.json")))
+        rows = [{**vars(s), "rewards": s.rewards.tolist()} for s in tr.evaluate(5)]
+        assert len(calls) == stepped and len(rows) == 5
+        if name == "desk":
+            w = tr._new_world(rng=np.random.default_rng([tr.cfg.seed, 2, 4]))
+            last = real(w, lambda w, obs: act(tr.actors, obs), tr.train_cfg.horizon,
+                        tr.formation_fn, tr.train_cfg.weights)
+            assert rows == [{**vars(last), "rewards": last.rewards.tolist()}] * 5
+        else:
+            assert len({json.dumps(r) for r in rows}) == 5
+
     def test_early_stopping_on_flat_signal(self):
         cfg = tiny_run_config(
             episodes=60, early_stop_enabled=True,

@@ -286,6 +286,29 @@ def test_make_world_layout_is_reproducible_and_scaled():
     assert (w1.uavs[0].pos.x, w1.uavs[0].pos.y) != (w2.uavs[0].pos.x, w2.uavs[0].pos.y)
 
 
+def test_make_world_reads_its_generator_for_unset_layouts_only():
+    """The episode generator feeds the user layout when neither gu_xy nor
+    gu_seed is set, then the UAV starts when uav_xy is unset, and nothing
+    else.  So with gu_seed set and uav_xy fixed, two generators start one
+    world, which lets Trainer.evaluate roll such a world out once."""
+    fixed = ((0.2, 0.0), (-0.5, 0.5))
+
+    def start(seed, **layout):
+        rng = np.random.default_rng(seed)
+        w = make_world(Scenario(n_uavs=2, n_gus=3, **layout), P, rng)
+        return (w.uavs, w.gus, w.node_range, w.sensing_snr, w.targets), rng.random()
+
+    assert start(1, gu_seed=7, uav_xy=fixed)[0] == start(2, gu_seed=7, uav_xy=fixed)[0]
+    assert start(1, gu_seed=7, uav_xy=fixed)[1] == np.random.default_rng(1).random()
+    assert start(1, gu_seed=7)[0][0] != start(2, gu_seed=7)[0][0]
+    rng = np.random.default_rng(1)
+    gu_xy, uav_xy = rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=(2, 2))
+    (uavs, gus, *_), after = start(1)
+    assert [g.pos[:2] for g in gus] == [tuple(xy) for xy in (gu_xy * 1000.0).tolist()]
+    assert [u.pos[:2] for u in uavs] == [tuple(xy) for xy in (uav_xy * 1000.0).tolist()]
+    assert after == rng.random()
+
+
 @pytest.mark.parametrize("layout", [{}, {"uav_xy": ((0.2, 0.0), (-0.999, 0.5)),
                                          "gu_xy": ((0.1, 0.1), (0.3, -0.2), (-0.7, 0.9))}])
 def test_positions_are_python_floats(layout):
