@@ -68,9 +68,6 @@ class FormationMatrix:
             raise ValueError(f"illegal link {tx}->{rx}")
         self.rows[tx][rx][ch] = 1
 
-    def clear_link(self, tx: int, rx: int) -> None:
-        self.rows[tx][rx] = [0] * self.n_channels
-
     def has_link(self, tx: int, rx: int) -> bool:
         return any(self.rows[tx][rx])
 
@@ -146,19 +143,19 @@ def interference(
     tx: int,
     rx: int,
     ch: int,
-    active=None,
+    active: list,
 ) -> float:
     """Aggregate co-channel power (W) hitting rx on sub-channel ch, read
     from the link_power table.
 
     Sums over every other active transmitter on ch; the link under test
-    (tx -> rx) itself is excluded.  active, when given, is a per-node
-    mask of transmitters that actually have data this sub-slot; silent
-    nodes radiate nothing even if they hold an allocation.
+    (tx -> rx) itself is excluded.  active is a per-node mask of
+    transmitters that actually have data this sub-slot; silent nodes
+    radiate nothing even if they hold an allocation.
     """
     total = 0.0
     for m, row in enumerate(fm.rows):
-        if m == tx or (active is not None and not active[m]):
+        if m == tx or not active[m]:
             continue
         for n, chs in enumerate(row):
             if chs[ch] and n != rx:
@@ -172,7 +169,7 @@ def u2u_rate(
     tx: int,
     rx: int,
     params: ChannelParams,
-    active=None,
+    active: list,
 ) -> float:
     """Achievable rate (bit/s) of the tx -> rx link under the current
     allocation, summed over its assigned sub-channels and degraded by

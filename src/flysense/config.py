@@ -36,7 +36,7 @@ from .formation import FormationPolicy
 from .gp import GpConfig
 from .marl import DATA_UNIT, ENERGY_UNIT, TrainingConfig
 from .nn import write_json
-from .world import Scenario, coverage_radius_m, max_slot_energy
+from .world import Scenario, coverage_radius_m, max_signal, max_slot_energy
 
 
 class ConfigError(ValueError):
@@ -206,6 +206,13 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError(f"scenario.coverage_snr_min_db: {scen.coverage_snr_min_db} dB leaves "
                           f"no positive, finite coverage radius of at least uav_alt_m "
                           f"({scen.uav_alt_m} m) with channel.q_gu, beta_s and alpha_s")
+    # observe divides by the most energy a slot can burn and the largest signal.
+    if not _finite(lambda: max_slot_energy(scen)):
+        raise ConfigError("scenario.energy: c1, c2 and hover_w burn no energy in a slot "
+                          "at any speed")
+    if not _finite(lambda: max_signal(scen, cfg.channel)):
+        raise ConfigError(f"channel.alpha_s: {cfg.channel.alpha_s} with q_gu, beta_s and "
+                          f"scenario.uav_alt_m leaves no sensing signal even straight below a UAV")
 
 
 def parse_config(data: Any) -> RunConfig:

@@ -81,8 +81,7 @@ def _all_direct(n_uavs: int, n_channels: int) -> FormationMatrix:
     return fm
 
 
-def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list,
-                active: list | None) -> bool:
+def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list, active: list) -> bool:
     """Replace tx's direct BS link with a one-hop link to rx.
 
     The one-hop link goes on the fitting sub-channel with the least
@@ -95,7 +94,7 @@ def _relay_pair(fm: FormationMatrix, tx: int, rx: int, power: list,
     unchanged when no sub-channel fits the one-hop link.
     """
     freed = [c for r, c in fm.out_links(tx) if r == BS]
-    fm.clear_link(tx, BS)
+    fm.rows[tx][BS] = [0] * fm.n_channels
     fits = [c for c in range(fm.n_channels) if fm.channel_fits(tx, rx, c)]
     if not fits:
         for c in freed:
@@ -156,7 +155,7 @@ def eda_nf(
     policy: FormationPolicy,
     n_channels: int,
     params: ChannelParams,
-    active: list | None = None,
+    active: list,
 ) -> FormationMatrix:
     """Energy/delay-aware relay pairing.
 
@@ -193,7 +192,7 @@ def baseline_buffer(
     power: list,
     policy: FormationPolicy,
     n_channels: int,
-    active: list | None = None,
+    active: list,
 ) -> FormationMatrix:
     """Relay whenever the own buffer passes a fixed threshold, to the
     nearest UAV that is still below it (within the pairing range)."""
@@ -212,7 +211,7 @@ def baseline_dynamic_nf(
     power: list,
     policy: FormationPolicy,
     n_channels: int,
-    active: list | None = None,
+    active: list,
 ) -> FormationMatrix:
     """Cost-only pairing: a UAV relays through an in-range neighbor whose
     per-UAV cost (CostReport.cost) undercuts its own by the configured

@@ -18,7 +18,7 @@ import os
 from . import nn, oracles
 from .config import ConfigError, RunConfig, save_config
 from .formation import FormationPolicy
-from .marl import Trainer, TrainResult
+from .marl import Trainer
 
 
 def format_cell(value) -> str:
@@ -116,15 +116,24 @@ def load_agents_into(path: str, agents) -> None:
         getattr(a, role).params[...] = nets[name].params
 
 
-def _stats_row(stats) -> dict:
+def _eval_block(stats_list) -> dict:
+    """The evaluation summary of a list of episode stats: summary.json's
+    eval, and eval.json past its checkpoint name."""
+    rows = [{
+        "reward_mean": float(s.rewards.mean()),
+        "sensed_bits": s.sensed,
+        "delivered_bits": s.delivered,
+        "energy_j": s.energy,
+        "slots": s.slots,
+        "completion_slot": -1 if s.completion_slot is None else s.completion_slot,
+        "max_buffer_bits": s.max_buffer,
+    } for s in stats_list]
     return {
-        "reward_mean": float(stats.rewards.mean()),
-        "sensed_bits": stats.sensed,
-        "delivered_bits": stats.delivered,
-        "energy_j": stats.energy,
-        "slots": stats.slots,
-        "completion_slot": -1 if stats.completion_slot is None else stats.completion_slot,
-        "max_buffer_bits": stats.max_buffer,
+        "episodes": len(rows),
+        "reward_mean": _mean(r["reward_mean"] for r in rows),
+        "sensed_bits_mean": _mean(r["sensed_bits"] for r in rows),
+        "delivered_bits_mean": _mean(r["delivered_bits"] for r in rows),
+        "rows": rows,
     }
 
 
@@ -169,38 +178,27 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
         return trainer.evaluate(trainer.train_cfg.eval_episodes, slot_cb=on_slot)
 
 
-def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, TrainResult]:
+def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, dict]:
     """Save the config, train into metrics/episodes CSVs and save the
-    trained agents, all under out_dir.  The Trainer is built first, so a
-    learner that cannot be built leaves nothing on disk."""
+    trained agents, all under out_dir; returns the Trainer and what
+    Trainer.run returned.  The Trainer is built first, so a learner that
+    cannot be built leaves nothing on disk."""
     trainer = Trainer(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
     with CsvSink(out_dir) as sink:
-        result = trainer.run(episodes=episodes, sink=sink)
-    save_agents(os.path.join(out_dir, "checkpoint.json"), result.agents)
-    return trainer, result
+        trained = trainer.run(episodes=episodes, sink=sink)
+    save_agents(os.path.join(out_dir, "checkpoint.json"), trainer.agents)
+    return trainer, trained
 
 
 def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict:
     """Full training run: metrics/episodes CSVs, network checkpoint, one
     replayable trajectory, and summary.json.  Returns the summary."""
     require_count("episodes", episodes, 1)
-    trainer, result = _train(cfg, out_dir, episodes)
+    trainer, trained = _train(cfg, out_dir, episodes)
     eval_stats = write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
-    eval_rows = [_stats_row(s) for s in eval_stats]
-    summary = {
-        "episodes_run": result.episodes_run,
-        "early_stopped": result.early_stopped,
-        "final_smoothed": result.final_smoothed,
-        "eval": {
-            "episodes": len(eval_rows),
-            "reward_mean": _mean(r["reward_mean"] for r in eval_rows),
-            "sensed_bits_mean": _mean(r["sensed_bits"] for r in eval_rows),
-            "delivered_bits_mean": _mean(r["delivered_bits"] for r in eval_rows),
-            "rows": eval_rows,
-        },
-    }
+    summary = {**trained, "eval": _eval_block(eval_stats)}
     nn.write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
@@ -213,13 +211,7 @@ def run_eval(cfg: RunConfig, out_dir: str, checkpoint: str,
     load_agents_into(checkpoint, trainer.agents)
     os.makedirs(out_dir, exist_ok=True)
     n_eval = cfg.training.eval_episodes if episodes is None else episodes
-    rows = [_stats_row(s) for s in trainer.evaluate(n_eval)]
-    summary = {
-        "checkpoint": os.path.basename(checkpoint),
-        "episodes": len(rows),
-        "reward_mean": _mean(r["reward_mean"] for r in rows),
-        "rows": rows,
-    }
+    summary = {"checkpoint": os.path.basename(checkpoint), **_eval_block(trainer.evaluate(n_eval))}
     nn.write_json(os.path.join(out_dir, "eval.json"), summary)
     return summary
 
@@ -255,7 +247,7 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
     for scale in demand_scales:
         if not (math.isfinite(scale) and scale >= 0.0):
             raise ConfigError(f"demand_scales: must be finite and not negative, got {scale}")
-    trainer, result = _train(cfg, out_dir, episodes)
+    trainer, trained = _train(cfg, out_dir, episodes)
     n_eval = cfg.training.eval_episodes if eval_episodes is None else eval_episodes
     horizon = cfg.training.completion_cap
     rows = []
@@ -266,7 +258,7 @@ def run_compare(cfg: RunConfig, out_dir: str, episodes: int | None = None,
                                      horizon=horizon)
             rows.append({"policy": kind, "demand_scale": scale, **_aggregate(stats, horizon)})
     payload = {
-        "train_episodes": result.episodes_run,
+        "train_episodes": trained["episodes_run"],
         "eval_horizon": horizon,
         "rows": rows,
     }

@@ -39,7 +39,6 @@ def observe(w: WorldState) -> np.ndarray:
     target (w.targets).  Rows are built from Python floats and become
     one array at the end."""
     hw, cap = w.scenario.half_width_m, w.scenario.buffer_capacity_bits
-    chan = w.chan
     links = w.formation.rows
     rows = []
     for i, (u, e, gid) in enumerate(zip(w.uavs, w.last_energy, w.targets)):
@@ -50,10 +49,7 @@ def observe(w: WorldState) -> np.ndarray:
             row += (0.0, 0.0, 0.0, 0.0)
             continue
         g = w.gus[gid]
-        overhead = max(u.pos.z, 1.0)
-        snr_max = chan.q_gu * chan.beta_s * overhead ** -chan.alpha_s
-        snr = w.sensing_snr[i][gid]
-        signal = min(math.log2(1.0 + snr) / math.log2(1.0 + snr_max), 1.0)
+        signal = min(math.log2(1.0 + w.sensing_snr[i][gid]) / w.max_signal, 1.0)
         dx, dy = g.pos.x - u.pos.x, g.pos.y - u.pos.y
         norm = math.hypot(dx, dy)
         bearing = (dx / norm, dy / norm) if norm > 0.0 else (0.0, 0.0)
@@ -412,14 +408,6 @@ def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWe
     return stats
 
 
-@dataclass
-class TrainResult:
-    agents: list
-    episodes_run: int
-    early_stopped: bool
-    final_smoothed: float
-
-
 class Trainer:
     """Owns the networks, replay, GP window, and all random streams of
     one training run.  Seeded identically, two trainers produce
@@ -436,19 +424,17 @@ class Trainer:
             layout = int(np.random.SeedSequence([cfg.seed, 1]).generate_state(1)[0])
             scenario = dc_replace(scenario, gu_seed=layout)
         self.scenario = scenario
-        self.chan = cfg.channel
         ss = np.random.SeedSequence(cfg.seed)
         init_ss, self._world_ss, noise_ss, replay_ss, arb_ss = ss.spawn(5)
         init_rng = np.random.default_rng(init_ss)
         self.noise_rng = np.random.default_rng(noise_ss)
         self.arb_rng = np.random.default_rng(arb_ss)
         n = scenario.n_uavs
-        self.obs_dim = observation_dim(n)
+        obs_dim = observation_dim(n)
         tc = self.train_cfg
-        self.agents = build_agents(n, self.obs_dim, tc.hidden, tc.actor_lr,
-                                   tc.critic_lr, init_rng)
+        self.agents = build_agents(n, obs_dim, tc.hidden, tc.actor_lr, tc.critic_lr, init_rng)
         self.actors = nn.MlpStack(a.actor for a in self.agents)
-        self.replay = ReplayBuffer(tc.replay_capacity, n, self.obs_dim,
+        self.replay = ReplayBuffer(tc.replay_capacity, n, obs_dim,
                                    np.random.default_rng(replay_ss))
         self.gp_x, self.gp_y = np.zeros((n, 0, 2)), np.zeros((n, 0))
         self.formation_fn = make_formation_fn(cfg.formation, tc.lam)
@@ -462,7 +448,7 @@ class Trainer:
             scenario = dc_replace(scenario, demand_bits=scenario.demand_bits * demand_scale)
         if rng is None:
             rng = np.random.default_rng(self._world_ss.spawn(1)[0])
-        w = world.make_world(scenario, self.chan, rng)
+        w = world.make_world(scenario, self.cfg.channel, rng)
         w.formation = (formation_fn or self.formation_fn)(w)
         return w
 
@@ -536,7 +522,10 @@ class Trainer:
         stats.bo_frac = bo_hits / max(1, stats.slots * n)
         return stats
 
-    def run(self, episodes: int | None = None, sink=None) -> TrainResult:
+    def run(self, episodes: int | None = None, sink=None) -> dict:
+        """Train for the episode budget (the config's when None), or until
+        the smoothed reward stops improving.  Returns the training half
+        of summary.json: episodes_run, early_stopped, final_smoothed."""
         tc = self.train_cfg
         budget = tc.episodes if episodes is None else episodes
         ema = None
@@ -572,10 +561,8 @@ class Trainer:
                   and ep - best_ep >= tc.early_stop_patience):
                 stopped = True
                 break
-        return TrainResult(
-            agents=self.agents, episodes_run=episodes_run,
-            early_stopped=stopped, final_smoothed=ema if ema is not None else 0.0,
-        )
+        return {"episodes_run": episodes_run, "early_stopped": stopped,
+                "final_smoothed": ema if ema is not None else 0.0}
 
     def evaluate(self, episodes: int, policy: FormationPolicy | None = None,
                  demand_scale: float = 1.0, horizon: int | None = None,

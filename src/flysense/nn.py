@@ -186,11 +186,12 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 class Adam:
     """Standard Adam bound to one network's flat parameter vector."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = None
         self._v = None

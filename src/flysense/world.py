@@ -68,9 +68,10 @@ class EnergyModel:
     """Forward-flight propulsion power c1*v^3 + c2/v with a floor speed,
     plus constant hover-and-payload power while sensing/offloading."""
 
-    c1: float = 9.26e-4
-    c2: float = 2250.0
-    hover_w: float = 170.0
+    # Negative power lets one slot burn more than max_slot_energy.
+    c1: float = field(default=9.26e-4, metadata={"min": 0.0})
+    c2: float = field(default=2250.0, metadata={"min": 0.0})
+    hover_w: float = field(default=170.0, metadata={"min": 0.0})
     v_floor: float = field(default=1.0, metadata={"gt": 0.0})
 
 
@@ -113,6 +114,13 @@ def coverage_radius_m(scenario: Scenario, params: ChannelParams) -> float:
     return (params.q_gu * params.beta_s / thr) ** (1.0 / params.alpha_s)
 
 
+def max_signal(scenario: Scenario, params: ChannelParams) -> float:
+    """log2(1 + SNR) of a ground user straight below a UAV, the closest
+    any user gets (the path-loss floor for an altitude under 1 m)."""
+    overhead = max(scenario.uav_alt_m, 1.0)
+    return math.log2(1.0 + params.q_gu * params.beta_s * overhead ** -params.alpha_s)
+
+
 @dataclass
 class WorldState:
     """Single-writer simulation state; all mutation goes through step().
@@ -133,6 +141,7 @@ class WorldState:
     bs_pos: Position
     last_energy: list       # per-UAV propulsion J spent in the previous slot
     max_slot_energy: float  # most propulsion J one slot can burn
+    max_signal: float       # most log2(1 + sensing SNR) a UAV can see
     gu_xyz: np.ndarray = field(init=False)  # (M, 3) user positions; users never move
     node_range: list = field(init=False)    # (N+1)x(N+1) channel.ranges, BS first
     link_power: list = field(init=False)    # (N+1)x(N+1) channel.link_power
@@ -194,6 +203,7 @@ def make_world(scenario: Scenario, params: ChannelParams, rng: np.random.Generat
         bs_pos=bs,
         last_energy=[0.0] * scenario.n_uavs,
         max_slot_energy=max_slot_energy(scenario),
+        max_signal=max_signal(scenario, params),
     )
     w.gu_xyz = np.array([g.pos for g in gus], dtype=float)
     w.gu_xyz.flags.writeable = False
@@ -245,11 +255,6 @@ def sense(w: WorldState, i: int, gid: int) -> float:
     rate = channel.link_rate(w.sensing_snr[i][gid], w.chan)
     free = max(w.scenario.buffer_capacity_bits - w.uavs[i].buffer, 0.0)
     return min(w.scenario.protocol.t_s * rate, w.gus[gid].remaining, free)
-
-
-def gu_queue_step(g: GroundUser, drained: float) -> GroundUser:
-    """Queue after one slot; drained bits leave, nothing goes negative."""
-    return GroundUser(g.pos, max(g.remaining - drained, 0.0), g.demand)
 
 
 def uav_buffer_step(buffer: float, outgoing: float, incoming: float, capacity: float) -> float:
@@ -316,8 +321,8 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
         if gid is None:
             continue
         claimed.add(gid)  # no later UAV reads this user, so drain it now
-        sensed[i] = sense(w, i, gid)
-        w.gus[gid] = gu_queue_step(w.gus[gid], sensed[i])
+        sensed[i] = sense(w, i, gid)  # at most what the user holds
+        w.gus[gid].remaining -= sensed[i]
     w.targets = [select_gu(w, i) for i in range(n)]  # offload leaves the users alone
 
     buffers = [u.buffer for u in w.uavs]

@@ -159,7 +159,7 @@ def test_criterion_3_eda_nf_structure():
             pair_range_m=float(rng.choice([500.0, 1000.0, 2000.0, 4000.0])),
             min_rate=None if rng.random() < 0.5 else float(rng.uniform(1e5, 5e6)),
         )
-        fm = formation.eda_nf(report_, node_range, power, policy, k, params)
+        fm = formation.eda_nf(report_, node_range, power, policy, k, params, [True] * (n + 1))
         # 1. the allocation is always feasible
         assert channel.validate_alloc(fm) == []
         # 2. every relay link joins an overloaded sender to an in-range,

@@ -48,6 +48,11 @@ def power_table(positions):
     return link_power(ranges(positions, positions).tolist(), P)
 
 
+def everyone(fm):
+    """The transmitter mask under which every node of fm sends."""
+    return [True] * (fm.n_uavs + 1)
+
+
 def test_default_link_budget_constants():
     # free-space reference gain at 1 m for a 2 GHz carrier, (c / 4 pi f)^2
     # with the usual round c = 3e8 m/s
@@ -78,7 +83,7 @@ class TestFormationMatrix:
     def test_set_then_clear_seen_by_every_query(self):
         """Link 2->3 on sub-channel 0 beside 1->BS (channel 0) and 3->BS
         (channel 1): every query sees it as soon as set_link returns and
-        stops seeing it as soon as clear_link does."""
+        stops seeing it as soon as its row entry is zeroed."""
         power = power_table([(1000.0, 1000.0, 25.0), (0.0, 0.0, 100.0),
                              (300.0, 0.0, 100.0), (0.0, 300.0, 100.0)])
         fm = FormationMatrix(3, 2)
@@ -87,7 +92,8 @@ class TestFormationMatrix:
 
         def seen():
             return (fm.has_link(2, 3), fm.links(), fm.out_links(2), fm.channel_fits(2, 3, 0),
-                    u2u_rate(fm, power, 2, 3, P), interference(fm, power, 1, BS, 0))
+                    u2u_rate(fm, power, 2, 3, P, everyone(fm)),
+                    interference(fm, power, 1, BS, 0, everyone(fm)))
 
         without = (False, [(1, 0, 0), (3, 0, 1)], [], True, 0.0, 0.0)
         assert seen() == without
@@ -95,7 +101,7 @@ class TestFormationMatrix:
         sinr = power[2][3] / (P.noise + power[1][3])
         assert seen() == (True, [(1, 0, 0), (2, 3, 0), (3, 0, 1)], [(3, 0)], False,
                           P.bandwidth * math.log2(1.0 + sinr), power[2][BS])
-        fm.clear_link(2, 3)
+        fm.rows[2][3] = [0] * fm.n_channels
         assert seen() == without
 
     def test_key_is_the_int8_bytes_of_phi(self):
@@ -197,7 +203,7 @@ def test_u2u_rate_equals_point_rate_without_interference():
     fm = FormationMatrix(2, 3)
     fm.set_link(1, BS, 0)
     np.testing.assert_allclose(
-        u2u_rate(fm, power_table(positions), 1, BS, P),
+        u2u_rate(fm, power_table(positions), 1, BS, P, everyone(fm)),
         point_rate(power_table(positions), 1, BS, P), rtol=1e-12
     )
 
@@ -208,7 +214,7 @@ def test_u2u_rate_sums_over_assigned_subchannels():
     fm.set_link(1, BS, 0)
     fm.set_link(1, BS, 1)
     np.testing.assert_allclose(
-        u2u_rate(fm, power_table(positions), 1, BS, P),
+        u2u_rate(fm, power_table(positions), 1, BS, P, everyone(fm)),
         2 * point_rate(power_table(positions), 1, BS, P), rtol=1e-12
     )
 
@@ -226,8 +232,8 @@ def test_cochannel_interference_matches_hand_formula():
     sig = P.p_uav * P.beta_u * d_sig**-2
     inter = P.p_uav * P.beta_u * d_int**-2
     power = power_table(positions)
-    np.testing.assert_allclose(interference(fm, power, 1, BS, 0), inter, rtol=1e-12)
-    got = u2u_rate(fm, power, 1, BS, P)
+    np.testing.assert_allclose(interference(fm, power, 1, BS, 0, everyone(fm)), inter, rtol=1e-12)
+    got = u2u_rate(fm, power, 1, BS, P, everyone(fm))
     np.testing.assert_allclose(got, 1e6 * math.log2(1 + sig / (P.noise + inter)), rtol=1e-12)
     np.testing.assert_allclose(got, 319268.8118659811, rtol=1e-9)
 
@@ -239,14 +245,14 @@ def test_interference_excludes_own_signal_and_other_channels():
     power = power_table(positions)
     fm = FormationMatrix(3, 2)
     fm.set_link(1, BS, 0)
-    assert interference(fm, power, 1, BS, 0) == 0.0
+    assert interference(fm, power, 1, BS, 0, everyone(fm)) == 0.0
     # a transmission on another sub-channel never interferes
     fm.set_link(2, BS, 1)
-    assert interference(fm, power, 1, BS, 0) == 0.0
+    assert interference(fm, power, 1, BS, 0, everyone(fm)) == 0.0
     # a valid co-channel link elsewhere is heard at the BS
     fm.set_link(3, 2, 0)
     np.testing.assert_allclose(
-        interference(fm, power, 1, BS, 0),
+        interference(fm, power, 1, BS, 0, everyone(fm)),
         P.p_uav * P.beta_u * math.dist(positions[3], positions[0]) ** -2,
         rtol=1e-12,
     )

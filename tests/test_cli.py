@@ -194,6 +194,11 @@ def test_trainer_built_before_anything_is_written(tmp_path, capsys, monkeypatch)
     ("scenario", {"uav_alt_m": 6000},                                      # 5,332 m
      "scenario.coverage_snr_min_db: 0.0 dB leaves no positive, finite coverage radius "
      "of at least uav_alt_m (6000.0 m)"),
+    # a negative power lets a slot burn more than the most observe scales by,
+    # and with none at all observe divided by zero in the first slot
+    ("scenario", {"energy": {"c2": -2250.0}}, "scenario.energy.c2: must not be negative"),
+    ("scenario", {"energy": {"c1": 0, "c2": 0, "hover_w": 0}},
+     "scenario.energy: c1, c2 and hover_w burn no energy in a slot at any speed"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):
@@ -206,6 +211,24 @@ def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, se
     code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_with_no_sensing_signal_exit_1(tmp_path, capsys):
+    """At alpha_s 20 the coverage radius is 105 m, above the 100 m
+    altitude, but even a user straight below a UAV has log2(1 + SNR) 0:
+    the run wrote config.json, then observe divided by zero (exit 3)."""
+    cfg_path = write_tiny_config(tmp_path)
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    cfg.setdefault("channel", {})["alpha_s"] = 20
+    cfg["scenario"]["coverage_snr_min_db"] = -330
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert ("channel.alpha_s: 20.0 with q_gu, beta_s and scenario.uav_alt_m leaves no sensing "
+            "signal" in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

@@ -70,10 +70,16 @@ def _placed(*uav_xy):
     return _tables(_positions(*uav_xy))
 
 
+def _everyone(n_uavs):
+    """The transmitter mask of a fleet whose every UAV sends."""
+    return [True] * (n_uavs + 1)
+
+
 class TestEdaNf:
     def test_balanced_fleet_stays_direct(self):
         report = CostReport(balance=np.zeros(3), cost=np.ones(3), spare_rate=np.full(3, np.inf))
-        fm = eda_nf(report, *_placed((0, 0), (100, 0), (0, 100)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((0, 0), (100, 0), (0, 100)), FormationPolicy(), 3, P,
+                    _everyone(3))
         assert sorted(fm.links()) == [(1, 0, 0), (2, 0, 1), (3, 0, 2)]
 
     def test_overloaded_uav_routes_through_cheapest_relay(self):
@@ -82,7 +88,7 @@ class TestEdaNf:
         report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
                             spare_rate=np.full(3, np.inf))
         pos = _positions((-800, -800), (-400, -400), (-300, -500))
-        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P, _everyone(3))
         assert not fm.has_link(1, BS)
         assert fm.has_link(1, 3)
         assert fm.has_link(3, BS) and fm.has_link(2, BS)
@@ -91,7 +97,7 @@ class TestEdaNf:
     def test_freed_subchannel_widens_relay_backhaul(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 3, P, _everyone(2))
         # seeker keeps one link to the relay; the relay now holds two BS
         # sub-channels (its own plus the seeker's former one)
         assert fm.has_link(1, 2) and not fm.has_link(1, BS)
@@ -101,21 +107,22 @@ class TestEdaNf:
     def test_threshold_gates_seeking(self):
         report = CostReport(balance=np.array([0.5, -0.5]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(balance_threshold=1.0), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)),
+                    FormationPolicy(balance_threshold=1.0), 3, P, _everyone(2))
         assert fm.has_link(1, BS) and fm.has_link(2, BS) and not fm.has_link(1, 2)
 
     def test_out_of_range_relay_skipped(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(pair_range_m=100.0)
-        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P, _everyone(2))
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_min_rate_guard_blocks_weak_pairs(self):
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
         pol = FormationPolicy(min_rate=1e12)
-        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), pol, 3, P, _everyone(2))
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_slower_relay_backhaul_blocks_pairing(self):
@@ -123,7 +130,8 @@ class TestEdaNf:
         # rerouting through it could not shorten the drain
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, *_placed((-500, -500), (-900, -900)), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_placed((-500, -500), (-900, -900)), FormationPolicy(), 3, P,
+                    _everyone(2))
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
 
     def test_saturated_relay_backhaul_blocks_pairing(self):
@@ -136,10 +144,10 @@ class TestEdaNf:
             cost=np.array([9.0, 1.0]),
             spare_rate=np.array([0.0, 0.5 * seeker_bs]),
         )
-        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P, _everyone(2))
         assert fm.has_link(1, BS) and not fm.has_link(1, 2)
         report.spare_rate[1] = 2.0 * seeker_bs
-        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 3, P, _everyone(2))
         assert fm.has_link(1, 2)
 
     def test_pairing_picks_clean_subchannel_and_widens(self):
@@ -149,7 +157,7 @@ class TestEdaNf:
         report = CostReport(balance=np.array([5.0, -2.5, -2.5]), cost=np.array([9.0, 2.0, 1.0]),
                             spare_rate=np.full(3, np.inf))
         pos = _positions((-600, -600), (-400, -400), (600, 600))
-        fm = eda_nf(report, *_tables(pos), FormationPolicy(pair_range_m=3000.0), 4, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(pair_range_m=3000.0), 4, P, _everyone(3))
         assert fm.rows[1][3][3] == 1
         assert sorted(ch for rx, ch in fm.out_links(3) if rx == BS) == [0, 2]
         assert validate_alloc(fm) == []
@@ -161,7 +169,7 @@ class TestEdaNf:
         report = CostReport(balance=np.array([4.0, 3.0, -3.5, -3.5]),
                             cost=np.array([9.0, 8.0, 2.0, 1.0]), spare_rate=np.full(4, np.inf))
         pos = _positions((-800, -800), (-800, -600), (-400, -400), (-300, -500))
-        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 4, P)
+        fm = eda_nf(report, *_tables(pos), FormationPolicy(), 4, P, _everyone(4))
         relays = sorted((tx, rx) for tx, rx, _ in fm.links() if rx != BS)
         assert relays == [(1, 4), (2, 3)]
         assert validate_alloc(fm) == []
@@ -171,7 +179,7 @@ class TestEdaNf:
         # allocation; pairing would strand the seeker's data
         report = CostReport(balance=np.array([5.0, -5.0]), cost=np.array([9.0, 1.0]),
                             spare_rate=np.full(2, np.inf))
-        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 1, P)
+        fm = eda_nf(report, *_placed((-500, -500), (0, 0)), FormationPolicy(), 1, P, _everyone(2))
         links = sorted(fm.links())
         assert (1, 0, 0) in links or (2, 0, 0) in links
         assert validate_alloc(fm) == []
@@ -190,7 +198,7 @@ class TestEdaNf:
             report = CostReport(balance=balance, cost=rng.uniform(0, 10, n),
                                 spare_rate=np.full(n, np.inf))
             pos = _positions(*[(x, y) for x, y in rng.uniform(-1000, 1000, (n, 2))])
-            fm = eda_nf(report, *_tables(pos), pol, k, P)
+            fm = eda_nf(report, *_tables(pos), pol, k, P, _everyone(n))
             assert validate_alloc(fm) == []
             for tx, rx, ch in fm.links():
                 if rx == BS:
@@ -214,7 +222,7 @@ class TestBaselines:
         pol = FormationPolicy(buffer_threshold_bits=1e6)
         buffers = np.array([5e6, 1e5, 1e5])
         pos = _positions((0, 0), (300, 0), (100, 0))
-        fm = baseline_buffer(buffers, *_tables(pos), pol, 3)
+        fm = baseline_buffer(buffers, *_tables(pos), pol, 3, _everyone(3))
         assert fm.has_link(1, 3) and not fm.has_link(1, BS)
         assert validate_alloc(fm) == []
 
@@ -222,7 +230,7 @@ class TestBaselines:
         pol = FormationPolicy(buffer_threshold_bits=1e6, pair_range_m=2000.0)
         buffers = np.array([5e6, 5e6, 1e5])
         pos = _positions((0, 0), (200, 0), (100, 0))
-        fm = baseline_buffer(buffers, *_tables(pos), pol, 3)
+        fm = baseline_buffer(buffers, *_tables(pos), pol, 3, _everyone(3))
         assert fm.has_link(1, 3) and fm.has_link(2, 3)
 
     def test_buffer_threshold_structural_invariants_random(self):
@@ -250,7 +258,7 @@ class TestBaselines:
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
         pol = FormationPolicy(cost_margin=1.0)
         pos = _positions((0, 0), (100, 0), (200, 0))
-        fm = baseline_dynamic_nf([10.0, 5.0, 0.5], *_tables(pos), pol, 3)
+        fm = baseline_dynamic_nf([10.0, 5.0, 0.5], *_tables(pos), pol, 3, _everyone(3))
         # most expensive first: 1 grabs 3; 2 cannot reuse 3
         assert fm.has_link(1, 3)
         assert not fm.has_link(2, 3) and fm.has_link(2, BS)
@@ -288,8 +296,8 @@ def _loud_silent_offload(buffers, free_space, power, fm, params, t_o):
     a UAV with an empty buffer still interferes on its allocated links."""
     real = channel.u2u_rate
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(channel, "u2u_rate", lambda fm, power, tx, rx, params, active=None:
-                  real(fm, power, tx, rx, params))
+        m.setattr(channel, "u2u_rate", lambda fm, power, tx, rx, params, active:
+                  real(fm, power, tx, rx, params, [True] * (fm.n_uavs + 1)))
         return channel.offload(buffers, free_space, power, fm, params, t_o)
 
 

@@ -261,13 +261,20 @@ class TestCountOverrides:
 
 class TestRunEval:
     def test_matches_training_eval(self, tmp_path):
+        """eval.json of a run_train checkpoint is, past the checkpoint's
+        name, summary.json's eval exactly: the same rollouts of the same
+        actors, summarized by the same block."""
         out = str(tmp_path / "train")
-        summary = harness.run_train(tiny_cfg(), out)
+        harness.run_train(tiny_cfg(), out)
         out2 = str(tmp_path / "eval")
         res = harness.run_eval(tiny_cfg(), out2, f"{out}/checkpoint.json")
-        assert res["reward_mean"] == pytest.approx(summary["eval"]["reward_mean"])
+        with open(f"{out}/summary.json") as fh:
+            summary = json.load(fh)
         with open(f"{out2}/eval.json") as fh:
-            assert json.load(fh) == res
+            saved = json.load(fh)
+        assert saved == res
+        assert saved.pop("checkpoint") == "checkpoint.json"
+        assert saved == summary["eval"]
 
 
 class TestRunCompare:

@@ -164,7 +164,7 @@ def _stepped_worlds(seed, episodes=15, slots=10):
             decoded = [decode_action(a, scen.v_max_mps) for a in rng.uniform(-1, 1, (n, 2))]
             fm = formation.baseline_noncoop(n, params.n_channels)
             if rng.random() < 0.5:
-                fm.clear_link(int(rng.integers(1, n + 1)), 0)
+                fm.rows[int(rng.integers(1, n + 1))][0] = [0] * params.n_channels
             w, _ = world.step(w, decoded, fm)
             yield w
 
@@ -722,26 +722,29 @@ class RowSink:
 
 def run_with_rows(cfg):
     sink = RowSink()
-    return Trainer(cfg).run(sink=sink), sink.rows
+    tr = Trainer(cfg)
+    return tr, tr.run(sink=sink), sink.rows
 
 
 class TestTrainer:
     def test_same_seed_same_rows(self):
-        r1, rows1 = run_with_rows(tiny_run_config())
-        r2, rows2 = run_with_rows(tiny_run_config())
-        assert rows1 == rows2
-        for a, b in zip(r1.agents, r2.agents):
+        t1, r1, rows1 = run_with_rows(tiny_run_config())
+        t2, r2, rows2 = run_with_rows(tiny_run_config())
+        assert rows1 == rows2 and r1 == r2
+        for a, b in zip(t1.agents, t2.agents):
             for wa, wb in zip(a.actor.ws, b.actor.ws):
                 np.testing.assert_array_equal(wa, wb)
 
     def test_different_seeds_differ(self):
-        _, rows1 = run_with_rows(tiny_run_config(seed=11))
-        _, rows2 = run_with_rows(tiny_run_config(seed=12))
+        _, _, rows1 = run_with_rows(tiny_run_config(seed=11))
+        _, _, rows2 = run_with_rows(tiny_run_config(seed=12))
         assert rows1 != rows2
 
     def test_row_schema(self):
-        res, rows = run_with_rows(tiny_run_config())
-        assert res.episodes_run == len(rows) == 4
+        _, res, rows = run_with_rows(tiny_run_config())
+        assert res == {"episodes_run": 4, "early_stopped": False,
+                       "final_smoothed": rows[-1]["reward_smoothed"]}
+        assert len(rows) == 4
         row = rows[0]
         for key in ("episode", "reward_mean", "reward_smoothed", "sensed_bits",
                     "delivered_bits", "energy_j", "slots", "completion_slot",
@@ -814,11 +817,11 @@ class TestTrainer:
             early_stop_rel_tol=1e9,  # tolerance so huge no improvement counts
         )
         res = Trainer(cfg).run()
-        assert res.early_stopped
-        assert res.episodes_run < 60
+        assert res["early_stopped"]
+        assert res["episodes_run"] < 60
 
     def test_bo_disabled_runs(self):
-        _, rows = run_with_rows(tiny_run_config(bo_enabled=False, episodes=2))
+        _, _, rows = run_with_rows(tiny_run_config(bo_enabled=False, episodes=2))
         assert all(row["bo_frac"] == 0.0 for row in rows)
 
     @pytest.mark.parametrize("bo", [False, True])

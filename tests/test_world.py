@@ -18,7 +18,6 @@ from flysense.channel import (
 )
 from flysense.world import (
     EnergyModel,
-    GroundUser,
     Position,
     SLOT_S,
     ProtocolConfig,
@@ -26,7 +25,6 @@ from flysense.world import (
     UavState,
     WorldState,
     coverage_radius_m,
-    gu_queue_step,
     make_world,
     move_uav,
     objective_slot,
@@ -155,7 +153,7 @@ def _scalar_interference(phi, positions, tx, rx, ch, active):
     pair from positions."""
     total = 0.0
     for m, n, k in zip(*np.nonzero(phi)):
-        if k != ch or m == tx or n == rx or (active is not None and not active[m]):
+        if k != ch or m == tx or n == rx or not active[m]:
             continue
         total += _scalar_power(positions[m], positions[rx])
     return total
@@ -232,7 +230,7 @@ class TestNodeTables:
                     assert point_rate(w.link_power, tx, rx, P) == P.bandwidth * math.log2(1.0 + snr)
                     if tx == rx:
                         continue
-                    for mask in (None, active):
+                    for mask in ([True] * (n + 1), active):
                         assert (u2u_rate(fm, w.link_power, tx, rx, P, mask)
                                 == _scalar_u2u_rate(phi, positions, tx, rx, mask))
                         for ch in range(k):
@@ -253,9 +251,15 @@ def test_sense_rate_budget_and_caps():
 
 
 def test_queue_and_buffer_steps():
-    g = GroundUser(Position(0.0, 0.0, 0.0), 5.0, 10.0)
-    assert gu_queue_step(g, 2.0).remaining == 3.0
-    assert gu_queue_step(g, 9.0).remaining == 0.0
+    """A slot drains the sensed user by exactly what was sensed, to zero
+    when the budget exceeds what it holds.  TestStep.test_one_slot_accounting
+    and criterion 2 of tests/test_acceptance.py cover draining in fleets."""
+    for demand in (1e9, 1000.0):
+        w = _placed_world([(0.0, 0.0)], [(0.0, 0.0)], demand_bits=demand)
+        budget = sense(w, 0, 0)  # the UAV hovers, so the slot senses this
+        w, rep = step(w, [((1.0, 0.0), 0.0)], FormationMatrix(1, P.n_channels))
+        assert rep.sensed == [budget] and w.gus[0].remaining == demand - budget
+    assert w.gus[0].remaining == 0.0
     assert uav_buffer_step(5.0, 2.0, 1.0, 100.0) == 4.0
     assert uav_buffer_step(5.0, 2.0, 4.0, 6.0) == 6.0  # capacity clip
     assert uav_buffer_step(5.0, 9.0, 1.0, 100.0) == 1.0  # cannot go negative
@@ -314,7 +318,7 @@ def test_make_world_reads_its_generator_for_unset_layouts_only():
 def test_positions_are_python_floats(layout):
     """Sampled and explicit layouts start every coordinate as a Python
     float, and a step keeps it one, clamped to the field or not (README,
-    "One representation per slot value")."""
+    "Design rules")."""
     scen = Scenario(n_uavs=2, n_gus=3, **layout)
     w = make_world(scen, P, np.random.default_rng(4))
 
