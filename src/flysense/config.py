@@ -202,7 +202,7 @@ def _check(cfg: RunConfig) -> None:
                           f"warm-up ({tc.warmup_size}), so no update would run")
     # Every ground user is at least the altitude away from a UAV.
     radius = _finite(lambda: coverage_radius_m(scen, cfg.channel))
-    if radius is None or radius <= 0.0 or radius < abs(scen.uav_alt_m):
+    if radius is None or radius <= 0.0 or radius < scen.uav_alt_m:
         raise ConfigError(f"scenario.coverage_snr_min_db: {scen.coverage_snr_min_db} dB leaves "
                           f"no positive, finite coverage radius of at least uav_alt_m "
                           f"({scen.uav_alt_m} m) with channel.q_gu, beta_s and alpha_s")
@@ -227,10 +227,8 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not text.strip():
-        return RunConfig()
     try:
-        data = json.loads(text)
+        data = json.loads(text) if text.strip() else {}
     except ValueError as exc:  # a JSONDecodeError, or an integer literal over the digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(data)

@@ -370,8 +370,10 @@ class EpisodeStats:
     # ground demand plus UAV buffers after the last slot (rollout only)
     remaining_final: float | None = None
 
-    def add_slot(self, w: WorldState, report: StepReport, rews: np.ndarray) -> None:
-        """Fold one stepped slot into the episode totals."""
+    def add_slot(self, w: WorldState, report: StepReport, rews: np.ndarray) -> bool:
+        """Fold one stepped slot into the episode totals.  Returns whether
+        the episode is done, every user and every buffer empty, and then
+        records this slot as its completion."""
         self.rewards += rews
         # np.add.reduce: the order of additions of ndarray.sum, not sum()'s
         self.sensed += np.add.reduce(report.sensed)
@@ -379,30 +381,28 @@ class EpisodeStats:
         self.energy += np.add.reduce(report.energy)
         self.max_buffer = max(self.max_buffer, max(u.buffer for u in w.uavs))
         self.slots += 1
-
-
-def _episode_done(w: WorldState) -> bool:
-    return all(g.remaining <= 0.0 for g in w.gus) and all(u.buffer <= 0.0 for u in w.uavs)
+        done = all(g.remaining <= 0.0 for g in w.gus) and all(u.buffer <= 0.0 for u in w.uavs)
+        if done:
+            self.completion_slot = self.slots
+        return done
 
 
 def rollout(w: WorldState, act_fn, horizon: int, formation_fn, weights: RewardWeights,
             slot_cb=None) -> EpisodeStats:
-    """Run one episode with an arbitrary action provider
-    act_fn(w, obs) -> (N, 2) raw actions, obs being observe(w).  No
-    learning, no noise."""
-    n = w.n_uavs
-    stats = EpisodeStats(np.zeros(n), max_buffer=max(u.buffer for u in w.uavs))
+    """Run one episode from an unplanned world with an arbitrary action
+    provider act_fn(w, obs) -> (N, 2) raw actions, obs being observe(w).
+    Each slot plans its formation first.  No learning, no noise."""
+    stats = EpisodeStats(np.zeros(w.n_uavs))
     for slot in range(horizon):
+        w.formation = formation_fn(w)
         obs = observe(w)
         acts = np.asarray(act_fn(w, obs), dtype=float)
         decoded = [decode_action(a, w.scenario.v_max_mps) for a in acts.tolist()]
         w, report = world.step(w, decoded, w.formation)
-        stats.add_slot(w, report, reward(report, weights)[0])
+        done = stats.add_slot(w, report, reward(report, weights)[0])
         if slot_cb is not None:
             slot_cb(w, slot, acts, report)
-        w.formation = formation_fn(w)
-        if _episode_done(w):
-            stats.completion_slot = stats.slots
+        if done:
             break
     stats.remaining_final = sum(g.remaining for g in w.gus) + sum(u.buffer for u in w.uavs)
     return stats
@@ -441,16 +441,14 @@ class Trainer:
         reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / scenario.half_width_m
         self.gp_offsets = gp.candidate_offsets(reach_scaled, cfg.gp)
 
-    def _new_world(self, rng=None, demand_scale: float = 1.0,
-                   formation_fn=None) -> WorldState:
+    def _new_world(self, rng=None, demand_scale: float = 1.0) -> WorldState:
+        """A fresh, unplanned world: the episode loop plans each slot."""
         scenario = self.scenario
         if demand_scale != 1.0:
             scenario = dc_replace(scenario, demand_bits=scenario.demand_bits * demand_scale)
         if rng is None:
             rng = np.random.default_rng(self._world_ss.spawn(1)[0])
-        w = world.make_world(scenario, self.cfg.channel, rng)
-        w.formation = (formation_fn or self.formation_fn)(w)
-        return w
+        return world.make_world(scenario, self.cfg.channel, rng)
 
     def _bo_scored(self, i: int, w: WorldState, obs: np.ndarray, a_actor: np.ndarray):
         """UAV i's GP proposal a_bo and agent i's critic q_actor, q_bo.  The
@@ -472,7 +470,9 @@ class Trainer:
         bo_hits = 0
         log_slots = (sink is not None and tc.metrics_episode_stride > 0
                      and ep % tc.metrics_episode_stride == 0)
+        cost_rep = None
         for slot in range(tc.horizon):
+            w.formation = self.formation_fn(w, cost_rep)
             obs = observe(w)
             a_actor = act(self.actors, obs, tc.noise_scale, self.noise_rng)
             a_exec = a_actor.copy()
@@ -486,8 +486,8 @@ class Trainer:
             decoded = [decode_action(a, w.scenario.v_max_mps) for a in a_exec.tolist()]
             w, report = world.step(w, decoded, w.formation)
             rews, parts = reward(report, tc.weights)
+            done = stats.add_slot(w, report, rews)
             obs2 = observe(w)
-            done = _episode_done(w)
             self.replay.add(obs, a_exec, rews, obs2, done)
             if tc.bo_enabled:  # only the GP proposer reads the window
                 mbit = np.array(report.sensed) / DATA_UNIT
@@ -499,9 +499,8 @@ class Trainer:
                 next_acts = [None] * n
                 for i in range(n):
                     update_agent(i, self.agents, batch, tc.discount, tc.tau, next_acts)
-            cost_rep = None
+            cost_rep = build_cost_report(w, tc.lam) if log_slots else None
             if log_slots:
-                cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
                     links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(i + 1))
@@ -514,10 +513,7 @@ class Trainer:
                         "b_i": cost_rep.balance[i], "c_i": cost_rep.cost[i],
                         "formation_links": links, "gu_backlog_total": backlog,
                     })
-            stats.add_slot(w, report, rews)
-            w.formation = self.formation_fn(w, cost_rep)
             if done:
-                stats.completion_slot = stats.slots
                 break
         stats.bo_frac = bo_hits / max(1, stats.slots * n)
         return stats
@@ -581,7 +577,7 @@ class Trainer:
         out = []
         for k in range(stepped):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
-            w = self._new_world(rng=rng, demand_scale=demand_scale, formation_fn=fn)
+            w = self._new_world(rng=rng, demand_scale=demand_scale)
             cb = None if slot_cb is None else (lambda *slot, k=k: slot_cb(k, *slot))
             out.append(rollout(w, act_fn, horizon, fn, self.train_cfg.weights, slot_cb=cb))
         return out + out[-1:] * (episodes - stepped)

@@ -92,7 +92,7 @@ class Scenario:
     gu_seed: int | None = field(default=None, metadata={"min": 0})  # None: from the run seed
     demand_bits: float = field(default=1e7, metadata={"min": 0.0})  # per-GU request (10 Mbit)
     buffer_capacity_bits: float = field(default=2e7, metadata={"gt": 0.0})
-    uav_alt_m: float = 100.0
+    uav_alt_m: float = field(default=100.0, metadata={"min": 0.0})
     bs_height_m: float = 25.0
     bs_xy: tuple[float, float] = field(default=(1.0, 1.0), metadata={"min": -1.0, "max": 1.0})
     uav_xy: tuple[tuple[float, float], ...] | None = field(  # explicit scaled starts, else sampled
@@ -311,7 +311,7 @@ def step(w: WorldState, actions: list, fm: FormationMatrix) -> tuple[WorldState,
     speeds = []
     for u, (direction, speed) in zip(w.uavs, actions):
         u.pos = move_uav(u, direction, speed, scen)
-        speeds.append(min(max(float(speed), 0.0), scen.v_max_mps))
+        speeds.append(min(float(speed), scen.v_max_mps))
     place(w)
 
     sensed = [0.0] * n

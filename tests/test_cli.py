@@ -199,6 +199,8 @@ def test_trainer_built_before_anything_is_written(tmp_path, capsys, monkeypatch)
     ("scenario", {"energy": {"c2": -2250.0}}, "scenario.energy.c2: must not be negative"),
     ("scenario", {"energy": {"c1": 0, "c2": 0, "hover_w": 0}},
      "scenario.energy: c1, c2 and hover_w burn no energy in a slot at any speed"),
+    # a UAV below the ground: a user straight under it read a signal of 0.463
+    ("scenario", {"uav_alt_m": -100}, "scenario.uav_alt_m: must not be negative"),
 ])
 def test_config_that_would_crash_or_change_the_world_exit_1(tmp_path, capsys, section,
                                                              override, path):

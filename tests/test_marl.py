@@ -869,9 +869,25 @@ class TestTrainer:
                             lambda *a, **k: calls.append(1) or real(*a, **k))
 
         stats = tr.train_episode(0, RowSink() if log else None)
-        # plus one for the starting world's formation
-        start = 1 if kind == "eda_nf" else 0
+        # plus one for the first slot's eda_nf plan, which no logged slot
+        # has built a report for yet
+        start = 1 if kind == "eda_nf" and log else 0
         assert len(calls) == start + per_slot * stats.slots
+
+    @pytest.mark.parametrize("horizon,finishes", [(8, True), (3, False)])
+    def test_one_plan_per_stepped_slot(self, monkeypatch, horizon, finishes):
+        """Both episode loops plan the formation at the top of every slot
+        and nothing after the last one, whether the episode drained every
+        user and buffer or was cut off at the horizon."""
+        calls = []
+        real = formation.eda_nf
+        monkeypatch.setattr(formation, "eda_nf", lambda *a, **k: calls.append(1) or real(*a, **k))
+        tr = Trainer(tiny_run_config(horizon=horizon))
+        for run in (lambda: tr.train_episode(0), lambda: tr.evaluate(1)[0]):
+            calls.clear()
+            stats = run()
+            assert (stats.completion_slot is not None) == finishes
+            assert len(calls) == stats.slots > 0
 
 
 def test_benchmark_slot_clock_hooks(monkeypatch):
