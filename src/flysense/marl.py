@@ -154,6 +154,19 @@ class Batch:
     rews: np.ndarray   # (B, N)
     obs2: np.ndarray
     done: np.ndarray   # (B,)
+    # Built once, read-only, for every agent updated on the batch: the
+    # critic input of the stored joint actions (all observations, then
+    # all raw actions) and the (B, 1) gradient of -mean(q) in its values.
+    critic_input: np.ndarray = field(init=False, repr=False)
+    neg_mean_grad: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        b = len(self.obs)
+        self.critic_input = np.concatenate(
+            [self.obs.reshape(b, -1), self.acts.reshape(b, -1)], axis=1)
+        self.neg_mean_grad = np.full((b, 1), -1.0 / b)
+        self.critic_input.flags.writeable = False
+        self.neg_mean_grad.flags.writeable = False
 
 
 class ReplayBuffer:
@@ -186,7 +199,7 @@ class ReplayBuffer:
         if batch_size > self._size:
             raise ValueError("not enough transitions buffered")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        return Batch(*(a[idx] for a in self._arrays))
+        return Batch(*(a.take(idx, axis=0) for a in self._arrays))
 
     def __len__(self) -> int:
         return self._size
@@ -245,23 +258,23 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
     (critic_loss, mean_q) for logging."""
     agent = agents[i]
     b, n, obs_dim = batch.obs.shape
-    x = np.concatenate([batch.obs.reshape(b, -1), batch.acts.reshape(b, -1)], axis=1)
+    x = batch.critic_input
     q, cache = agent.critic.forward(x)
     y = td_targets(agents, i, batch, discount, next_acts)
     diff = q[:, 0] - y
-    critic_loss = float(np.mean(diff ** 2))
+    # np.add.reduce(...) / b: np.mean's sum and division, without its wrapper
+    critic_loss = float(np.add.reduce(diff ** 2) / b)
     grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None], inputs=False)
     agent.critic_opt.step(agent.critic, grad)
 
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
-    acts = batch.acts.copy()
-    acts[:, i, :] = a_i
-    x_pi = np.concatenate([batch.obs.reshape(b, -1), acts.reshape(b, -1)], axis=1)
+    cols = slice(n * obs_dim + i * ACT_DIM, n * obs_dim + (i + 1) * ACT_DIM)  # agent i's action
+    x_pi = x.copy()
+    x_pi[:, cols] = a_i
     q_pi, critic_cache = agent.critic.forward(x_pi)
-    mean_q = float(np.mean(q_pi))
-    _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b), params=False)
-    da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
-    actor_grad, _ = agent.actor.backward(actor_cache, da, inputs=False)
+    mean_q = float(np.add.reduce(q_pi, axis=None) / b)
+    _, dx = agent.critic.backward(critic_cache, batch.neg_mean_grad, params=False)
+    actor_grad, _ = agent.actor.backward(actor_cache, dx[:, cols], inputs=False)
     agent.actor_opt.step(agent.actor, actor_grad)
 
     nn.soft_update(agent.target_critic, agent.critic, tau)

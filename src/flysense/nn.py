@@ -21,6 +21,12 @@ parameters, and a whole-net update (Adam, Polyak) is one vector
 operation.  ``backward`` returns the parameter gradient as one flat
 vector in the same layout.  The nets of an ``MlpStack`` are rows of one
 (N, P) matrix.
+
+Gradient ownership: each net owns one flat gradient buffer, made at its
+first parameter backward (a copy, a net loaded by ``from_dict`` and a
+net rebound into an ``MlpStack`` each make their own).  ``backward``
+fills and returns that buffer, so the returned gradient is overwritten
+by the same net's next parameter backward; copy it to keep it.
 """
 
 from __future__ import annotations
@@ -89,6 +95,7 @@ class Mlp:
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
         self.ws, self.bs = _layer_views(params, self.dims)
+        self._grad = None  # (flat, weight views, bias views), made by backward
 
     def forward(self, x):
         """Returns (y, acts) of a batch x; feed acts to backward unchanged."""
@@ -99,20 +106,24 @@ class Mlp:
         """Gradients of sum(y * dy) w.r.t. the parameters and the input of
         a 2-D batch.
 
-        Returns (grad, dx): grad is one flat vector laid out like params,
-        None unless params is true; dx is None unless inputs is true.
-        Only the requested gradients are computed.
+        Returns (grad, dx): grad is the net's own flat gradient buffer,
+        laid out like params and overwritten by its next parameter
+        backward, None unless params is true; dx is None unless inputs is
+        true.  Only the requested gradients are computed.
         """
         g = np.asarray(dy, dtype=float)
         if self.out_act == "tanh":
             g = g * _tanh_slope(acts[-1])
-        grad = np.empty(self.params.size) if params else None
+        grad = None
         if params:
-            dws, dbs = _layer_views(grad, self.dims)
+            if self._grad is None:
+                flat = np.empty(self.params.size)
+                self._grad = (flat, *_layer_views(flat, self.dims))
+            grad, dws, dbs = self._grad
         for l in range(len(self.ws) - 1, -1, -1):
             if params:
                 np.matmul(acts[l].T, g, out=dws[l])
-                g.sum(axis=0, out=dbs[l])
+                np.add.reduce(g, axis=0, out=dbs[l])  # g.sum without its wrapper
             if l > 0:
                 g = g @ self.ws[l].T
                 g *= _tanh_slope(acts[l])
@@ -195,22 +206,38 @@ class Adam:
         self.t = 0
         self._m = None
         self._v = None
+        self._scratch = None
 
     def step(self, net: Mlp, grad: np.ndarray) -> None:
         """One update of net.params from a flat gradient laid out like it
-        (the grad of Mlp.backward)."""
+        (the grad of Mlp.backward).  The textbook expression
+        params -= lr * (m / c1) / (sqrt(v / c2) + eps), with the moments
+        m += (1 - beta1) * grad and v += (1 - beta2) * grad**2, evaluated
+        in the same order, each ufunc writing into one of two scratch
+        vectors."""
         if self._m is None:
             self._m = np.zeros_like(net.params)
             self._v = np.zeros_like(net.params)
+            self._scratch = (np.empty_like(net.params), np.empty_like(net.params))
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         m, v = self._m, self._v
+        s, r = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(1.0 - self.beta1, grad, out=s)
+        m += s
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad ** 2
-        net.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        np.square(grad, out=s)
+        np.multiply(1.0 - self.beta2, s, out=s)
+        v += s
+        np.divide(m, c1, out=s)
+        np.multiply(self.lr, s, out=s)
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        net.params -= s
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

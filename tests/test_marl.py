@@ -455,6 +455,22 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(4)
 
+    def test_sample_after_wrap_equals_fancy_index_gather_bitwise(self):
+        buf = self.make(capacity=6, n=3, obs_dim=5, seed=7)
+        rng = np.random.default_rng(8)
+        for t in range(11):  # wraps: rows 0..4 hold transitions 6..10
+            buf.add(rng.standard_normal((3, 5)), rng.uniform(-1, 1, (3, ACT_DIM)),
+                    rng.standard_normal(3), rng.standard_normal((3, 5)), t % 3 == 0)
+        twin = np.random.default_rng(7)  # replays the rows sample draws
+        for _ in range(3):
+            batch = buf.sample(4)
+            idx = twin.choice(len(buf), size=4, replace=False)
+            got = (batch.obs, batch.acts, batch.rews, batch.obs2, batch.done)
+            for g, stored in zip(got, buf._arrays, strict=True):
+                want = stored[idx]
+                assert (g.dtype, g.shape) == (want.dtype, want.shape)
+                assert g.tobytes() == want.tobytes()
+
     def test_stored_fields_align(self):
         buf = self.make(capacity=4)
         obs = np.arange(8).reshape(2, 4).astype(float)
@@ -587,32 +603,39 @@ def _reference_update(i, agents, batch, discount, tau):
     q2, _ = agent.target_critic.forward(x2)
     y = batch.rews[:, i] + discount * (1.0 - batch.done) * q2[:, 0]
     diff = q[:, 0] - y
+    critic_loss = float(np.mean(diff ** 2))
     grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
     agent.critic_opt.step(agent.critic, grad)
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     acts = batch.acts.copy()
     acts[:, i, :] = a_i
     x_pi = np.concatenate([batch.obs.reshape(b, -1), acts.reshape(b, -1)], axis=1)
-    _, critic_cache = agent.critic.forward(x_pi)
+    q_pi, critic_cache = agent.critic.forward(x_pi)
+    mean_q = float(np.mean(q_pi))
     _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
     da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
     actor_grad, _ = agent.actor.backward(actor_cache, da)
     agent.actor_opt.step(agent.actor, actor_grad)
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)
+    return critic_loss, mean_q
 
 
-def test_shared_target_actions_match_n_squared_updates_bitwise():
-    n, obs_dim, b = 3, observation_dim(3), 256
+# The learner shapes of configs/desk.json and configs/single_agent.json:
+# agents, hidden widths, batch size.
+@pytest.mark.parametrize("n,hidden,b", [(3, (64, 64), 256), (1, (32, 32), 128)],
+                         ids=["desk", "solo"])
+def test_shared_target_actions_match_n_squared_updates_bitwise(n, hidden, b):
+    obs_dim = observation_dim(n)
     rng = np.random.default_rng(41)
-    agents = build_agents(n, obs_dim, (64, 64), 1e-3, 1e-4, np.random.default_rng(42))
-    ref = build_agents(n, obs_dim, (64, 64), 1e-3, 1e-4, np.random.default_rng(42))
+    agents = build_agents(n, obs_dim, hidden, 1e-3, 1e-4, np.random.default_rng(42))
+    ref = build_agents(n, obs_dim, hidden, 1e-3, 1e-4, np.random.default_rng(42))
     for _ in range(4):
         batch = random_batch(rng, b, n, obs_dim)
         next_acts = [None] * n
         for i in range(n):
-            update_agent(i, agents, batch, 0.95, 0.01, next_acts)
-            _reference_update(i, ref, batch, 0.95, 0.01)
+            got = update_agent(i, agents, batch, 0.95, 0.01, next_acts)
+            assert got == _reference_update(i, ref, batch, 0.95, 0.01)
     for mine, theirs in zip(agents, ref):
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert np.array_equal(getattr(mine, name).params, getattr(theirs, name).params)
@@ -676,8 +699,9 @@ def _neg_mean_q_gradient(i, agents, batch, h=1e-6):
 
 def test_second_agents_actor_step_follows_its_own_action_gradient(monkeypatch):
     """With the critic frozen (lr 0), agent 1's actor step is the gradient
-    of -mean Q_1 in actor 1's parameters, and an update that reads the
-    critic's input gradient at the next agent's action slot is not."""
+    of -mean Q_1 in actor 1's parameters, and an update whose named action
+    columns are the next agent's (its action written into that slot and
+    the critic's input gradient read there) is not."""
     n, obs_dim = 2, 3
     agents = build_agents(n, obs_dim, (4,), 1e-2, 0.0, np.random.default_rng(45))
     batch = random_batch(np.random.default_rng(46), 6, n, obs_dim)
@@ -686,11 +710,13 @@ def test_second_agents_actor_step_follows_its_own_action_gradient(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
     src = inspect.getsource(marl.update_agent)
-    right = "n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM"
+    right = "cols = slice(n * obs_dim + i * ACT_DIM, n * obs_dim + (i + 1) * ACT_DIM)"
     assert src.count(right) == 1
+    # one name for the x_pi write and the da read
+    assert src.count("[:, cols]") == 2
     namespace = dict(vars(marl))
-    exec(src.replace(right, "n * obs_dim + (i + 1) % n * ACT_DIM:"
-                            " n * obs_dim + ((i + 1) % n + 1) * ACT_DIM"), namespace)
+    exec(src.replace(right, "cols = slice(n * obs_dim + (i + 1) % n * ACT_DIM,"
+                            " n * obs_dim + ((i + 1) % n + 1) * ACT_DIM)"), namespace)
     off_by_one = _actor_step_gradient(namespace["update_agent"], 1, agents, batch, monkeypatch)
     assert not np.allclose(off_by_one, want, rtol=1e-6, atol=1e-9)
 

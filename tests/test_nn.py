@@ -212,12 +212,52 @@ class TestBackward:
             ref_grads, ref_dx = _reference_backward(net, cache, dy)
             ref_flat = np.concatenate([a.ravel() for pair in ref_grads for a in pair])
             grad, dx = net.backward(cache, dy)
+            grad = grad.copy()  # the next parameter backward overwrites it
             only_grad, none_dx = net.backward(cache, dy, inputs=False)
             none_grad, only_dx = net.backward(cache, dy, params=False)
             assert none_dx is None and none_grad is None
             for got in (grad, only_grad):
                 assert got.shape == net.params.shape and np.array_equal(got, ref_flat)
             assert np.array_equal(dx, ref_dx) and np.array_equal(only_dx, ref_dx)
+
+    def test_parameter_backward_fills_the_nets_own_buffer(self):
+        rng = np.random.default_rng(24)
+        for out_act in ("identity", "tanh"):
+            net = _net([6, 16, 16, 3], out_act=out_act, seed=2)
+            x = rng.uniform(-1, 1, (9, 6))
+            _, cache = net.forward(x)
+            own = None
+            for params, inputs in ((True, True), (True, False)):
+                dy = rng.uniform(-1, 1, (9, 3))
+                ref_grads, _ = _reference_backward(net, cache, dy)
+                ref_flat = np.concatenate([a.ravel() for pair in ref_grads for a in pair])
+                grad, _ = net.backward(cache, dy, params=params, inputs=inputs)
+                own = grad if own is None else own
+                assert grad is own and not np.shares_memory(grad, net.params)
+                assert grad.tobytes() == ref_flat.tobytes()
+            kept = own.copy()
+            net.backward(cache, rng.uniform(-1, 1, (9, 3)), params=False)
+            assert own.tobytes() == kept.tobytes()
+
+    def test_copied_loaded_and_stacked_nets_each_own_their_buffer(self):
+        net = _net([3, 4, 2], out_act="tanh", seed=15)
+        stacked = [_net([3, 4, 2], out_act="tanh", seed=k) for k in (16, 17)]
+        x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        for k, member in enumerate(stacked):  # buffers made before the rebind
+            member.backward(member.forward(x)[1], np.full((2, 2), k + 1.0))
+        MlpStack(stacked)
+        nets = [net, net.copy(), Mlp.from_dict(net.to_dict()), *stacked]
+        grads, refs = [], []
+        for k, member in enumerate(nets):
+            _, cache = member.forward(x)
+            dy = np.full((2, 2), 0.5 * (k + 1))
+            grads.append(member.backward(cache, dy, inputs=False)[0])
+            ref = _reference_backward(member, cache, dy)[0]
+            refs.append(np.concatenate([a.ravel() for pair in ref for a in pair]))
+        for k, grad in enumerate(grads):
+            assert grad.tobytes() == refs[k].tobytes()
+            others = grads[:k] + grads[k + 1:] + [m.params for m in nets]
+            assert not any(np.shares_memory(grad, o) for o in others)
 
     def test_oracle_check_passes(self):
         res = check_mlp_gradients(np.random.default_rng(0))
