@@ -348,11 +348,10 @@ def expected_transmitters(w: WorldState) -> list:
 
 
 def make_formation_fn(policy: FormationPolicy, lam: float):
-    """Returns fn(world, report=None) -> FormationMatrix implementing the
-    configured policy on the live state.  A cost report the caller
-    already built for this state may be passed in; otherwise eda_nf builds
-    one and dynamic_nf computes only the uav_costs it reads."""
-    def fn(w: WorldState, report: CostReport | None = None) -> channel.FormationMatrix:
+    """Returns fn(world) -> FormationMatrix implementing the configured
+    policy on the live state alone: eda_nf builds the cost report and
+    dynamic_nf computes only the uav_costs it reads."""
+    def fn(w: WorldState) -> channel.FormationMatrix:
         k = w.chan.n_channels
         if policy.kind == "non_cooperative":
             return formation.baseline_noncoop(w.n_uavs, k)
@@ -362,11 +361,8 @@ def make_formation_fn(policy: FormationPolicy, lam: float):
             buffers = [u.buffer for u in w.uavs]
             return formation.baseline_buffer(buffers, *tables, policy, k, active)
         if policy.kind == "dynamic_nf":
-            costs = uav_costs(w, lam) if report is None else report.cost
-            return formation.baseline_dynamic_nf(costs, *tables, policy, k, active)
-        if report is None:
-            report = build_cost_report(w, lam)
-        return formation.eda_nf(report, *tables, policy, k, w.chan, active)
+            return formation.baseline_dynamic_nf(uav_costs(w, lam), *tables, policy, k, active)
+        return formation.eda_nf(build_cost_report(w, lam), *tables, policy, k, w.chan, active)
     return fn
 
 
@@ -483,9 +479,8 @@ class Trainer:
         bo_hits = 0
         log_slots = (sink is not None and tc.metrics_episode_stride > 0
                      and ep % tc.metrics_episode_stride == 0)
-        cost_rep = None
         for slot in range(tc.horizon):
-            w.formation = self.formation_fn(w, cost_rep)
+            w.formation = self.formation_fn(w)
             obs = observe(w)
             a_actor = act(self.actors, obs, tc.noise_scale, self.noise_rng)
             a_exec = a_actor.copy()
@@ -503,7 +498,7 @@ class Trainer:
             obs2 = observe(w)
             self.replay.add(obs, a_exec, rews, obs2, done)
             if tc.bo_enabled:  # only the GP proposer reads the window
-                mbit = np.array(report.sensed) / DATA_UNIT
+                mbit = np.array(parts.sense)
                 keep = self.cfg.gp.window
                 self.gp_x = np.concatenate([self.gp_x, obs2[:, None, :2]], axis=1)[:, -keep:]
                 self.gp_y = np.concatenate([self.gp_y, mbit[:, None]], axis=1)[:, -keep:]
@@ -512,8 +507,8 @@ class Trainer:
                 next_acts = [None] * n
                 for i in range(n):
                     update_agent(i, self.agents, batch, tc.discount, tc.tau, next_acts)
-            cost_rep = build_cost_report(w, tc.lam) if log_slots else None
             if log_slots:
+                cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)
                 for i, u in enumerate(w.uavs):
                     links = ";".join(f"{rx}:{ch}" for rx, ch in w.formation.out_links(i + 1))

@@ -54,8 +54,8 @@ def test_train_then_eval(tmp_path, capsys):
 def test_seed_and_episode_overrides(tmp_path):
     cfg = write_tiny_config(tmp_path, seed=11)
     out = str(tmp_path / "run")
-    cli.main(["train", "--config", cfg, "--seed", "13", "--episodes", "1",
-              "--out", out])
+    assert cli.main(["train", "--config", cfg, "--seed", "13", "--episodes", "1",
+                     "--out", out]) == 0
     saved = json.loads((tmp_path / "run" / "config.json").read_text())
     assert saved["seed"] == 13
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())

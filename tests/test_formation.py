@@ -4,7 +4,7 @@ and the exhaustive offload check."""
 import numpy as np
 import pytest
 
-from flysense import channel
+from flysense import channel, formation
 from flysense.channel import BS, ChannelParams, point_rate, validate_alloc
 from flysense.formation import (
     RATIO_CAP,
@@ -254,6 +254,51 @@ class TestBaselines:
                 if rx != BS:
                     assert buffers[tx - 1] > 1e6 >= buffers[rx - 1]
                     assert np.linalg.norm(pos[tx][:2] - pos[rx][:2]) < pol.pair_range_m
+
+    def _record_pairs(self, monkeypatch):
+        """Every _relay_pair call of the planners as (tx, rx, returned,
+        matrix bytes before, matrix bytes after)."""
+        calls = []
+        real = formation._relay_pair
+
+        def recorded(fm, tx, rx, power, active):
+            before = fm.key()
+            ok = real(fm, tx, rx, power, active)
+            calls.append((tx, rx, ok, before, fm.key()))
+            return ok
+        monkeypatch.setattr(formation, "_relay_pair", recorded)
+        return calls
+
+    def test_buffer_threshold_skips_relay_with_no_free_subchannel(self, monkeypatch):
+        """4 UAVs on 2 sub-channels: 3 and 4 are full and unlinked, UAV 1 is
+        the nearest relay of both.  UAV 3's hop takes UAV 1's only free
+        sub-channel, so no sub-channel fits 4 -> 1: the pairing is refused
+        with the matrix unchanged, and UAV 4 goes to UAV 2 instead."""
+        calls = self._record_pairs(monkeypatch)
+        pol = FormationPolicy(buffer_threshold_bits=1e6)
+        buffers = [1e5, 1e5, 5e6, 5e6]
+        pos = _positions((0, 0), (0, 300), (100, 0), (-100, 0))
+        fm = baseline_buffer(buffers, *_tables(pos), pol, 2, _everyone(4))
+        assert [c[:3] for c in calls] == [(3, 1, True), (4, 1, False), (4, 2, True)]
+        assert calls[1][3] == calls[1][4]
+        assert sorted(fm.links()) == [(1, BS, 0), (2, BS, 1), (3, 1, 1), (4, 2, 0)]
+        assert validate_alloc(fm) == []
+
+    def test_refused_pairing_restores_the_direct_link(self, monkeypatch):
+        """3 UAVs on 3 sub-channels, 1 and 2 full, 3 the relay.  UAV 2's
+        power at UAV 3 is 0.0 (what a very large alpha_u underflows to), so
+        UAV 1's hop ties on interference and takes UAV 2's BS sub-channel 1,
+        and UAV 3 widens its backhaul onto the freed sub-channel 0.  Nothing
+        then fits 2 -> 3: UAV 2 gets its direct link on sub-channel 1 back."""
+        calls = self._record_pairs(monkeypatch)
+        pol = FormationPolicy(buffer_threshold_bits=1e6)
+        node_range, power = _tables(_positions((0, 0), (200, 0), (100, 0)))
+        power[2][3] = 0.0
+        fm = baseline_buffer([5e6, 5e6, 1e5], node_range, power, pol, 3, _everyone(3))
+        assert [c[:3] for c in calls] == [(1, 3, True), (2, 3, False)]
+        assert calls[1][3] == calls[1][4]
+        assert sorted(fm.links()) == [(1, 3, 1), (2, BS, 1), (3, BS, 0), (3, BS, 2)]
+        assert validate_alloc(fm) == []
 
     def test_dynamic_nf_requires_margin_and_exclusivity(self):
         pol = FormationPolicy(cost_margin=1.0)

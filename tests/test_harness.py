@@ -3,16 +3,20 @@ comparison payloads, and the self-check printer."""
 
 import builtins
 import csv
+import dataclasses
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from flysense import harness, marl, oracles
-from flysense.config import ConfigError, RunConfig, parse_config
+from flysense import harness, marl, oracles, world
+from flysense.config import ConfigError, RunConfig, load_config, parse_config
 from flysense.harness import CsvSink, format_cell, load_agents_into, save_agents
 from flysense.marl import Trainer, build_agents
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_cfg(seed=11, **training):
@@ -163,6 +167,48 @@ class TestRunTrain:
         for col in ("episode", "slot", "uav_id", "x", "y", "buffer_bits",
                     "reward_total", "b_i", "c_i", "formation_links"):
             assert col in header
+
+    def test_metrics_log_never_feeds_back_into_training(self, tmp_path, monkeypatch):
+        """Logging every episode's slots, none, or every second episode's
+        leaves training alone: the same seed plans the same formations,
+        replays the same transitions and saves the same networks.  The
+        6 x 12 slots of configs/tiny.json gather 32 transitions, just its
+        warm-up; a warm-up of one batch lets the learner update in the
+        last 17 slots, so later plans and rows follow the updated actors."""
+        base = load_config(os.path.join(ROOT, "configs", "tiny.json"))
+        base = dataclasses.replace(base, training=dataclasses.replace(
+            base.training, warmup=base.training.batch_size))
+        real_step, real_add, real_update = world.step, marl.ReplayBuffer.add, marl.update_agent
+
+        def step(w, actions, fm):
+            plans.append(fm.key())
+            return real_step(w, actions, fm)
+
+        def add(self, *row):
+            replayed.append(b"".join(np.asarray(v, dtype=float).tobytes() for v in row))
+            return real_add(self, *row)
+
+        def update(*args):
+            updates.append(1)
+            return real_update(*args)
+
+        monkeypatch.setattr(world, "step", step)
+        monkeypatch.setattr(marl.ReplayBuffer, "add", add)
+        monkeypatch.setattr(marl, "update_agent", update)
+        runs, logged = [], []
+        for stride in (1, 0, 2):
+            plans, replayed, updates = [], [], []
+            cfg = dataclasses.replace(base, training=dataclasses.replace(
+                base.training, metrics_episode_stride=stride))
+            out = tmp_path / str(stride)
+            harness.run_train(cfg, str(out))
+            runs.append((plans, replayed, len(updates), (out / "checkpoint.json").read_bytes()))
+            metrics = out / "metrics.csv"
+            rows = csv.DictReader(metrics.read_text().splitlines()) if metrics.exists() else []
+            logged.append(sorted({int(row["episode"]) for row in rows}))
+        assert logged == [[0, 1, 2, 3, 4, 5], [], [0, 2, 4]]
+        assert len(runs[0][1]) == 32 and runs[0][2] == 2 * 17
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestAtomicArtifacts:
