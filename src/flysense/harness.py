@@ -196,6 +196,10 @@ def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict
     """Full training run: metrics/episodes CSVs, network checkpoint, one
     replayable trajectory, and summary.json.  Returns the summary."""
     require_count("episodes", episodes, 1)
+    tc, budget = cfg.training, cfg.training.episodes if episodes is None else episodes
+    if budget * tc.horizon < tc.warmup_size:  # no update could run
+        raise ConfigError(f"training.warmup: {tc.warmup_size} is more than {budget} episodes"
+                          f" x training.horizon {tc.horizon} slots can gather")
     trainer, trained = _train(cfg, out_dir, episodes)
     eval_stats = write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
     summary = {**trained, "eval": _eval_block(eval_stats)}

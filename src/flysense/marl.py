@@ -149,19 +149,23 @@ def arbitrate(a_actor, propose, epsilon: float = 0.0,
 
 @dataclass
 class Batch:
+    """Sampled joint transitions and what the agents updated on them in
+    turn share: the read-only critic input of the stored joint actions
+    (all observations, then all raw actions) and (B, 1) gradient of
+    -mean(q) in its values, and next_acts, td_targets' target actions."""
+
     obs: np.ndarray    # (B, N, obs_dim)
     acts: np.ndarray   # (B, N, 2)
     rews: np.ndarray   # (B, N)
     obs2: np.ndarray
     done: np.ndarray   # (B,)
-    # Built once, read-only, for every agent updated on the batch: the
-    # critic input of the stored joint actions (all observations, then
-    # all raw actions) and the (B, 1) gradient of -mean(q) in its values.
     critic_input: np.ndarray = field(init=False, repr=False)
     neg_mean_grad: np.ndarray = field(init=False, repr=False)
+    next_acts: list = field(init=False, repr=False)  # None until td_targets fills it
 
     def __post_init__(self):
-        b = len(self.obs)
+        b, n = self.obs.shape[:2]
+        self.next_acts = [None] * n
         self.critic_input = np.concatenate(
             [self.obs.reshape(b, -1), self.acts.reshape(b, -1)], axis=1)
         self.neg_mean_grad = np.full((b, 1), -1.0 / b)
@@ -227,45 +231,41 @@ def build_agents(n_agents: int, obs_dim: int, hidden, actor_lr: float,
             critic=critic,
             target_actor=actor.copy(),
             target_critic=critic.copy(),
-            actor_opt=nn.Adam(actor_lr),
-            critic_opt=nn.Adam(critic_lr),
+            actor_opt=nn.Adam(actor, actor_lr),
+            critic_opt=nn.Adam(critic, critic_lr),
         ))
     return agents
 
 
-def td_targets(agents: list, i: int, batch: Batch, discount: float,
-               next_acts: list) -> np.ndarray:
+def td_targets(agents: list, i: int, batch: Batch, discount: float) -> np.ndarray:
     """One-step bootstrapped targets from the target networks; terminal
-    transitions use the bare reward.
-
-    next_acts holds each target actor's action on batch.obs2 across the
-    updates of one batch: None entries are computed here and stored, and
-    update_agent clears an agent's entry once its target actor moves."""
+    transitions use the bare reward.  The target actions come from
+    batch.next_acts: None entries are computed here and stored there."""
     b, n, obs_dim = batch.obs2.shape
     for j in range(n):
-        if next_acts[j] is None:
-            next_acts[j] = agents[j].target_actor.forward(batch.obs2[:, j])[0]
-    x2 = np.concatenate([batch.obs2.reshape(b, -1), *next_acts], axis=1)
+        if batch.next_acts[j] is None:
+            batch.next_acts[j] = agents[j].target_actor.forward(batch.obs2[:, j])[0]
+    x2 = np.concatenate([batch.obs2.reshape(b, -1), *batch.next_acts], axis=1)
     q2, _ = agents[i].target_critic.forward(x2)
     return batch.rews[:, i] + discount * (1.0 - batch.done) * q2[:, 0]
 
 
-def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float,
-                 next_acts: list):
+def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float):
     """One critic step on the squared TD error, one actor step up the
-    critic's value, then Polyak updates of both targets.  Agents updated
-    in turn on one batch share next_acts (see td_targets).  Returns
+    critic's value, then Polyak updates of both targets, after which
+    agent i's entry of batch.next_acts is cleared.  Agents updated in
+    turn on one batch share its other entries (see td_targets).  Returns
     (critic_loss, mean_q) for logging."""
     agent = agents[i]
     b, n, obs_dim = batch.obs.shape
     x = batch.critic_input
     q, cache = agent.critic.forward(x)
-    y = td_targets(agents, i, batch, discount, next_acts)
+    y = td_targets(agents, i, batch, discount)
     diff = q[:, 0] - y
     # np.add.reduce(...) / b: np.mean's sum and division, without its wrapper
     critic_loss = float(np.add.reduce(diff ** 2) / b)
     grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None], inputs=False)
-    agent.critic_opt.step(agent.critic, grad)
+    agent.critic_opt.step(grad)
 
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     cols = slice(n * obs_dim + i * ACT_DIM, n * obs_dim + (i + 1) * ACT_DIM)  # agent i's action
@@ -275,11 +275,11 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
     mean_q = float(np.add.reduce(q_pi, axis=None) / b)
     _, dx = agent.critic.backward(critic_cache, batch.neg_mean_grad, params=False)
     actor_grad, _ = agent.actor.backward(actor_cache, dx[:, cols], inputs=False)
-    agent.actor_opt.step(agent.actor, actor_grad)
+    agent.actor_opt.step(actor_grad)
 
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)
-    next_acts[i] = None
+    batch.next_acts[i] = None
     return critic_loss, mean_q
 
 
@@ -504,9 +504,8 @@ class Trainer:
                 self.gp_y = np.concatenate([self.gp_y, mbit[:, None]], axis=1)[:, -keep:]
             if len(self.replay) >= tc.warmup_size:
                 batch = self.replay.sample(tc.batch_size)
-                next_acts = [None] * n
                 for i in range(n):
-                    update_agent(i, self.agents, batch, tc.discount, tc.tau, next_acts)
+                    update_agent(i, self.agents, batch, tc.discount, tc.tau)
             if log_slots:
                 cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)

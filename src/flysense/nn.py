@@ -195,30 +195,34 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam bound to one network's flat parameter vector."""
+    """Standard Adam bound to one network, which step(grad) updates.  It
+    keeps the net, not its params, so a net rebound into an MlpStack after
+    the optimiser was made moves its row.  Moments come at the first step."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, net: Mlp, lr: float):
+        self.net = net
         self.lr = lr
         self.t = 0
         self._m = None
         self._v = None
         self._scratch = None
 
-    def step(self, net: Mlp, grad: np.ndarray) -> None:
-        """One update of net.params from a flat gradient laid out like it
-        (the grad of Mlp.backward).  The textbook expression
+    def step(self, grad: np.ndarray) -> None:
+        """One update of the net's params from a flat gradient laid out
+        like them (the grad of Mlp.backward).  The textbook expression
         params -= lr * (m / c1) / (sqrt(v / c2) + eps), with the moments
         m += (1 - beta1) * grad and v += (1 - beta2) * grad**2, evaluated
         in the same order, each ufunc writing into one of two scratch
         vectors."""
+        params = self.net.params
         if self._m is None:
-            self._m = np.zeros_like(net.params)
-            self._v = np.zeros_like(net.params)
-            self._scratch = (np.empty_like(net.params), np.empty_like(net.params))
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+            self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
@@ -237,7 +241,7 @@ class Adam:
         np.sqrt(r, out=r)
         r += self.eps
         s /= r
-        net.params -= s
+        params -= s
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

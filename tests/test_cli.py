@@ -27,7 +27,7 @@ def write_tiny_config(tmp_path, seed=11):
     cfg = {
         "seed": seed,
         "scenario": {"n_uavs": 2, "n_gus": 3, "demand_bits": 2e6},
-        "training": {"episodes": 2, "horizon": 6, "batch_size": 8,
+        "training": {"episodes": 3, "horizon": 6, "batch_size": 8,
                      "warmup": 16, "hidden": [8, 8], "eval_episodes": 1,
                      "early_stop_enabled": False, "completion_cap": 15},
     }
@@ -40,7 +40,7 @@ def test_train_then_eval(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out = str(tmp_path / "run")
     assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-    assert "trained 2 episodes" in capsys.readouterr().out
+    assert "trained 3 episodes" in capsys.readouterr().out
     assert (tmp_path / "run" / "checkpoint.json").exists()
 
     out2 = str(tmp_path / "eval")
@@ -54,12 +54,12 @@ def test_train_then_eval(tmp_path, capsys):
 def test_seed_and_episode_overrides(tmp_path):
     cfg = write_tiny_config(tmp_path, seed=11)
     out = str(tmp_path / "run")
-    assert cli.main(["train", "--config", cfg, "--seed", "13", "--episodes", "1",
+    assert cli.main(["train", "--config", cfg, "--seed", "13", "--episodes", "4",
                      "--out", out]) == 0
     saved = json.loads((tmp_path / "run" / "config.json").read_text())
     assert saved["seed"] == 13
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["episodes_run"] == 1
+    assert summary["episodes_run"] == 4
 
 
 def test_compare_prints_rows(tmp_path, capsys):
@@ -106,6 +106,8 @@ def test_bad_config_exit_1(tmp_path, capsys):
     ({"early_stop_rel_tol": -0.5}, "training.early_stop_rel_tol: must not be negative"),
     ({"critic_lr": 1e300}, "training.critic_lr: must be at most 1.0"),  # trained to NaN
     ({"actor_lr": 1.5}, "training.actor_lr: must be at most 1.0"),
+    # 3 episodes x 6 slots gather 18 transitions at most: no update could run
+    ({"warmup": 100, "replay_capacity": 1000}, "training.warmup: 100 is more than 3 episodes"),
 ])
 def test_learner_config_that_cannot_run_or_learn_exit_1(tmp_path, capsys, override, path):
     cfg_path = write_tiny_config(tmp_path)
@@ -459,7 +461,7 @@ def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
         cfg_path = tmp_path / f"case{case}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{case}"
-        code = cli.main(["train", "--config", str(cfg_path), "--episodes", "1",
+        code = cli.main(["train", "--config", str(cfg_path), "--episodes", "3",
                          "--out", str(out)])
         codes[code] += 1
         if code not in (0, 1) or (code == 1 and out.exists()):

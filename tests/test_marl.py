@@ -496,6 +496,20 @@ def random_batch(rng, b, n, obs_dim):
     )
 
 
+def _hand_td_targets(agents, i, batch, discount):
+    """Agent i's TD target of each transition, one row at a time, from
+    the target nets as they are now."""
+    n = batch.obs2.shape[1]
+    out = []
+    for k in range(len(batch.obs2)):
+        next_acts = [agents[j].target_actor.forward(batch.obs2[k, j][None])[0]
+                     for j in range(n)]
+        x2 = np.concatenate([batch.obs2[k].ravel()[None], *next_acts], axis=1)
+        q2 = agents[i].target_critic.forward(x2)[0][0, 0]
+        out.append(batch.rews[k, i] + discount * (1.0 - batch.done[k]) * q2)
+    return out
+
+
 class TestAgentUpdates:
     def test_build_agents_shapes(self):
         agents = build_agents(3, 12, (16, 8), 1e-3, 1e-4,
@@ -516,21 +530,28 @@ class TestAgentUpdates:
         n, obs_dim, b = 2, 5, 7
         agents = build_agents(n, obs_dim, (8,), 1e-3, 1e-3, rng)
         batch = random_batch(rng, b, n, obs_dim)
-        got = td_targets(agents, 0, batch, 0.9, [None] * n)
-        for k in range(b):
-            next_acts = [agents[j].target_actor.forward(batch.obs2[k, j][None])[0]
-                         for j in range(n)]
-            x2 = np.concatenate([batch.obs2[k].ravel()[None], *next_acts], axis=1)
-            q2 = agents[0].target_critic.forward(x2)[0][0, 0]
-            want = batch.rews[k, 0] + 0.9 * (1.0 - batch.done[k]) * q2
-            assert got[k] == pytest.approx(want)
+        got = td_targets(agents, 0, batch, 0.9)
+        assert list(got) == pytest.approx(_hand_td_targets(agents, 0, batch, 0.9))
+
+    def test_td_targets_of_a_new_batch_read_the_moved_target_actors(self):
+        """A round on one batch leaves target actions of that batch in its
+        cache; a second batch of the same shape starts with its own."""
+        rng = np.random.default_rng(6)
+        n, obs_dim, b = 3, 5, 7
+        agents = build_agents(n, obs_dim, (8,), 1e-2, 1e-2, rng)
+        first = random_batch(rng, b, n, obs_dim)
+        for i in range(n):
+            update_agent(i, agents, first, 0.9, 0.5)
+        second = random_batch(rng, b, n, obs_dim)
+        got = td_targets(agents, 0, second, 0.9)
+        assert list(got) == pytest.approx(_hand_td_targets(agents, 0, second, 0.9))
 
     def test_terminal_targets_drop_bootstrap(self):
         rng = np.random.default_rng(2)
         agents = build_agents(1, 4, (8,), 1e-3, 1e-3, rng)
         batch = random_batch(rng, 4, 1, 4)
         batch.done[:] = 1.0
-        got = td_targets(agents, 0, batch, 0.99, [None])
+        got = td_targets(agents, 0, batch, 0.99)
         np.testing.assert_allclose(got, batch.rews[:, 0])
 
     def test_critic_loss_decreases(self):
@@ -538,7 +559,7 @@ class TestAgentUpdates:
         n, obs_dim = 2, 5
         agents = build_agents(n, obs_dim, (16,), 1e-3, 1e-2, rng)
         batch = random_batch(rng, 32, n, obs_dim)
-        losses = [update_agent(0, agents, batch, 0.9, 0.0, [None] * n)[0]
+        losses = [update_agent(0, agents, batch, 0.9, 0.0)[0]
                   for _ in range(60)]
         assert losses[-1] < losses[0]
 
@@ -547,7 +568,7 @@ class TestAgentUpdates:
         n, obs_dim = 2, 5
         agents = build_agents(n, obs_dim, (16,), 1e-2, 0.0, rng)
         batch = random_batch(rng, 32, n, obs_dim)
-        qs = [update_agent(0, agents, batch, 0.9, 0.0, [None] * n)[1]
+        qs = [update_agent(0, agents, batch, 0.9, 0.0)[1]
               for _ in range(40)]
         # frozen critic (lr 0): mean Q under the actor must rise
         assert qs[-1] > qs[0]
@@ -557,7 +578,7 @@ class TestAgentUpdates:
         agents = build_agents(1, 4, (8,), 1e-2, 1e-2, rng)
         before = agents[0].target_critic.ws[0].copy()
         batch = random_batch(rng, 8, 1, 4)
-        update_agent(0, agents, batch, 0.9, 0.5, [None])
+        update_agent(0, agents, batch, 0.9, 0.5)
         after = agents[0].target_critic.ws[0]
         expected = 0.5 * before + 0.5 * agents[0].critic.ws[0]
         np.testing.assert_allclose(after, expected)
@@ -605,7 +626,7 @@ def _reference_update(i, agents, batch, discount, tau):
     diff = q[:, 0] - y
     critic_loss = float(np.mean(diff ** 2))
     grad, _ = agent.critic.backward(cache, (2.0 * diff / b)[:, None])
-    agent.critic_opt.step(agent.critic, grad)
+    agent.critic_opt.step(grad)
     a_i, actor_cache = agent.actor.forward(batch.obs[:, i])
     acts = batch.acts.copy()
     acts[:, i, :] = a_i
@@ -615,7 +636,7 @@ def _reference_update(i, agents, batch, discount, tau):
     _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
     da = dx[:, n * obs_dim + i * ACT_DIM: n * obs_dim + (i + 1) * ACT_DIM]
     actor_grad, _ = agent.actor.backward(actor_cache, da)
-    agent.actor_opt.step(agent.actor, actor_grad)
+    agent.actor_opt.step(actor_grad)
     nn.soft_update(agent.target_critic, agent.critic, tau)
     nn.soft_update(agent.target_actor, agent.actor, tau)
     return critic_loss, mean_q
@@ -632,9 +653,8 @@ def test_shared_target_actions_match_n_squared_updates_bitwise(n, hidden, b):
     ref = build_agents(n, obs_dim, hidden, 1e-3, 1e-4, np.random.default_rng(42))
     for _ in range(4):
         batch = random_batch(rng, b, n, obs_dim)
-        next_acts = [None] * n
         for i in range(n):
-            got = update_agent(i, agents, batch, 0.95, 0.01, next_acts)
+            got = update_agent(i, agents, batch, 0.95, 0.01)
             assert got == _reference_update(i, ref, batch, 0.95, 0.01)
     for mine, theirs in zip(agents, ref):
         for name in ("actor", "critic", "target_actor", "target_critic"):
@@ -655,9 +675,8 @@ def test_target_actor_forwards_per_batch(monkeypatch):
         forward = agent.target_actor.forward
         monkeypatch.setattr(agent.target_actor, "forward",
                             lambda x, j=j, f=forward: calls.append(j) or f(x))
-    next_acts = [None] * n
     for i in range(n):
-        update_agent(i, agents, batch, 0.9, 0.1, next_acts)
+        update_agent(i, agents, batch, 0.9, 0.1)
     # all three once, then each moved target actor once more: 2N - 1
     assert calls == [0, 1, 2, 0, 1]
 
@@ -666,8 +685,8 @@ def _actor_step_gradient(update, i, agents, batch, monkeypatch):
     """The flat gradient that update(i, ...) hands to agent i's actor Adam."""
     got = []
     monkeypatch.setattr(agents[i].actor_opt, "step",
-                        lambda net, grad: got.append(grad.copy()))
-    update(i, agents, batch, 0.9, 0.0, [None] * len(agents))
+                        lambda grad: got.append(grad.copy()))
+    update(i, agents, batch, 0.9, 0.0)
     return got[0]
 
 
@@ -965,7 +984,7 @@ from tracing import Tracer
 tracer = Tracer()
 tracer.install()
 cfg = config.load_config({config!r})
-harness.run_train(cfg, {out!r} + "/train", episodes=2)
+harness.run_train(cfg, {out!r} + "/train", episodes=3)
 harness.run_compare(cfg, {out!r} + "/compare", episodes=0, eval_episodes=1,
                     policies=FormationPolicy.KINDS, demand_scales=(1.0,))
 print(json.dumps(tracer.summary()))

@@ -159,11 +159,26 @@ class TestRowForwards:
         x = np.ones((2, 3))
         before = stack.forward(x)
         grad, _ = nets[0].backward(nets[0].forward(x[:1])[1], np.ones((1, 2)), inputs=False)
-        Adam(0.1).step(nets[0], grad)
+        Adam(nets[0], 0.1).step(grad)
         soft_update(nets[1], _net([3, 4, 2], out_act="tanh", seed=9), 0.5)
         after = stack.forward(x)
         assert not np.any(after == before)
         assert np.array_equal(after, [net.forward(row[None])[0][0] for net, row in zip(nets, x)])
+
+    def test_adam_made_before_the_stack_moves_its_row(self):
+        """Building a stack rebinds each net's params to a row; an Adam
+        made before that keeps the net, so its step moves the row."""
+        nets = [_net([3, 4, 2], out_act="tanh", seed=k) for k in range(2)]
+        opt = Adam(nets[0], 0.1)
+        stack = MlpStack(nets)
+        x = np.ones((2, 3))
+        before = stack.forward(x)
+        grad, _ = nets[0].backward(nets[0].forward(x[:1])[1], np.ones((1, 2)), inputs=False)
+        opt.step(grad)
+        after = stack.forward(x)
+        assert not np.any(after[0] == before[0])
+        assert np.array_equal(after[1], before[1])
+        assert np.array_equal(after[0], nets[0].forward(x[:1])[0][0])
 
     def test_stack_rejects_mixed_nets(self):
         with pytest.raises(ValueError):
@@ -301,13 +316,13 @@ class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):
         net = _net([2, 2], seed=5)
         w_before = net.ws[0].copy()
-        opt = Adam(lr=1e-3)
-        opt.step(net, np.ones_like(net.params))
+        opt = Adam(net, lr=1e-3)
+        opt.step(np.ones_like(net.params))
         np.testing.assert_allclose(net.ws[0], w_before - 1e-3, atol=1e-9)
 
     def test_fits_a_small_regression(self):
         net = _net([2, 8, 1], seed=6)
-        opt = Adam(lr=1e-2)
+        opt = Adam(net, lr=1e-2)
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, (16, 2))
         y = (x[:, :1] - 0.5 * x[:, 1:]) ** 2
@@ -317,7 +332,7 @@ class TestAdam:
             diff = pred - y
             losses.append(float((diff**2).mean()))
             grad, _ = net.backward(cache, 2.0 * diff / len(x))
-            opt.step(net, grad)
+            opt.step(grad)
         assert losses[-1] < 0.1 * losses[0]
 
 
@@ -326,14 +341,14 @@ def test_adam_and_polyak_match_per_layer_loops_bitwise():
     net = _net([5, 16, 16, 2], out_act="tanh", seed=12)
     target = net.copy()
     ref, ref_target = _LayerNet(net), _LayerNet(target)
-    opt, ref_opt = Adam(lr=1e-2), _ReferenceAdam(lr=1e-2)
+    opt, ref_opt = Adam(net, lr=1e-2), _ReferenceAdam(lr=1e-2)
     x = rng.uniform(-1, 1, (8, 5))
     for _ in range(5):
         _, cache = net.forward(x)
         grad, _ = net.backward(cache, rng.uniform(-1, 1, (8, 2)))
         layers = zip(*_layer_views(grad, net.dims))
         ref_opt.step(ref, [(dw.copy(), db.copy()) for dw, db in layers])
-        opt.step(net, grad)
+        opt.step(grad)
         ref_target.soft_update(ref, 0.05)
         soft_update(target, net, 0.05)
         for mine, theirs in ((net, ref), (target, ref_target)):
