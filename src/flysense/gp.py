@@ -42,13 +42,7 @@ class GpConfig:
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, cfg: GpConfig) -> np.ndarray:
     dx = a[:, None, 0] - b[None, :, 0]
     dy = a[:, None, 1] - b[None, :, 1]
-    k = dx * dx
-    k += dy * dy
-    k *= -0.5
-    k /= cfg.length_scale ** 2
-    np.exp(k, out=k)
-    k *= cfg.signal_var
-    return k
+    return cfg.signal_var * np.exp(-0.5 * (dx * dx + dy * dy) / cfg.length_scale ** 2)
 
 
 def _factor(x: np.ndarray, cfg: GpConfig) -> np.ndarray:

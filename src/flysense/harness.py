@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 from . import nn, oracles
 from .config import ConfigError, RunConfig, save_config
@@ -181,8 +182,13 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
 def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, dict]:
     """Save the config, train into metrics/episodes CSVs and save the
     trained agents, all under out_dir; returns the Trainer and what
-    Trainer.run returned.  The Trainer is built first, so a learner that
-    cannot be built leaves nothing on disk."""
+    Trainer.run returned.  A positive budget whose slots cannot fill the
+    warm-up, or a learner that cannot be built, leaves nothing on disk;
+    a budget of 0 episodes trains nothing on purpose."""
+    tc, budget = cfg.training, cfg.training.episodes if episodes is None else episodes
+    if 0 < budget and budget * tc.horizon < tc.warmup_size:  # no update could run
+        raise ConfigError(f"training.warmup: {tc.warmup_size} is more than {budget} episodes"
+                          f" x training.horizon {tc.horizon} slots can gather")
     trainer = Trainer(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.json"))
@@ -194,13 +200,14 @@ def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer,
 
 def run_train(cfg: RunConfig, out_dir: str, episodes: int | None = None) -> dict:
     """Full training run: metrics/episodes CSVs, network checkpoint, one
-    replayable trajectory, and summary.json.  Returns the summary."""
+    replayable trajectory, and summary.json.  Returns the summary.  A run
+    whose episodes ended before the replay reached the warm-up made no
+    learner update; one line on stderr says so."""
     require_count("episodes", episodes, 1)
-    tc, budget = cfg.training, cfg.training.episodes if episodes is None else episodes
-    if budget * tc.horizon < tc.warmup_size:  # no update could run
-        raise ConfigError(f"training.warmup: {tc.warmup_size} is more than {budget} episodes"
-                          f" x training.horizon {tc.horizon} slots can gather")
     trainer, trained = _train(cfg, out_dir, episodes)
+    if trainer.updates == 0:
+        print(f"notice: no learner update ran: {len(trainer.replay)} transitions gathered,"
+              f" below training.warmup {cfg.training.warmup_size}", file=sys.stderr)
     eval_stats = write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), trainer)
     summary = {**trained, "eval": _eval_block(eval_stats)}
     nn.write_json(os.path.join(out_dir, "summary.json"), summary)

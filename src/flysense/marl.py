@@ -151,8 +151,8 @@ def arbitrate(a_actor, propose, epsilon: float = 0.0,
 class Batch:
     """Sampled joint transitions and what the agents updated on them in
     turn share: the read-only critic input of the stored joint actions
-    (all observations, then all raw actions) and (B, 1) gradient of
-    -mean(q) in its values, and next_acts, td_targets' target actions."""
+    (all observations, then all raw actions), and next_acts, td_targets'
+    target actions."""
 
     obs: np.ndarray    # (B, N, obs_dim)
     acts: np.ndarray   # (B, N, 2)
@@ -160,7 +160,6 @@ class Batch:
     obs2: np.ndarray
     done: np.ndarray   # (B,)
     critic_input: np.ndarray = field(init=False, repr=False)
-    neg_mean_grad: np.ndarray = field(init=False, repr=False)
     next_acts: list = field(init=False, repr=False)  # None until td_targets fills it
 
     def __post_init__(self):
@@ -168,9 +167,7 @@ class Batch:
         self.next_acts = [None] * n
         self.critic_input = np.concatenate(
             [self.obs.reshape(b, -1), self.acts.reshape(b, -1)], axis=1)
-        self.neg_mean_grad = np.full((b, 1), -1.0 / b)
         self.critic_input.flags.writeable = False
-        self.neg_mean_grad.flags.writeable = False
 
 
 class ReplayBuffer:
@@ -273,7 +270,7 @@ def update_agent(i: int, agents: list, batch: Batch, discount: float, tau: float
     x_pi[:, cols] = a_i
     q_pi, critic_cache = agent.critic.forward(x_pi)
     mean_q = float(np.add.reduce(q_pi, axis=None) / b)
-    _, dx = agent.critic.backward(critic_cache, batch.neg_mean_grad, params=False)
+    _, dx = agent.critic.backward(critic_cache, np.full((b, 1), -1.0 / b), params=False)
     actor_grad, _ = agent.actor.backward(actor_cache, dx[:, cols], inputs=False)
     agent.actor_opt.step(actor_grad)
 
@@ -423,7 +420,8 @@ class Trainer:
     bit-identical metric streams.  The actors' weights live in one
     nn.MlpStack, which both training and evaluation act through.  The
     fleet's GP window is gp_x, (N, m, 2) scaled positions, and gp_y,
-    (N, m) Mbit sensed there, oldest sample first; row i is UAV i's."""
+    (N, m) Mbit sensed there, oldest sample first; row i is UAV i's.
+    updates counts the update_agent calls made so far."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -445,6 +443,7 @@ class Trainer:
         self.actors = nn.MlpStack(a.actor for a in self.agents)
         self.replay = ReplayBuffer(tc.replay_capacity, n, obs_dim,
                                    np.random.default_rng(replay_ss))
+        self.updates = 0
         self.gp_x, self.gp_y = np.zeros((n, 0, 2)), np.zeros((n, 0))
         self.formation_fn = make_formation_fn(cfg.formation, tc.lam)
         reach_scaled = scenario.v_max_mps * scenario.protocol.t_f / scenario.half_width_m
@@ -506,6 +505,7 @@ class Trainer:
                 batch = self.replay.sample(tc.batch_size)
                 for i in range(n):
                     update_agent(i, self.agents, batch, tc.discount, tc.tau)
+                self.updates += n
             if log_slots:
                 cost_rep = build_cost_report(w, tc.lam)
                 backlog = sum(g.remaining for g in w.gus)

@@ -209,39 +209,24 @@ class Adam:
         self.t = 0
         self._m = None
         self._v = None
-        self._scratch = None
 
     def step(self, grad: np.ndarray) -> None:
         """One update of the net's params from a flat gradient laid out
-        like them (the grad of Mlp.backward).  The textbook expression
-        params -= lr * (m / c1) / (sqrt(v / c2) + eps), with the moments
-        m += (1 - beta1) * grad and v += (1 - beta2) * grad**2, evaluated
-        in the same order, each ufunc writing into one of two scratch
-        vectors."""
+        like them (the grad of Mlp.backward): the textbook moments and
+        bias-corrected step (Kingma & Ba 2015, Alg. 1)."""
         params = self.net.params
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
-            self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         m, v = self._m, self._v
-        s, r = self._scratch
         m *= self.beta1
-        np.multiply(1.0 - self.beta1, grad, out=s)
-        m += s
+        m += (1.0 - self.beta1) * grad
         v *= self.beta2
-        np.square(grad, out=s)
-        np.multiply(1.0 - self.beta2, s, out=s)
-        v += s
-        np.divide(m, c1, out=s)
-        np.multiply(self.lr, s, out=s)
-        np.divide(v, c2, out=r)
-        np.sqrt(r, out=r)
-        r += self.eps
-        s /= r
-        params -= s
+        v += (1.0 - self.beta2) * np.square(grad)
+        params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:

@@ -40,7 +40,9 @@ def test_train_then_eval(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out = str(tmp_path / "run")
     assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-    assert "trained 3 episodes" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "trained 3 episodes" in captured.out
+    assert captured.err == ""  # its 17 transitions pass the warm-up of 16
     assert (tmp_path / "run" / "checkpoint.json").exists()
 
     out2 = str(tmp_path / "eval")
@@ -49,6 +51,21 @@ def test_train_then_eval(tmp_path, capsys):
     assert code == 0
     assert "evaluated 1 episodes" in capsys.readouterr().out
     assert (tmp_path / "eval" / "eval.json").exists()
+
+
+def test_train_that_made_no_update_says_so(tmp_path, capsys):
+    """configs/tiny.json's episodes end early: 5 of them have 60 slots,
+    past the pre-run rule's warm-up of 32, but gather 27 transitions, so
+    no learner update runs.  The run still succeeds, and says so in one
+    line naming the setting."""
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(TINY), "--episodes", "5",
+                     "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "27 transitions" in err[0] and "training.warmup 32" in err[0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == ["early_stopped", "episodes_run", "eval", "final_smoothed"]
 
 
 def test_seed_and_episode_overrides(tmp_path):
@@ -66,7 +83,7 @@ def test_compare_prints_rows(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out = str(tmp_path / "cmp")
     code = cli.main(["compare", "--config", cfg, "--out", out,
-                     "--episodes", "1", "--eval-episodes", "1"])
+                     "--episodes", "3", "--eval-episodes", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     # 4 policies x 3 demand scales

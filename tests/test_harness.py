@@ -297,6 +297,13 @@ class TestCountOverrides:
             harness.run_compare(tiny_cfg(), str(out), episodes=1, **kwargs)
         assert not out.exists()
 
+    def test_compare_budget_below_the_warm_up_rejected(self, tmp_path):
+        """1 episode x 6 slots cannot gather the warm-up of 16."""
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="training.warmup: 16 is more than 1 episodes"):
+            harness.run_compare(tiny_cfg(), str(out), episodes=1)
+        assert not out.exists()
+
     def test_compare_without_training_stays_valid(self, tmp_path):
         payload = harness.run_compare(tiny_cfg(), str(tmp_path / "cmp"), episodes=0,
                                       policies=("eda_nf",), demand_scales=(1.0,),
@@ -326,7 +333,7 @@ class TestRunEval:
 class TestRunCompare:
     def test_payload_shape(self, tmp_path):
         out = str(tmp_path / "cmp")
-        payload = harness.run_compare(tiny_cfg(), out, episodes=2,
+        payload = harness.run_compare(tiny_cfg(), out, episodes=3,
                                       policies=("eda_nf", "non_cooperative"),
                                       demand_scales=(1.0, 2.0), eval_episodes=2)
         assert payload["eval_horizon"] == 20
@@ -346,7 +353,7 @@ class TestRunCompare:
         # sensed totals at scale 1 differ only through formation effects on
         # motion; energy of slot 1 is identical because starts are shared.
         out = str(tmp_path / "cmp")
-        payload = harness.run_compare(tiny_cfg(), out, episodes=2,
+        payload = harness.run_compare(tiny_cfg(), out, episodes=3,
                                       policies=("non_cooperative", "buffer_threshold"),
                                       demand_scales=(1.0,), eval_episodes=1)
         rows = payload["rows"]
