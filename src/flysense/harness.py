@@ -22,39 +22,30 @@ from .formation import FormationPolicy
 from .marl import Trainer
 
 
-def format_cell(value) -> str:
-    """Stable scalar formatting: floats via repr (shortest round-trip),
-    everything else via str."""
-    if isinstance(value, float):
-        return repr(float(value))  # plain repr even for numpy scalars
-    return str(value)
-
-
 class CsvSink:
     """Collects per-slot rows into metrics.csv and per-episode rows into
     episodes.csv, both nn.atomic_file, under one output directory.  Headers
-    come from the first row of each stream; later rows must use the same keys."""
+    come from the first row of each stream; later rows must use the same keys.
+    Cells are written as csv writes them: str() of each value, so a float,
+    numpy scalars included, reads as its shortest round-trip repr."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self._files = contextlib.ExitStack()
-        self._writers = {}
-        self._headers = {}
+        self._streams = {}  # file name -> (csv writer, header keys)
 
     def _write(self, stream: str, row: dict) -> None:
-        if stream not in self._writers:
+        if stream not in self._streams:
             fh = self._files.enter_context(
                 nn.atomic_file(os.path.join(self.out_dir, stream), newline=""))
             writer = csv.writer(fh, lineterminator="\n")
-            header = list(row.keys())
-            writer.writerow(header)
-            self._writers[stream] = writer
-            self._headers[stream] = header
-        header = self._headers[stream]
+            writer.writerow(row.keys())
+            self._streams[stream] = (writer, list(row.keys()))
+        writer, header = self._streams[stream]
         if list(row.keys()) != header:
             raise ValueError(f"{stream}: row keys changed mid-stream")
-        self._writers[stream].writerow([format_cell(row[k]) for k in header])
+        writer.writerow(row.values())
 
     def slot_row(self, row: dict) -> None:
         self._write("metrics.csv", row)
@@ -66,7 +57,7 @@ class CsvSink:
         return self
 
     def __exit__(self, *exc):
-        self._writers.clear()
+        self._streams.clear()
         return self._files.__exit__(*exc)
 
 
@@ -144,7 +135,7 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
     lines, a header with the scenario layout followed by one line per
     slot, enough to replay or plot the flight.  Returns the stats of
     every episode."""
-    scen = trainer.scenario
+    scen = trainer.cfg.scenario
     with nn.atomic_file(path) as fh:
         def emit(obj):
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -166,17 +157,16 @@ def write_trajectory(path: str, trainer: Trainer) -> list:
             emit({
                 "type": "slot",
                 "slot": slot,
-                "actions": [list(map(float, a)) for a in acts],
+                "actions": acts.tolist(),
                 "uav_xy": [[u.pos.x, u.pos.y] for u in w.uavs],
                 "buffers": [u.buffer for u in w.uavs],
-                "formation": [[int(tx), int(rx), int(ch)]
-                              for tx, rx, ch in w.formation.links()],
+                "formation": w.formation.links(),
                 "gu_remaining": [g.remaining for g in w.gus],
                 "sensed": report.sensed,
                 "delivered_bs": report.delivered_bs,
             })
 
-        return trainer.evaluate(trainer.train_cfg.eval_episodes, slot_cb=on_slot)
+        return trainer.evaluate(trainer.cfg.training.eval_episodes, slot_cb=on_slot)
 
 
 def _train(cfg: RunConfig, out_dir: str, episodes: int | None) -> tuple[Trainer, dict]:

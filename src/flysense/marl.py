@@ -421,24 +421,23 @@ class Trainer:
     nn.MlpStack, which both training and evaluation act through.  The
     fleet's GP window is gp_x, (N, m, 2) scaled positions, and gp_y,
     (N, m) Mbit sensed there, oldest sample first; row i is UAV i's.
-    updates counts the update_agent calls made so far."""
+    updates counts the update_agent calls made so far.  cfg is the run
+    config it simulates: the caller's, with scenario.gu_seed derived from
+    seed when unset."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        self.train_cfg: TrainingConfig = cfg.training
-        scenario = cfg.scenario
-        if scenario.gu_seed is None:
+        if cfg.scenario.gu_seed is None:
             layout = int(np.random.SeedSequence([cfg.seed, 1]).generate_state(1)[0])
-            scenario = dc_replace(scenario, gu_seed=layout)
-        self.scenario = scenario
+            cfg = dc_replace(cfg, scenario=dc_replace(cfg.scenario, gu_seed=layout))
+        self.cfg = cfg
         ss = np.random.SeedSequence(cfg.seed)
         init_ss, self._world_ss, noise_ss, replay_ss, arb_ss = ss.spawn(5)
         init_rng = np.random.default_rng(init_ss)
         self.noise_rng = np.random.default_rng(noise_ss)
         self.arb_rng = np.random.default_rng(arb_ss)
+        scenario, tc = cfg.scenario, cfg.training
         n = scenario.n_uavs
         obs_dim = observation_dim(n)
-        tc = self.train_cfg
         self.agents = build_agents(n, obs_dim, tc.hidden, tc.actor_lr, tc.critic_lr, init_rng)
         self.actors = nn.MlpStack(a.actor for a in self.agents)
         self.replay = ReplayBuffer(tc.replay_capacity, n, obs_dim,
@@ -451,7 +450,7 @@ class Trainer:
 
     def _new_world(self, rng=None, demand_scale: float = 1.0) -> WorldState:
         """A fresh, unplanned world: the episode loop plans each slot."""
-        scenario = self.scenario
+        scenario = self.cfg.scenario
         if demand_scale != 1.0:
             scenario = dc_replace(scenario, demand_bits=scenario.demand_bits * demand_scale)
         if rng is None:
@@ -471,7 +470,7 @@ class Trainer:
         return (a_bo, *critic_q(self.agents[i].critic, obs, trials))
 
     def train_episode(self, ep: int, sink=None) -> EpisodeStats:
-        tc = self.train_cfg
+        tc = self.cfg.training
         w = self._new_world()
         n = w.n_uavs
         stats = EpisodeStats(np.zeros(n))
@@ -529,7 +528,7 @@ class Trainer:
         """Train for the episode budget (the config's when None), or until
         the smoothed reward stops improving.  Returns the training half
         of summary.json: episodes_run, early_stopped, final_smoothed."""
-        tc = self.train_cfg
+        tc = self.cfg.training
         budget = tc.episodes if episodes is None else episodes
         ema = None
         best = -math.inf
@@ -552,7 +551,7 @@ class Trainer:
                 "completion_slot": -1 if stats.completion_slot is None else stats.completion_slot,
                 "bo_frac": stats.bo_frac,
             }
-            for i in range(self.scenario.n_uavs):
+            for i in range(self.cfg.scenario.n_uavs):
                 row[f"reward_uav{i + 1}"] = float(stats.rewards[i])
             if sink is not None:
                 sink.episode_row(row)
@@ -577,14 +576,14 @@ class Trainer:
         starts: with uav_xy fixed, one rollout's stats stand for all
         `episodes`.  slot_cb(episode, w, slot, acts, report) sees every stepped slot."""
         fn = (self.formation_fn if policy is None
-              else make_formation_fn(policy, self.train_cfg.lam))
-        horizon = self.train_cfg.horizon if horizon is None else horizon
+              else make_formation_fn(policy, self.cfg.training.lam))
+        horizon = self.cfg.training.horizon if horizon is None else horizon
         act_fn = act_fn or (lambda w, obs: act(self.actors, obs))
-        stepped = episodes if self.scenario.uav_xy is None else min(episodes, 1)
+        stepped = episodes if self.cfg.scenario.uav_xy is None else min(episodes, 1)
         out = []
         for k in range(stepped):
             rng = np.random.default_rng([self.cfg.seed, 2, k])
             w = self._new_world(rng=rng, demand_scale=demand_scale)
             cb = None if slot_cb is None else (lambda *slot, k=k: slot_cb(k, *slot))
-            out.append(rollout(w, act_fn, horizon, fn, self.train_cfg.weights, slot_cb=cb))
+            out.append(rollout(w, act_fn, horizon, fn, self.cfg.training.weights, slot_cb=cb))
         return out + out[-1:] * (episodes - stepped)

@@ -80,17 +80,23 @@ class Mlp:
     """
 
     def __init__(self, dims, out_act: str = "identity", *, rng: np.random.Generator):
+        self._shape(dims, out_act)
+        for w, b in zip(self.ws, self.bs):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _shape(self, dims, out_act: str, params: np.ndarray | None = None) -> "Mlp":
+        """Check and set dims and out_act, then bind params (fresh storage
+        when None): the one path by which every net is made."""
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
         if out_act not in _ACTIVATIONS:
             raise ValueError(f"unknown output activation {out_act!r}")
         self.dims = [int(d) for d in dims]
         self.out_act = out_act
-        self._bind(np.empty(_n_params(self.dims)))
-        for w, b in zip(self.ws, self.bs):
-            bound = 1.0 / np.sqrt(w.shape[0])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
-            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        self._bind(np.empty(_n_params(self.dims)) if params is None else params)
+        return self
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
@@ -132,11 +138,7 @@ class Mlp:
         return grad, g if inputs else None
 
     def copy(self) -> "Mlp":
-        dup = Mlp.__new__(Mlp)
-        dup.dims = list(self.dims)
-        dup.out_act = self.out_act
-        dup._bind(self.params.copy())
-        return dup
+        return Mlp.__new__(Mlp)._shape(self.dims, self.out_act, self.params.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -148,10 +150,7 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Mlp":
-        net = cls.__new__(cls)
-        net.dims = [int(d) for d in data["dims"]]
-        net.out_act = data["out_act"]
-        net._bind(np.empty(_n_params(net.dims)))
+        net = cls.__new__(cls)._shape(data["dims"], data["out_act"])
         if len(data["w"]) != len(net.ws) or len(data["b"]) != len(net.bs):
             raise ValueError(f"dims {net.dims} need {len(net.ws)} w and b entries")
         for dst, raw in zip(net.ws + net.bs, data["w"] + data["b"]):

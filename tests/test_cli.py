@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from flysense import cli, harness, oracles
+from flysense import cli, harness, marl, oracles
 from flysense.config import RunConfig, _schema, config_to_dict, load_config, parse_config
 from flysense.marl import Trainer
 
@@ -300,6 +300,11 @@ _BROKEN_CHECKPOINTS = {
         text, lambda net: net.update(w=net["w"][:1], b=net["b"][:1])),
     # a scalar would be broadcast over the whole weight matrix
     "scalar-w": lambda text: _edit_actor_1(text, lambda net: net["w"].__setitem__(0, 0.5)),
+    # an activation the nets do not have would run as identity
+    "relu-out-act": lambda text: _edit_actor_1(text, lambda net: net.update(out_act="relu")),
+    # one dim and no layers would return its input
+    "one-dim": lambda text: _edit_actor_1(
+        text, lambda net: net.update(dims=net["dims"][:1], w=[], b=[])),
 }
 
 
@@ -314,7 +319,7 @@ def test_unreadable_checkpoint_exit_1_before_writing(tmp_path, capsys, case):
     code = cli.main(["eval", "--config", cfg, "--out", str(out), "--episodes", "1",
                      "--checkpoint", str(ckpt)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"config error: checkpoint {ckpt}: ")
+    assert capsys.readouterr().err.startswith(f"config error: checkpoint {ckpt}: cannot load (")
     assert not out.exists()
 
 
@@ -454,16 +459,20 @@ def _numeric_fields(base: dict) -> list:
     return fields
 
 
-def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
+def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys, monkeypatch):
     """Seeded fuzz over configs/tiny.json: each case sets one or two numeric
     fields or layouts to boundary values, both sides of the declared bound
     among them.  A config must either be rejected with exit 1 before
     anything is written, or run (exit 0); it must never crash mid-run
-    (exit 3)."""
+    (exit 3).  A run either makes a learner update or says on stderr that
+    it made none, never both and never neither."""
+    real_update, updates = marl.update_agent, []
+    monkeypatch.setattr(marl, "update_agent",
+                        lambda *a, **kw: updates.append(1) or real_update(*a, **kw))
     rng = random.Random(20261018)
     base = json.loads(TINY.read_text())
     fields = _numeric_fields(base)
-    codes = Counter()
+    codes, learning_runs = Counter(), 0
     bad = []
     for case in range(400):
         cfg = json.loads(json.dumps(base))
@@ -478,14 +487,18 @@ def test_fuzzed_configs_run_or_exit_1_before_writing(tmp_path, capsys):
         cfg_path = tmp_path / f"case{case}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{case}"
+        updates.clear()
         code = cli.main(["train", "--config", str(cfg_path), "--episodes", "3",
                          "--out", str(out)])
+        err = capsys.readouterr().err.strip()
         codes[code] += 1
-        if code not in (0, 1) or (code == 1 and out.exists()):
-            bad.append((overrides, code, capsys.readouterr().err.strip()))
-        capsys.readouterr()
+        learning_runs += code == 0 and bool(updates)
+        misreported = code == 0 and bool(updates) == ("notice: no learner update ran" in err)
+        if code not in (0, 1) or (code == 1 and out.exists()) or misreported:
+            bad.append((overrides, code, len(updates), err))
     assert bad == []
     assert codes[0] > 0 and codes[1] > 0  # the cases both run and get rejected
+    assert 0 < learning_runs < codes[0]  # the runs both learn and say they did not
 
 
 def _walk_values(kind, meta) -> tuple:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from flysense import harness, marl, oracles, world
 from flysense.config import ConfigError, RunConfig, load_config, parse_config
-from flysense.harness import CsvSink, format_cell, load_agents_into, save_agents
+from flysense.harness import CsvSink, load_agents_into, save_agents
 from flysense.marl import Trainer, build_agents
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,19 +32,6 @@ def tiny_cfg(seed=11, **training):
     return parse_config(base)
 
 
-class TestFormatCell:
-    def test_floats_shortest_round_trip(self):
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(np.float64(0.1)) == "0.1"
-        assert format_cell(1e7) == "10000000.0"
-        assert float(format_cell(1 / 3)) == 1 / 3
-
-    def test_non_floats(self):
-        assert format_cell(3) == "3"
-        assert format_cell(True) == "True"
-        assert format_cell("a;b") == "a;b"
-
-
 class TestCsvSink:
     def test_streams_and_headers(self, tmp_path):
         out = str(tmp_path / "run")
@@ -57,6 +45,24 @@ class TestCsvSink:
         with open(f"{out}/episodes.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["episode", "reward"], ["0", "1.0"]]
+
+    def test_cells_are_str_of_each_value(self, tmp_path):
+        """Floats, numpy float64 included, are written as their shortest
+        round-trip repr (numpy 2's repr would write "np.float64(0.1)"),
+        ints and bools as str, and strings unquoted."""
+        row = {"np": np.float64(0.1), "py": 0.1, "big": 1e16, "third": 1 / 3,
+               "neg_zero": -0.0, "tiny": 5e-324, "int": 7, "flag": True, "pairs": "1:0;2:1"}
+        with CsvSink(str(tmp_path)) as sink:
+            sink.slot_row(row)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            header, cells = list(csv.reader(fh))
+        assert header == list(row)
+        assert cells == ["0.1", "0.1", "1e+16", "0.3333333333333333", "-0.0",
+                         "5e-324", "7", "True", "1:0;2:1"]
+        for cell, value in zip(cells, row.values()):
+            if isinstance(value, float):
+                assert float(cell) == value
+                assert math.copysign(1.0, float(cell)) == math.copysign(1.0, value)
 
     def test_key_change_raises(self, tmp_path):
         with CsvSink(str(tmp_path)) as sink:

@@ -849,8 +849,8 @@ class TestTrainer:
         assert len(calls) == stepped and len(rows) == 5
         if name == "desk":
             w = tr._new_world(rng=np.random.default_rng([tr.cfg.seed, 2, 4]))
-            last = real(w, lambda w, obs: act(tr.actors, obs), tr.train_cfg.horizon,
-                        tr.formation_fn, tr.train_cfg.weights)
+            last = real(w, lambda w, obs: act(tr.actors, obs), tr.cfg.training.horizon,
+                        tr.formation_fn, tr.cfg.training.weights)
             assert rows == [{**vars(last), "rewards": last.rewards.tolist()}] * 5
         else:
             assert len({json.dumps(r) for r in rows}) == 5
@@ -884,7 +884,7 @@ class TestTrainer:
         cfg = load_config(os.path.join(ROOT, "configs", "tiny.json"))
         cfg = dataclasses.replace(cfg, gp=dataclasses.replace(cfg.gp, window=3))
         tr = Trainer(cfg)
-        hw = tr.scenario.half_width_m
+        hw = tr.cfg.scenario.half_width_m
         windows = [[] for _ in range(cfg.scenario.n_uavs)]
         real_step = world.step
 

@@ -420,3 +420,16 @@ def test_from_dict_rejects_entries_that_do_not_fill_every_layer(broken):
     broken(data)
     with pytest.raises(ValueError):
         Mlp.from_dict(data)
+
+
+@pytest.mark.parametrize("shape, match", [
+    ({"out_act": "relu"}, "unknown output activation"),
+    ({"dims": [2], "w": [], "b": []}, "at least input and output dims"),
+], ids=["relu-out-act", "one-dim"])
+def test_from_dict_rejects_what_the_constructor_rejects(shape, match):
+    """A loaded net gets the checks a built one does: an unknown output
+    activation would run as identity, one dim would make a net with no
+    layers that returns its input."""
+    data = {**_net([2, 3, 1], seed=14).to_dict(), **shape}
+    with pytest.raises(ValueError, match=match):
+        Mlp.from_dict(data)
